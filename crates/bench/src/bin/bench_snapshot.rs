@@ -6,9 +6,9 @@
 //! the medians:
 //!
 //! * **`BENCH_sim.json`** — gate-level simulator throughput on the small
-//!   MAC (plain `eval` and deep-net `eval_forced_site`, in million
-//!   compiled ops per second) — the substrate cost under every
-//!   fault-injection number;
+//!   MAC (dense whole-circuit `eval`, and the fault engine on its
+//!   worst-case cone, in million compiled ops per second) — the substrate
+//!   cost under every fault-injection number;
 //! * **`BENCH_campaign.json`** — end-to-end `mac-small` campaign
 //!   injection throughput, read back from the campaign's **telemetry
 //!   logs** (the same `injections / phase.measure` arithmetic as
@@ -31,7 +31,7 @@ use ffr_campaign::{
 };
 use ffr_circuits::{Mac10ge, Mac10geConfig, MacTestbench, TrafficConfig};
 use ffr_netlist::FfId;
-use ffr_sim::{CompiledCircuit, FrontierScratch, NetJournal, SimState, Stimulus};
+use ffr_sim::{CompiledCircuit, FaultEngine, NetJournal, SimState, Stimulus};
 use serde::{Serialize, Value};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -41,7 +41,10 @@ use std::time::Instant;
 /// v2: added `cone_eval_mops_per_sec` to `BENCH_sim.json`.
 /// v3: added `frontier_eval_mops_per_sec` to `BENCH_sim.json`; `--check`
 /// now also rejects schema drift and stale committed metrics.
-const SCHEMA_VERSION: u64 = 3;
+/// v4: `frontier_eval_mops_per_sec` is measured through `FaultEngine`
+/// (Dense adoption included); `forced_eval_mops_per_sec` and
+/// `cone_eval_mops_per_sec` are gone with their public entry points.
+const SCHEMA_VERSION: u64 = 4;
 
 /// Default slowdown tolerance of `--check` (fraction of the committed
 /// value).
@@ -87,7 +90,7 @@ fn measure(mut workload: impl FnMut() -> f64) -> f64 {
 }
 
 /// Simulator throughput metrics on the small MAC (million compiled ops
-/// per second), matching the `sim_throughput` / `forced_eval` benches.
+/// per second), matching the `sim_throughput` / `engine_eval` benches.
 fn sim_metrics() -> Vec<(String, f64)> {
     let mac = Mac10ge::build(Mac10geConfig::small());
     let cc = CompiledCircuit::compile(mac.into_netlist()).expect("small MAC compiles");
@@ -105,92 +108,38 @@ fn sim_metrics() -> Vec<(String, f64)> {
         ops / t0.elapsed().as_secs_f64() / 1e6
     });
 
-    let deep = *cc
-        .comb_output_nets()
-        .iter()
-        .max_by_key(|&&n| cc.net_level(n))
-        .expect("MAC has combinational nets");
-    let site = cc.fault_site(deep);
-    let forced = measure(|| {
-        let mut state = SimState::new(&cc);
-        let t0 = Instant::now();
-        for _ in 0..cycles {
-            state.eval_forced_site(&cc, site, 0xAAAA_5555_AAAA_5555);
-            state.tick(&cc);
-        }
-        std::hint::black_box(state.cycle());
-        ops / t0.elapsed().as_secs_f64() / 1e6
-    });
-
-    // Cone-restricted campaign inner loop on the largest SEU cone — the
-    // worst case the cone path ever evaluates (matching the `cone_eval`
-    // bench). Throughput is counted in *cone* ops, so the number is
-    // comparable to the full-eval metrics per op actually executed.
-    let largest = (0..cc.num_ffs())
-        .max_by_key(|&i| cc.ff_cone(FfId::from_index(i)).num_ops())
-        .expect("MAC has flip-flops");
-    let cone = cc.ff_cone(FfId::from_index(largest));
-    let cone_ops = cone.num_ops() as f64 * cycles as f64;
-    let boundary_row = vec![0u64; cc.netlist().num_nets().div_ceil(64)];
-    let cone_eval = measure(|| {
-        let mut state = SimState::new(&cc);
-        let t0 = Instant::now();
-        for _ in 0..cycles {
-            state.load_boundary(&cone, &boundary_row);
-            state.eval_cone(&cone);
-            state.tick_cone(&cone);
-        }
-        std::hint::black_box(state.cycle());
-        cone_ops / t0.elapsed().as_secs_f64() / 1e6
-    });
-
-    // Event-driven frontier on the same worst-case cone, over the real
-    // mac-small testbench journal with a real all-lanes SEU injection
-    // (matching the `frontier_eval` bench). Throughput is counted in
-    // cone-op *equivalents* — the ops the static cone path would have run
-    // over the same window — so the number is directly comparable to
-    // `cone_eval_mops_per_sec`: the ratio is the event-driven win.
+    // The fault engine on the largest SEU cone — the worst case a
+    // campaign ever evaluates — over the real mac-small testbench journal
+    // with a real all-lanes SEU injection (matching the `engine_eval`
+    // bench). Throughput is counted in cone-op *equivalents* — every cone
+    // op in every cycle of the window — so the number is comparable to
+    // `sim_eval_mops_per_sec` per op a whole-cone sweep would execute:
+    // the ratio is what evaluating only live divergence buys.
     let (tcc, tb, _watch, _extractor) =
         MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
     let netj = NetJournal::capture(&tcc, &tb);
-    let flargest = (0..tcc.num_ffs())
+    let largest = (0..tcc.num_ffs())
         .max_by_key(|&i| tcc.ff_cone(FfId::from_index(i)).num_ops())
         .expect("MAC has flip-flops");
-    let fcone = tcc.ff_cone(FfId::from_index(flargest));
+    let cone = tcc.ff_cone(FfId::from_index(largest));
     let t0 = tb.injection_window().start;
-    let endc = tb.num_cycles();
-    let equiv_ops = fcone.num_ops() as f64 * (endc - t0) as f64;
+    let end = tb.num_cycles();
+    let equiv_ops = cone.num_ops() as f64 * (end - t0) as f64;
     let frontier_eval = measure(|| {
-        let mut state = SimState::new(&tcc);
-        let mut fs = FrontierScratch::new();
-        fs.attach(&fcone);
-        state.set_cycle(t0);
+        let mut engine = FaultEngine::new(&tcc);
+        engine.attach(&cone, t0);
         let timer = Instant::now();
-        for cycle in t0..endc {
-            let row = netj.row(cycle);
-            if cycle == t0 {
-                state.flip_frontier(&fcone, &mut fs, row, !0u64);
-            }
-            state.eval_frontier(&fcone, &mut fs, row);
+        for cycle in t0..end {
+            engine.eval(&cone, netj.row(cycle), if cycle == t0 { !0 } else { 0 });
             let next = cycle + 1;
-            state.tick_frontier(
-                &fcone,
-                &mut fs,
-                if next < endc {
-                    Some(netj.row(next))
-                } else {
-                    None
-                },
-            );
+            engine.tick(&cone, (next < end).then(|| netj.row(next)));
         }
-        std::hint::black_box(fs.ops_evaluated());
+        std::hint::black_box(engine.ops_evaluated());
         equiv_ops / timer.elapsed().as_secs_f64() / 1e6
     });
 
     vec![
         ("sim_eval_mops_per_sec".to_string(), plain),
-        ("forced_eval_mops_per_sec".to_string(), forced),
-        ("cone_eval_mops_per_sec".to_string(), cone_eval),
         ("frontier_eval_mops_per_sec".to_string(), frontier_eval),
     ]
 }

@@ -36,26 +36,6 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Apply the `FFR_EVAL` evaluation-path override to a campaign config:
-/// `frontier` (default), `cone` (static cone, frontier off) or `full`
-/// (whole-circuit ablation). Evaluation paths are bit-identical by
-/// construction, so the override is a pure performance knob — it is
-/// deliberately *not* part of the campaign fingerprint and a checkpoint
-/// written under one path resumes under any other.
-fn apply_eval_override(config: CampaignConfig) -> CampaignConfig {
-    match std::env::var("FFR_EVAL").as_deref() {
-        Ok("full") => config.with_cone(false),
-        Ok("cone") => config.with_frontier(false),
-        Ok("frontier") | Err(_) => config,
-        Ok(other) => {
-            eprintln!(
-                "warning: unknown FFR_EVAL={other:?} (expected full|cone|frontier), using default"
-            );
-            config
-        }
-    }
-}
-
 /// Cooperative cancellation handle (cloneable; e.g. wired to Ctrl-C).
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -234,11 +214,9 @@ where
     }
     let params = checkpoint.params.clone();
     let policy = params.policy.clone();
-    let config = apply_eval_override(
-        CampaignConfig::new(params.window_start..params.window_end)
-            .with_injections(policy.max_injections)
-            .with_seed(params.seed),
-    );
+    let config = CampaignConfig::new(params.window_start..params.window_end)
+        .with_injections(policy.max_injections)
+        .with_seed(params.seed);
 
     let total = checkpoint.num_points;
     if checkpoint.is_complete() {

@@ -1,11 +1,14 @@
-//! The unified fault-injection campaign engine.
+//! The unified fault-injection campaign layer.
 //!
 //! One batch-simulation loop serves both fault models behind
 //! [`InjectionPoint`]: SEUs flip a flip-flop's stored value before the
 //! combinational evaluation of the injection cycle; SETs XOR-force a
-//! combinational net for exactly that evaluation (via a pre-compiled
-//! [`ffr_sim::FaultSite`]). Checkpoint restart, 64-lane fault batching and
-//! the convergence early-exit are shared.
+//! combinational net for exactly that evaluation. The difference is fully
+//! encoded in the point's fan-out [`Cone`], so the loop hands the
+//! [`FaultEngine`] one injection mask per cycle. 64-lane fault batching,
+//! the merged injection schedule and the convergence early-exit are
+//! shared; how the faulty state is represented and evaluated is the
+//! engine's business alone.
 
 use crate::judge::FailureJudge;
 use crate::model::{FailureClass, InjectionPoint};
@@ -14,8 +17,8 @@ use crate::sampling::sample_injection_times;
 use crate::set::{NetSetResult, SetDeratingTable};
 use ffr_netlist::{FfId, NetId};
 use ffr_sim::{
-    CompiledCircuit, Cone, FaultSite, GoldenRun, InputFrame, LaneView, NetJournal, OutputTrace,
-    SimState, Stimulus, WatchList,
+    CompiledCircuit, Cone, FaultEngine, GoldenRun, LaneView, NetJournal, OutputTrace, Stimulus,
+    WatchList,
 };
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,35 +36,16 @@ pub struct CampaignConfig {
     /// Master seed; combined with the flip-flop index so every flip-flop
     /// has an independent, reproducible injection plan.
     pub seed: u64,
-    /// Stop simulating a batch once every lane has re-converged to the
-    /// golden state (sound, pure optimisation). Disable only for
-    /// measurement ablations.
-    pub early_exit: bool,
-    /// Evaluate only the injection point's fan-out cone per cycle,
-    /// serving boundary nets and out-of-cone watched outputs from golden
-    /// data (sound, pure optimisation — produces bit-identical traces
-    /// and tallies). Disable only for measurement ablations.
-    pub cone: bool,
-    /// Event-driven evaluation inside the cone: per cycle, evaluate only
-    /// the ops whose inputs currently differ from the golden
-    /// [`NetJournal`] values and pull everything else from the journal by
-    /// construction (sound, pure optimisation — produces bit-identical
-    /// traces and tallies). Requires `cone`; disable only for
-    /// measurement ablations.
-    pub frontier: bool,
 }
 
 impl CampaignConfig {
-    /// Paper-like defaults: 170 injections, early exit on, seed 0; the
-    /// window must still be set to the testbench's active phase.
+    /// Paper-like defaults: 170 injections, seed 0; the window must
+    /// still be set to the testbench's active phase.
     pub fn new(window: std::ops::Range<u64>) -> CampaignConfig {
         CampaignConfig {
             injections_per_ff: 170,
             window,
             seed: 0,
-            early_exit: true,
-            cone: true,
-            frontier: true,
         }
     }
 
@@ -76,40 +60,18 @@ impl CampaignConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder-style override of cone restriction (ablations only).
-    pub fn with_cone(mut self, cone: bool) -> CampaignConfig {
-        self.cone = cone;
-        self
-    }
-
-    /// Builder-style override of frontier evaluation (ablations only).
-    pub fn with_frontier(mut self, frontier: bool) -> CampaignConfig {
-        self.frontier = frontier;
-        self
-    }
 }
 
-/// An [`InjectionPoint`] resolved against the compiled circuit: SET
-/// targets carry their pre-compiled [`FaultSite`] so the per-cycle loop
-/// never re-resolves the net→driving-op lookup.
-#[derive(Clone, Copy)]
-enum CompiledPoint {
-    Seu(FfId),
-    Set(FaultSite),
-}
-
-/// One injection point compiled for repeated batch simulation: the
-/// resolved [`InjectionPoint`], its fan-out [`Cone`] and the per-watch
-/// in-cone classification. Built once per point
-/// ([`Campaign::point_runner`]) and reused across every policy batch, so
-/// the cone closure is never recomputed inside the injection loop.
+/// One injection point compiled for repeated batch simulation: its
+/// fan-out [`Cone`] and the watched outputs inside it. Built once per
+/// point ([`Campaign::point_runner`]) and reused across every policy
+/// batch, so the cone closure is never recomputed inside the injection
+/// loop.
 pub struct PointRunner {
-    point: CompiledPoint,
     cone: Cone,
-    /// Per watch entry: can this output ever deviate from golden? `false`
-    /// entries are copied from the golden trace each cycle.
-    watch_in_cone: Vec<bool>,
+    /// `(watch offset, net)` of every watched output that can ever
+    /// deviate from golden; all others keep their golden trace rows.
+    watched_in_cone: Vec<(usize, NetId)>,
     cycles_saved: u64,
     frontier_ops_evaluated: u64,
     frontier_cycles: u64,
@@ -138,43 +100,40 @@ impl PointRunner {
         self.cycles_saved
     }
 
-    /// Cone ops actually evaluated by the event-driven frontier across
-    /// every batch this runner has simulated.
+    /// Cone ops the engine actually evaluated across every batch this
+    /// runner has simulated (a Dense-state cycle counts the whole cone).
     pub fn frontier_ops_evaluated(&self) -> u64 {
         self.frontier_ops_evaluated
     }
 
-    /// Cone-op evaluations the frontier skipped relative to the static
-    /// cone path (which evaluates every cone op every simulated cycle).
+    /// Cone-op evaluations the engine skipped relative to evaluating
+    /// every cone op in every cycle from the first injection to the
+    /// batch's exit.
     pub fn frontier_ops_skipped(&self) -> u64 {
         (self.frontier_cycles * self.cone.num_ops() as u64)
             .saturating_sub(self.frontier_ops_evaluated)
     }
 
-    /// Largest number of cone ops the frontier evaluated in any single
-    /// cycle (worst-case divergence width).
+    /// Largest number of cone ops evaluated in any single cycle
+    /// (worst-case divergence width; the cone size once the engine went
+    /// Dense).
     pub fn frontier_peak(&self) -> u32 {
         self.frontier_peak
     }
 }
 
-/// Reusable per-thread simulation buffers: state, input frame, output
-/// trace, convergence bookkeeping and the injection schedule. One scratch
+/// Reusable per-thread simulation buffers: engine, output trace,
+/// convergence bookkeeping and the injection schedule. One scratch
 /// ([`Campaign::point_scratch`]) serves any number of points and batches
 /// — the batch loop allocates nothing.
 pub struct PointScratch {
-    state: SimState,
-    frame: InputFrame,
+    engine: FaultEngine,
     trace: OutputTrace,
     converged_at: Vec<Option<u64>>,
     /// Per-batch `(cycle, lane mask)` schedule, sorted by cycle with
     /// duplicate cycles merged — replaces a per-cycle rescan of every
     /// lane's injection time.
     schedule: Vec<(u64, u64)>,
-    /// Event-driven worklist state for the frontier evaluation path,
-    /// re-attached per batch (re-sizing is a no-op between same-cone
-    /// batches).
-    frontier: ffr_sim::FrontierScratch,
 }
 
 /// A prepared fault-injection campaign: compiled circuit, stimulus, watch
@@ -190,9 +149,8 @@ pub struct Campaign<'a, S, J> {
     judge: &'a J,
     golden: GoldenRun,
     /// Golden per-cycle all-nets journal, captured lazily on the first
-    /// cone-restricted batch (one extra full-speed golden replay,
-    /// amortised over the whole campaign) and shared by every worker
-    /// thread.
+    /// batch (one extra full-speed golden replay, amortised over the
+    /// whole campaign) and shared by every worker thread.
     net_journal: OnceLock<NetJournal>,
 }
 
@@ -250,7 +208,7 @@ where
         &self.golden
     }
 
-    /// The golden all-nets journal backing cone-restricted simulation,
+    /// The golden all-nets journal the engine simulates against,
     /// capturing it on first use.
     pub fn net_journal(&self) -> &NetJournal {
         self.net_journal
@@ -328,27 +286,24 @@ where
         self.run_point_times_with(&mut runner, &mut scratch, times, config)
     }
 
-    /// Compile an injection point for repeated batch simulation: resolve
-    /// the target, extract its fan-out cone and classify the watched
-    /// outputs as in-cone or provably golden.
+    /// Compile an injection point for repeated batch simulation: extract
+    /// its fan-out cone and find the watched outputs inside it.
     pub fn point_runner(&self, point: InjectionPoint) -> PointRunner {
-        let (compiled, cone) = match point {
-            InjectionPoint::Seu(ff) => (CompiledPoint::Seu(ff), self.cc.ff_cone(ff)),
-            InjectionPoint::Set(net) => (
-                CompiledPoint::Set(self.cc.fault_site(net)),
-                self.cc.net_cone(net),
-            ),
+        let cone = match point {
+            InjectionPoint::Seu(ff) => self.cc.ff_cone(ff),
+            InjectionPoint::Set(net) => self.cc.net_cone(net),
         };
-        let watch_in_cone = self
+        let watched_in_cone = self
             .watch
             .indices()
             .iter()
-            .map(|&po| cone.may_differ(self.cc.output_net(po)))
+            .map(|&po| self.cc.output_net(po))
+            .enumerate()
+            .filter(|&(_, net)| cone.may_differ(net))
             .collect();
         PointRunner {
-            point: compiled,
             cone,
-            watch_in_cone,
+            watched_in_cone,
             cycles_saved: 0,
             frontier_ops_evaluated: 0,
             frontier_cycles: 0,
@@ -361,29 +316,40 @@ where
     /// the thread.
     pub fn point_scratch(&self) -> PointScratch {
         PointScratch {
-            state: SimState::new(self.cc),
-            frame: InputFrame::new(self.cc.num_inputs()),
+            engine: FaultEngine::new(self.cc),
             trace: OutputTrace::new(0, 0, 0),
             converged_at: Vec::new(),
             schedule: Vec::new(),
-            frontier: ffr_sim::FrontierScratch::new(),
         }
     }
 
     /// [`Campaign::run_point_times`] against a pre-compiled
     /// [`PointRunner`] and reusable [`PointScratch`] — the zero-allocation
     /// resumable unit of campaign work. Tallies are identical to the
-    /// one-shot entry point.
+    /// one-shot entry point. There is one evaluation path, so nothing of
+    /// `_config` is read here; the parameter keeps the signature callers
+    /// are written against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an injection time lies at or beyond the end of the
+    /// testbench: such a fault could never strike and would be tallied
+    /// benign.
     pub fn run_point_times_with(
         &self,
         runner: &mut PointRunner,
         scratch: &mut PointScratch,
         times: &[u64],
-        config: &CampaignConfig,
+        _config: &CampaignConfig,
     ) -> [usize; FailureClass::ALL.len()] {
         let mut class_counts = [0usize; FailureClass::ALL.len()];
         for chunk in times.chunks(64) {
-            self.simulate_batch_into(runner, scratch, chunk, config);
+            let latest = *chunk.iter().max().expect("chunks are non-empty");
+            assert!(
+                latest < self.stimulus.num_cycles(),
+                "injection at cycle {latest} beyond testbench end"
+            );
+            self.simulate_batch_into(runner, scratch, chunk);
             let golden_view = LaneView::golden(&self.golden.trace);
             for (lane, &inject_cycle) in chunk.iter().enumerate() {
                 let view = LaneView::faulty(
@@ -404,39 +370,26 @@ where
     /// which the state provably equals golden again (`None` if it never
     /// re-converged).
     ///
-    /// With `config.cone` set (the default) only the point's fan-out cone
-    /// is evaluated: boundary nets are broadcast per cycle from the
-    /// golden [`NetJournal`] (which also supplies the primary inputs, so
-    /// the stimulus is not replayed at all), only cone flip-flops tick,
-    /// convergence diffs are cone-scoped, and watched outputs outside the
-    /// cone are copied from the golden trace. The resulting trace and
-    /// convergence data are bit-identical to the full evaluation —
-    /// non-cone state provably cannot deviate from golden.
+    /// Nothing is loaded or replayed up front: the faulty trace starts as
+    /// a bulk copy of the golden trace, the engine starts Quiescent at
+    /// the first injection, and only rows where a watched output is live
+    /// are overwritten. Quiescent spans are skipped outright — their trace
+    /// is the golden trace by construction.
     fn simulate_batch_into(
         &self,
         runner: &mut PointRunner,
         scratch: &mut PointScratch,
         times: &[u64],
-        config: &CampaignConfig,
     ) {
         debug_assert!(!times.is_empty() && times.len() <= 64);
         let end = self.stimulus.num_cycles();
-        let t0 = *times.iter().min().expect("non-empty batch");
-        debug_assert!(t0 < end, "injection beyond testbench end");
-
-        let journal = if config.cone {
-            Some(self.net_journal())
-        } else {
-            None
-        };
-
+        let journal = self.net_journal();
+        let cone = &runner.cone;
         let PointScratch {
-            state,
-            frame,
+            engine,
             trace,
             converged_at,
             schedule,
-            frontier,
         } = scratch;
         converged_at.clear();
         converged_at.resize(times.len(), None);
@@ -460,6 +413,7 @@ where
             }
         }
         schedule.truncate(merged + 1);
+        let mut next_fault = 0usize;
 
         let active: u64 = if times.len() == 64 {
             !0
@@ -468,399 +422,59 @@ where
         };
         let mut pending = active; // lanes whose fault has not happened yet
         let mut converged = 0u64; // lanes whose state returned to golden
-        let mut next_fault = 0usize;
 
-        if let Some(journal) = journal {
-            if config.frontier {
-                // Event-driven frontier path: nothing is loaded up front —
-                // before the first injection every cone net is clean
-                // (golden by construction), so the whole pre-injection
-                // prefix and every masked-out region of the cone cost
-                // zero op evaluations. Dirty nets hold live values; clean
-                // nets are lazily refreshed from the journal row.
-                let cone = &runner.cone;
-                frontier.attach(cone);
-                // Seed the faulty trace with the golden trace in one bulk
-                // copy: only rows where a watched output actually
-                // deviates are overwritten below, and fast-forwarded
-                // spans need no per-cycle trace writes at all.
-                trace.reset_from(&self.golden.trace, t0);
-                state.set_cycle(t0);
-                let mut cycle = t0;
-                // Hybrid escape hatch: a worklist op costs a few times a
-                // dense cone op (measured breakeven ~1/4 of the cone on
-                // mac-small), so once the live frontier covers ~1/4 of
-                // the cone the event-driven loop is a net loss. `dense`
-                // switches to the static cone loop for such spans and
-                // drops back to the frontier when the state re-quiesces.
-                let mut dense = false;
-                let mut dense_cycles: u64 = 0;
-                while cycle < end {
-                    if dense {
-                        dense_cycles += 1;
-                        state.load_boundary(cone, journal.row(cycle));
-
-                        let mut fault_mask = 0u64;
-                        while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
-                            fault_mask |= schedule[next_fault].1;
-                            next_fault += 1;
-                        }
-                        if fault_mask != 0 {
-                            pending &= !fault_mask;
-                            converged &= !fault_mask;
-                        }
-                        match runner.point {
-                            CompiledPoint::Seu(ff) => {
-                                if fault_mask != 0 {
-                                    state.flip_ff(self.cc, ff, fault_mask);
-                                }
-                                state.eval_cone(cone);
-                            }
-                            CompiledPoint::Set(_) => {
-                                if fault_mask != 0 {
-                                    state.eval_forced_cone(cone, fault_mask);
-                                } else {
-                                    state.eval_cone(cone);
-                                }
-                            }
-                        }
-                        // Only in-cone outputs can deviate; out-of-cone
-                        // rows are already golden from the bulk seed.
-                        let trace_row = trace.row_mut(cycle);
-                        for (w, (&po, &in_cone)) in self
-                            .watch
-                            .indices()
-                            .iter()
-                            .zip(&runner.watch_in_cone)
-                            .enumerate()
-                        {
-                            if in_cone {
-                                trace_row[w] = state.output_word(self.cc, po);
-                            }
-                        }
-                        state.tick_cone(cone);
-
-                        let next = cycle + 1;
-                        // Unlike the pure cone path this diffs every
-                        // cycle, not only once `pending == 0`: quiescence
-                        // (`diff == 0`) is also the signal to drop back
-                        // to the frontier representation.
-                        let diff = if next < end {
-                            state.diff_lanes_cone(cone, self.golden.journal.state_at(next))
-                        } else {
-                            0
-                        };
-                        if config.early_exit && pending == 0 && next < end {
-                            let newly = active & !diff & !converged;
-                            if newly != 0 {
-                                for (lane, at) in converged_at.iter_mut().enumerate() {
-                                    if newly & (1u64 << lane) != 0 {
-                                        *at = Some(next);
-                                    }
-                                }
-                                converged |= newly;
-                            }
-                            if converged == active {
-                                runner.cycles_saved += end - next;
-                                runner.frontier_cycles += next - t0;
-                                runner.frontier_ops_evaluated +=
-                                    frontier.ops_evaluated() + dense_cycles * cone.num_ops() as u64;
-                                runner.frontier_peak = runner
-                                    .frontier_peak
-                                    .max(frontier.peak())
-                                    .max(cone.num_ops() as u32);
-                                return;
-                            }
-                        }
-                        cycle = next;
-                        if diff == 0 && cycle < end {
-                            // Every lane equals golden again: all cone
-                            // nets clean is exactly the frontier
-                            // invariant (stored values go stale, reads
-                            // lazily refresh), so switching back costs
-                            // only clearing the scratch. Then fast-forward
-                            // to the next scheduled injection like the
-                            // frontier path below.
-                            frontier.quiesce();
-                            dense = false;
-                            cycle = if pending != 0 {
-                                schedule[next_fault].0
-                            } else if !config.early_exit {
-                                end
-                            } else {
-                                cycle
-                            };
-                            state.set_cycle(cycle);
-                        }
-                        continue;
-                    }
-                    let row = journal.row(cycle);
-
-                    let mut fault_mask = 0u64;
-                    while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
-                        fault_mask |= schedule[next_fault].1;
-                        next_fault += 1;
-                    }
-                    if fault_mask != 0 {
-                        pending &= !fault_mask;
-                        converged &= !fault_mask;
-                    }
-                    match runner.point {
-                        CompiledPoint::Seu(_) => {
-                            if fault_mask != 0 {
-                                state.flip_frontier(cone, frontier, row, fault_mask);
-                            }
-                            state.eval_frontier(cone, frontier, row);
-                        }
-                        CompiledPoint::Set(_) => {
-                            if fault_mask != 0 {
-                                state.eval_forced_frontier(cone, frontier, row, fault_mask);
-                            } else {
-                                state.eval_frontier(cone, frontier, row);
-                            }
-                        }
-                    }
-                    // Record watched outputs: only nets on the live
-                    // frontier can deviate; everything else — out-of-cone
-                    // or in-cone-but-clean — is already golden in the
-                    // trace from the bulk seed.
-                    if frontier.any_dirty() {
-                        let trace_row = trace.row_mut(cycle);
-                        for (w, (&po, &in_cone)) in self
-                            .watch
-                            .indices()
-                            .iter()
-                            .zip(&runner.watch_in_cone)
-                            .enumerate()
-                        {
-                            if in_cone && frontier.net_dirty(self.cc.output_net(po)) {
-                                trace_row[w] = state.output_word(self.cc, po);
-                            }
-                        }
-                    }
-
-                    let next = cycle + 1;
-                    let diff = state.tick_frontier(
-                        cone,
-                        frontier,
-                        // Q nets in the journal's row `next` hold the
-                        // golden state *entering* cycle `next` — exactly
-                        // the post-tick comparison baseline.
-                        if next < end {
-                            Some(journal.row(next))
-                        } else {
-                            None
-                        },
-                    );
-
-                    // Lane convergence falls out of the latch loop for
-                    // free: `diff` is bit-identical to what
-                    // `diff_lanes_cone` would scan the whole cone for.
-                    if config.early_exit && pending == 0 && next < end {
-                        let newly = active & !diff & !converged;
-                        if newly != 0 {
-                            for (lane, at) in converged_at.iter_mut().enumerate() {
-                                if newly & (1u64 << lane) != 0 {
-                                    *at = Some(next);
-                                }
-                            }
-                            converged |= newly;
-                        }
-                        if converged == active {
-                            runner.cycles_saved += end - next;
-                            runner.frontier_cycles += next - t0;
-                            runner.frontier_ops_evaluated +=
-                                frontier.ops_evaluated() + dense_cycles * cone.num_ops() as u64;
-                            runner.frontier_peak = runner.frontier_peak.max(frontier.peak());
-                            if dense_cycles > 0 {
-                                runner.frontier_peak =
-                                    runner.frontier_peak.max(cone.num_ops() as u32);
-                            }
-                            return;
-                        }
-                    }
-                    cycle = next;
-
-                    // Fast-forward over a quiescent frontier: `diff == 0`
-                    // means every latched flip-flop latched its golden
-                    // value, so no net is dirty and the state equals
-                    // golden in *every* lane — nothing can change before
-                    // the next scheduled injection. The faulty trace over
-                    // the skipped span is the golden trace by
-                    // construction, and no convergence bookkeeping is
-                    // skipped: `converged_at` recording is gated on
-                    // `pending == 0` in every evaluation path, and with
-                    // `pending == 0` we either broke out above
-                    // (early-exit) or run a no-early-exit ablation that
-                    // never records convergence.
-                    if diff == 0 && cycle < end {
-                        cycle = if pending != 0 {
-                            schedule[next_fault].0
-                        } else if !config.early_exit {
-                            end
-                        } else {
-                            cycle
-                        };
-                        state.set_cycle(cycle);
-                    } else if cycle < end
-                        && frontier.last_cycle_ops() as usize * 4 >= cone.num_ops()
-                    {
-                        // Persistent wide divergence: the live frontier
-                        // covers enough of the cone that dense evaluation
-                        // is cheaper. Refresh the touched-but-clean nets
-                        // from the golden row (dirty nets are already
-                        // live) — exactly the state the static cone loop
-                        // maintains — and take the dense branch above
-                        // until the fault damps out.
-                        state.adopt_frontier(cone, frontier, journal.row(cycle));
-                        frontier.quiesce();
-                        dense = true;
-                    }
-                }
-                runner.frontier_cycles += end - t0;
-                runner.frontier_ops_evaluated +=
-                    frontier.ops_evaluated() + dense_cycles * cone.num_ops() as u64;
-                runner.frontier_peak = runner.frontier_peak.max(frontier.peak());
-                if dense_cycles > 0 {
-                    runner.frontier_peak = runner.frontier_peak.max(cone.num_ops() as u32);
-                }
-                return;
+        let t0 = schedule[0].0;
+        trace.reset_from(&self.golden.trace, t0);
+        engine.attach(cone, t0);
+        // The cycle the batch stops simulating at: `end`, or earlier once
+        // every lane has re-converged.
+        let mut exit = end;
+        while engine.cycle() < end {
+            let cycle = engine.cycle();
+            let mut inject_mask = 0u64;
+            if next_fault < schedule.len() && schedule[next_fault].0 == cycle {
+                inject_mask = schedule[next_fault].1;
+                next_fault += 1;
+                pending &= !inject_mask;
             }
-            let cone = &runner.cone;
-            trace.reset(t0, end, self.watch.len());
-            state.load_cone_state_broadcast(cone, self.golden.journal.state_at(t0));
-            state.set_cycle(t0);
-            for cycle in t0..end {
-                // Golden boundary values double as the stimulus: primary
-                // inputs the cone reads are boundary nets.
-                state.load_boundary(cone, journal.row(cycle));
-
-                let mut fault_mask = 0u64;
-                while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
-                    fault_mask |= schedule[next_fault].1;
-                    next_fault += 1;
-                }
-                if fault_mask != 0 {
-                    pending &= !fault_mask;
-                    converged &= !fault_mask;
-                }
-                match runner.point {
-                    CompiledPoint::Seu(ff) => {
-                        if fault_mask != 0 {
-                            state.flip_ff(self.cc, ff, fault_mask);
-                        }
-                        state.eval_cone(cone);
-                    }
-                    CompiledPoint::Set(_) => {
-                        if fault_mask != 0 {
-                            state.eval_forced_cone(cone, fault_mask);
-                        } else {
-                            state.eval_cone(cone);
-                        }
-                    }
-                }
-                // Record watched outputs: in-cone from the state,
-                // out-of-cone are golden by construction.
-                let row = trace.row_mut(cycle);
-                let golden_row = self.golden.trace.row(cycle);
-                for (w, (&po, &in_cone)) in self
-                    .watch
-                    .indices()
-                    .iter()
-                    .zip(&runner.watch_in_cone)
-                    .enumerate()
-                {
-                    row[w] = if in_cone {
-                        state.output_word(self.cc, po)
-                    } else {
-                        golden_row[w]
-                    };
-                }
-                state.tick_cone(cone);
-
-                if config.early_exit && pending == 0 {
-                    let next = cycle + 1;
-                    if next < end {
-                        let diff = state.diff_lanes_cone(cone, self.golden.journal.state_at(next));
-                        let newly = active & !diff & !converged;
-                        if newly != 0 {
-                            for (lane, at) in converged_at.iter_mut().enumerate() {
-                                if newly & (1u64 << lane) != 0 {
-                                    *at = Some(next);
-                                }
-                            }
-                            converged |= newly;
-                        }
-                        if converged == active {
-                            runner.cycles_saved += end - next;
-                            break;
-                        }
-                    }
+            engine.eval(cone, journal.row(cycle), inject_mask);
+            let trace_row = trace.row_mut(cycle);
+            for &(w, net) in &runner.watched_in_cone {
+                if let Some(word) = engine.live_word(cone, net) {
+                    trace_row[w] = word;
                 }
             }
-        } else {
-            // Full-circuit ablation path: reset clears residue a forced
-            // source net may have left in the reused state.
-            trace.reset(t0, end, self.watch.len());
-            state.reset(self.cc);
-            state.load_ff_state_broadcast(self.cc, self.golden.journal.state_at(t0));
-            state.set_cycle(t0);
-            for cycle in t0..end {
-                frame.clear();
-                self.stimulus.drive(cycle, frame);
-                frame.apply(self.cc, state);
+            let next = cycle + 1;
+            let diff = engine.tick(cone, (next < end).then(|| journal.row(next)));
 
-                let mut fault_mask = 0u64;
-                while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
-                    fault_mask |= schedule[next_fault].1;
-                    next_fault += 1;
-                }
-                if fault_mask != 0 {
-                    pending &= !fault_mask;
-                    converged &= !fault_mask;
-                }
-                match runner.point {
-                    // SEU: flip the state the cycle starts with, before
-                    // combinational evaluation.
-                    CompiledPoint::Seu(ff) => {
-                        if fault_mask != 0 {
-                            state.flip_ff(self.cc, ff, fault_mask);
-                        }
-                        state.eval(self.cc);
-                    }
-                    // SET: XOR-force the net for exactly this evaluation.
-                    CompiledPoint::Set(site) => {
-                        if fault_mask != 0 {
-                            state.eval_forced_site(self.cc, site, fault_mask);
-                        } else {
-                            state.eval(self.cc);
+            // A lane whose state has returned to golden after its fault
+            // can never diverge again (the stimulus is shared); once all
+            // have, the remaining cycles are provably golden.
+            if pending == 0 && next < end {
+                let newly = active & !diff & !converged;
+                if newly != 0 {
+                    for (lane, at) in converged_at.iter_mut().enumerate() {
+                        if newly & (1u64 << lane) != 0 {
+                            *at = Some(next);
                         }
                     }
+                    converged |= newly;
                 }
-                trace.record(self.cc, self.watch, state);
-                state.tick(self.cc);
-
-                if config.early_exit && pending == 0 {
-                    let next = cycle + 1;
-                    if next < end {
-                        let diff = state.diff_lanes(self.cc, self.golden.journal.state_at(next));
-                        let newly = active & !diff & !converged;
-                        if newly != 0 {
-                            for (lane, at) in converged_at.iter_mut().enumerate() {
-                                if newly & (1u64 << lane) != 0 {
-                                    *at = Some(next);
-                                }
-                            }
-                            converged |= newly;
-                        }
-                        if converged == active {
-                            runner.cycles_saved += end - next;
-                            break;
-                        }
-                    }
+                if converged == active {
+                    exit = next;
+                    break;
                 }
+            }
+            // Every lane equals golden but faults are still pending:
+            // nothing can change before the next scheduled injection.
+            if diff == 0 && next < end {
+                engine.skip_to(schedule[next_fault].0);
             }
         }
+        runner.cycles_saved += end - exit;
+        runner.frontier_cycles += exit - t0;
+        runner.frontier_ops_evaluated += engine.ops_evaluated();
+        runner.frontier_peak = runner.frontier_peak.max(engine.peak());
     }
 
     /// Run the full flat campaign over every flip-flop, sequentially.
@@ -933,6 +547,7 @@ mod tests {
     use super::*;
     use crate::judge::OutputMismatchJudge;
     use ffr_netlist::NetlistBuilder;
+    use ffr_sim::InputFrame;
 
     /// A circuit with a sharply bimodal FDR population: a live data path
     /// (every upset visible) and a dead register (never visible).
@@ -1012,23 +627,53 @@ mod tests {
         }
     }
 
+    /// The engine exits a batch early once every lane has re-converged
+    /// and skips quiescent spans; the reference oracle simulates every
+    /// cycle of the whole circuit from reset. Tallies must agree.
     #[test]
-    fn early_exit_matches_full_simulation() {
+    fn tallies_match_the_reference_oracle() {
         let cc = probe_circuit();
         let watch = WatchList::all(&cc);
         let judge = OutputMismatchJudge::new();
         let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
-        let mut fast = CampaignConfig::new(10..100)
-            .with_injections(32)
-            .with_seed(11);
-        let mut slow = fast.clone();
-        fast.early_exit = true;
-        slow.early_exit = false;
-        let a = campaign.run(&fast);
-        let b = campaign.run(&slow);
+        let config = CampaignConfig::new(10..100);
+        let times = sample_injection_times(11, 0, 10..100, 32);
+        let golden_view = LaneView::golden(&campaign.golden().trace);
         for (ff, _) in cc.netlist().ffs() {
-            assert_eq!(a.fdr(ff), b.fdr(ff), "{}", cc.netlist().ff_name(ff));
+            let oracle = ffr_sim::reference::simulate(
+                &cc,
+                &AlwaysOn,
+                &watch,
+                campaign.golden(),
+                ffr_sim::reference::Target::Seu(ff),
+                &times,
+            );
+            let mut expected = [0usize; FailureClass::ALL.len()];
+            for (lane, &t) in times.iter().enumerate() {
+                let view = LaneView::faulty(&campaign.golden().trace, &oracle.trace, lane, None);
+                expected[judge.classify(&golden_view, &view, t).tally_index()] += 1;
+            }
+            assert_eq!(
+                campaign.run_ff_times(ff, &times, &config),
+                expected,
+                "{}",
+                cc.netlist().ff_name(ff)
+            );
         }
+    }
+
+    /// A lane timed beyond the testbench could never be struck; it must
+    /// not be tallied benign, even when another lane of the batch is in
+    /// range.
+    #[test]
+    #[should_panic(expected = "beyond testbench end")]
+    fn injection_beyond_testbench_end_is_rejected() {
+        let cc = probe_circuit();
+        let watch = WatchList::all(&cc);
+        let judge = OutputMismatchJudge::new();
+        let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
+        let config = CampaignConfig::new(10..100);
+        campaign.run_ff_times(FfId::from_index(0), &[5, 120 + 100], &config);
     }
 
     #[test]

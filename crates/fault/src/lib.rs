@@ -15,17 +15,15 @@
 //!
 //! * **64 fault scenarios per simulation** — each lane of the bit-parallel
 //!   simulator carries one injection time (PROOFS-style fault batching),
-//! * **checkpoint restart** — simulation resumes from the golden state
-//!   journal at the earliest injection time of a batch instead of cycle 0,
+//! * **one differential engine** — [`ffr_sim::FaultEngine`] evaluates only
+//!   what can differ from the golden run: nothing before the first
+//!   injection of a batch, then the live part of the injection point's
+//!   fan-out cone against a golden [`ffr_sim::NetJournal`]; out-of-cone
+//!   outputs come straight from the golden trace ([`PointRunner`] /
+//!   [`PointScratch`]),
 //! * **early convergence exit** — once every lane's flip-flop state has
 //!   returned to the golden state, the remaining cycles are provably
 //!   identical and are skipped,
-//! * **compiled fault sites** — SET targets resolve their net→driving-op
-//!   lookup once ([`ffr_sim::FaultSite`]) instead of per evaluation,
-//! * **cone-restricted simulation** — only the injection point's fan-out
-//!   cone is evaluated; boundary nets replay golden values from a
-//!   [`ffr_sim::NetJournal`] and out-of-cone outputs come straight from
-//!   the golden trace ([`PointRunner`] / [`PointScratch`]),
 //! * **parallel campaign** — injection points are distributed over
 //!   threads with rayon.
 //!

@@ -1,16 +1,24 @@
-//! Property tests: cone-restricted and frontier campaign simulation
-//! classify every injection exactly like full-circuit simulation.
+//! Property tests: the campaign layer classifies every injection exactly
+//! like the naive reference oracle.
 //!
-//! The cone and frontier paths must be *optimisations*, not
-//! approximations — for both fault models, any injection target and any
-//! batch of injection times, the per-class tallies (and therefore every
-//! FDR and SET derating table built from them) must match the full
-//! evaluation bit for bit across all three evaluation paths.
+//! The campaign's batch loop (merged injection schedule, cone-restricted
+//! [`ffr_sim::FaultEngine`], quiescent-span skipping, convergence early
+//! exit) must be an *optimisation*, not an approximation — for both fault
+//! models, any injection target and any batch of injection times, the
+//! per-class tallies (and therefore every FDR and SET de-rating table
+//! built from them) must match judging the traces of
+//! [`ffr_sim::reference::simulate`], which evaluates the whole circuit
+//! for every cycle from reset, bit for bit.
 
 use ffr_circuits::corpus::CorpusSpec;
-use ffr_fault::{Campaign, CampaignConfig, FailureClass, InjectionPoint, OutputMismatchJudge};
+use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, TrafficConfig};
+use ffr_fault::{
+    sample_injection_times, Campaign, CampaignConfig, FailureClass, FailureJudge, FdrTable,
+    FfCampaignResult, InjectionPoint, NetSetResult, OutputMismatchJudge, SetDeratingTable,
+};
 use ffr_netlist::{Bus, FfId, NetId, NetlistBuilder};
-use ffr_sim::{CompiledCircuit, InputFrame, Stimulus, WatchList};
+use ffr_sim::reference::{self, Target};
+use ffr_sim::{CompiledCircuit, InputFrame, LaneView, Stimulus, WatchList};
 use proptest::prelude::*;
 
 /// A small sequential design with feedback, cross-register logic and
@@ -90,15 +98,52 @@ fn set_targets(cc: &CompiledCircuit) -> Vec<NetId> {
     targets
 }
 
+/// SEU on flip-flop `pick`, or SET on the `pick`-th interesting net.
+fn point(cc: &CompiledCircuit, seu: bool, pick: usize) -> InjectionPoint {
+    if seu {
+        InjectionPoint::Seu(FfId::from_index(pick % cc.num_ffs()))
+    } else {
+        let nets = set_targets(cc);
+        InjectionPoint::Set(nets[pick % nets.len()])
+    }
+}
+
+/// The oracle side of every comparison: simulate the injections naively
+/// (64 per oracle run, like the campaign batches them) and classify each
+/// lane's full, never-early-exited trace with the campaign's own judge.
+fn oracle_tallies<S: Stimulus + Sync, J: FailureJudge>(
+    campaign: &Campaign<'_, S, J>,
+    stimulus: &S,
+    watch: &WatchList,
+    judge: &J,
+    point: InjectionPoint,
+    times: &[u64],
+) -> [usize; FailureClass::ALL.len()] {
+    let target = match point {
+        InjectionPoint::Seu(ff) => Target::Seu(ff),
+        InjectionPoint::Set(net) => Target::Set(net),
+    };
+    let golden = campaign.golden();
+    let golden_view = LaneView::golden(&golden.trace);
+    let mut counts = [0usize; FailureClass::ALL.len()];
+    for chunk in times.chunks(64) {
+        let run = reference::simulate(campaign.circuit(), stimulus, watch, golden, target, chunk);
+        for (lane, &t) in chunk.iter().enumerate() {
+            let view = LaneView::faulty(&golden.trace, &run.trace, lane, None);
+            counts[judge.classify(&golden_view, &view, t).tally_index()] += 1;
+        }
+    }
+    counts
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `run_point_times` with the default frontier path tallies every
-    /// failure class identically to both ablation paths (static cone and
-    /// full circuit), for both fault models and arbitrary batches of
-    /// injection times.
+    /// `run_point_times` tallies every failure class identically to the
+    /// oracle, for both fault models and arbitrary (unsorted, duplicated,
+    /// multi-batch) injection times.
     #[test]
-    fn cone_tallies_equal_full_tallies(
+    fn engine_tallies_equal_oracle_tallies(
         width in 2usize..6,
         seu in any::<bool>(),
         pick in 0usize..64,
@@ -110,36 +155,27 @@ proptest! {
         let watch = WatchList::all(&cc);
         let judge = OutputMismatchJudge::new();
         let campaign = Campaign::new(&cc, &stim, &watch, &judge);
-
-        let point = if seu {
-            InjectionPoint::Seu(FfId::from_index(pick % cc.num_ffs()))
-        } else {
-            let nets = set_targets(&cc);
-            InjectionPoint::Set(nets[pick % nets.len()])
-        };
+        let point = point(&cc, seu, pick);
         let times: Vec<u64> = raw_times.iter().map(|t| t % cycles).collect();
 
-        let base = CampaignConfig::new(0..cycles);
-        let frontier = campaign.run_point_times(point, &times, &base.clone());
-        let cone = campaign.run_point_times(point, &times, &base.clone().with_frontier(false));
-        let full = campaign.run_point_times(point, &times, &base.with_cone(false));
-        prop_assert_eq!(frontier, cone);
-        prop_assert_eq!(cone, full);
+        let engine = campaign.run_point_times(point, &times, &CampaignConfig::new(0..cycles));
+        let oracle = oracle_tallies(&campaign, &stim, &watch, &judge, point, &times);
+        prop_assert_eq!(engine, oracle);
         prop_assert_eq!(
-            full.iter().sum::<usize>(),
+            engine.iter().sum::<usize>(),
             times.len(),
             "every injection classified exactly once"
         );
     }
 
-    /// Corpus-wide conformance: the same three-way tally identity holds
-    /// over *arbitrary generated corpus circuits* — `CorpusSpec::sampled`
-    /// maps free integers onto every generator family (counters, LFSR
+    /// Corpus-wide conformance: the same tally identity holds over
+    /// *arbitrary generated corpus circuits* — `CorpusSpec::sampled` maps
+    /// free integers onto every generator family (counters, LFSR
     /// pipelines, ALUs, FIFOs, CRCs, register files, seeded mixes), so
-    /// the frontier and cone paths are proven against structures no
-    /// hand-written testbench enumerates.
+    /// the engine is proven against structures no hand-written testbench
+    /// enumerates.
     #[test]
-    fn corpus_tallies_equal_full_tallies(
+    fn corpus_tallies_equal_oracle_tallies(
         kind in 0usize..7,
         size_a in any::<usize>(),
         size_b in any::<usize>(),
@@ -155,30 +191,19 @@ proptest! {
         let watch = WatchList::all(&cc);
         let judge = OutputMismatchJudge::new();
         let campaign = Campaign::new(&cc, &stim, &watch, &judge);
-
-        let point = if seu {
-            InjectionPoint::Seu(FfId::from_index(pick % cc.num_ffs()))
-        } else {
-            let nets = set_targets(&cc);
-            InjectionPoint::Set(nets[pick % nets.len()])
-        };
+        let point = point(&cc, seu, pick);
         let times: Vec<u64> = raw_times.iter().map(|t| t % cycles).collect();
 
-        let base = CampaignConfig::new(0..cycles);
-        let frontier = campaign.run_point_times(point, &times, &base.clone());
-        let cone = campaign.run_point_times(point, &times, &base.clone().with_frontier(false));
-        let full = campaign.run_point_times(point, &times, &base.with_cone(false));
-        prop_assert_eq!(frontier, cone, "frontier/cone tallies for {}", spec.id());
-        prop_assert_eq!(cone, full, "cone/full tallies for {}", spec.id());
+        let engine = campaign.run_point_times(point, &times, &CampaignConfig::new(0..cycles));
+        let oracle = oracle_tallies(&campaign, &stim, &watch, &judge, point, &times);
+        prop_assert_eq!(engine, oracle, "tallies for {}", spec.id());
     }
 }
 
 /// Whole-table equivalence: an SEU campaign over every flip-flop produces
-/// the same FDR table on the frontier, static-cone and full-circuit paths
-/// — including with early exit disabled, which forces full-window
-/// simulation everywhere.
+/// the FDR table the oracle's tallies fold into.
 #[test]
-fn fdr_tables_identical_across_eval_paths() {
+fn fdr_table_equals_oracle_table() {
     let cc = circuit(4);
     let stim = MixStimulus {
         width: 4,
@@ -187,35 +212,38 @@ fn fdr_tables_identical_across_eval_paths() {
     let watch = WatchList::all(&cc);
     let judge = OutputMismatchJudge::new();
     let campaign = Campaign::new(&cc, &stim, &watch, &judge);
+    let config = CampaignConfig::new(8..88).with_injections(48).with_seed(19);
 
-    for early_exit in [true, false] {
-        let mut base = CampaignConfig::new(8..88).with_injections(48).with_seed(19);
-        base.early_exit = early_exit;
-        let frontier = campaign.run(&base.clone());
-        let cone = campaign.run(&base.clone().with_frontier(false));
-        let full = campaign.run(&base.clone().with_cone(false));
-        for (ff, _) in cc.netlist().ffs() {
-            assert_eq!(
-                frontier.fdr(ff),
-                cone.fdr(ff),
-                "frontier/cone FDR mismatch for {} (early_exit={early_exit})",
-                cc.netlist().ff_name(ff)
-            );
-            assert_eq!(
-                cone.fdr(ff),
-                full.fdr(ff),
-                "cone/full FDR mismatch for {} (early_exit={early_exit})",
-                cc.netlist().ff_name(ff)
-            );
-        }
+    let engine = campaign.run(&config);
+    let oracle = FdrTable::from_results(
+        cc.num_ffs(),
+        cc.netlist()
+            .ffs()
+            .map(|(ff, _)| {
+                let point = InjectionPoint::Seu(ff);
+                let times = sample_injection_times(19, point.stream(), 8..88, 48);
+                let counts = oracle_tallies(&campaign, &stim, &watch, &judge, point, &times);
+                FfCampaignResult::new(ff, counts)
+            })
+            .collect(),
+        48,
+    );
+    for (ff, _) in cc.netlist().ffs() {
+        assert_eq!(
+            engine.fdr(ff),
+            oracle.fdr(ff),
+            "FDR mismatch for {}",
+            cc.netlist().ff_name(ff)
+        );
     }
+    assert_eq!(engine.circuit_fdr(), oracle.circuit_fdr());
 }
 
-/// Whole-table equivalence for the SET fault model: a derating campaign
+/// Whole-table equivalence for the SET fault model: a de-rating campaign
 /// over every interesting net (gate outputs, Q nets, source inputs)
-/// produces the same table on all three evaluation paths.
+/// produces the table the oracle's tallies fold into.
 #[test]
-fn set_tables_identical_across_eval_paths() {
+fn set_table_equals_oracle_table() {
     let cc = circuit(3);
     let stim = MixStimulus {
         width: 3,
@@ -225,29 +253,32 @@ fn set_tables_identical_across_eval_paths() {
     let judge = OutputMismatchJudge::new();
     let campaign = Campaign::new(&cc, &stim, &watch, &judge);
     let nets = set_targets(&cc);
+    let config = CampaignConfig::new(4..68).with_injections(32).with_seed(23);
 
-    let base = CampaignConfig::new(4..68).with_injections(32).with_seed(23);
-    let frontier = campaign.run_set_parallel(&nets, &base.clone(), |_, _| {});
-    let cone = campaign.run_set_parallel(&nets, &base.clone().with_frontier(false), |_, _| {});
-    let full = campaign.run_set_parallel(&nets, &base.with_cone(false), |_, _| {});
+    let engine = campaign.run_set_parallel(&nets, &config, |_, _| {});
+    let oracle = SetDeratingTable::from_results(
+        nets.iter()
+            .map(|&net| {
+                let point = InjectionPoint::Set(net);
+                let times = sample_injection_times(23, point.stream(), 4..68, 32);
+                let counts = oracle_tallies(&campaign, &stim, &watch, &judge, point, &times);
+                NetSetResult::new(net, counts)
+            })
+            .collect(),
+        32,
+    );
     for &net in &nets {
         assert_eq!(
-            frontier.derating(net),
-            cone.derating(net),
-            "frontier/cone SET derating mismatch for net {net}"
-        );
-        assert_eq!(
-            cone.derating(net),
-            full.derating(net),
-            "cone/full SET derating mismatch for net {net}"
+            engine.derating(net),
+            oracle.derating(net),
+            "SET de-rating mismatch for net {net}"
         );
     }
 }
 
-/// Scratch reuse across points and batches leaves no residue: running a
-/// SET campaign twice through the same `PointRunner`/`PointScratch` pair
-/// (and interleaving other points in between) reproduces the first
-/// tallies exactly.
+/// Scratch reuse across points and batches leaves no residue: running
+/// interleaved SET and SEU points twice through one `PointScratch` (and
+/// one `PointRunner` per point) reproduces a fresh run's tallies exactly.
 #[test]
 fn scratch_reuse_leaves_no_residue() {
     let cc = circuit(3);
@@ -262,23 +293,60 @@ fn scratch_reuse_leaves_no_residue() {
 
     let times: Vec<u64> = (0..64).map(|i| (i * 7) % 64).collect();
     let mut scratch = campaign.point_scratch();
-    // (cone, frontier) covers all three evaluation paths; interleaving
-    // them through the same scratch also proves the frontier worklist is
-    // fully drained/re-attached between batches of different paths.
-    for (cone, frontier) in [(true, true), (true, false), (false, false)] {
-        let config = config.clone().with_cone(cone).with_frontier(frontier);
-        for point in set_targets(&cc)
-            .into_iter()
-            .map(InjectionPoint::Set)
-            .chain((0..cc.num_ffs()).map(|i| InjectionPoint::Seu(FfId::from_index(i))))
-        {
-            let mut runner = campaign.point_runner(point);
-            let first = campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
-            let fresh = campaign.run_point_times(point, &times, &config);
-            assert_eq!(first, fresh, "reused scratch diverged for {point:?}");
-            let again = campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
-            assert_eq!(first, again, "second pass diverged for {point:?}");
-        }
+    let sets = set_targets(&cc).into_iter().map(InjectionPoint::Set);
+    let seus = (0..cc.num_ffs()).map(|i| InjectionPoint::Seu(FfId::from_index(i)));
+    // Alternate the fault models so consecutive batches on the scratch
+    // differ in cone, root kind and engine state at exit.
+    for point in sets.zip(seus.cycle()).flat_map(|(set, seu)| [set, seu]) {
+        let mut runner = campaign.point_runner(point);
+        let first = campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
+        let fresh = campaign.run_point_times(point, &times, &config);
+        assert_eq!(first, fresh, "reused scratch diverged for {point:?}");
+        let again = campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
+        assert_eq!(first, again, "second pass diverged for {point:?}");
     }
-    let _ = FailureClass::ALL; // tallies cover all classes by construction
+}
+
+/// State coverage on a real design: over a fixed sample of mac-small
+/// flip-flops and combinational nets the campaign matches the oracle
+/// (under the packet-level judge), and the `PointRunner` counters prove
+/// the sample drove the engine through every transition — points that
+/// stayed Frontier-only, points that entered Dense and still
+/// re-converged, and points that skipped cone work.
+#[test]
+fn mac_small_sample_matches_oracle_and_visits_every_engine_state() {
+    let (cc, tb, watch, extractor) =
+        MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
+    let golden = ffr_sim::GoldenRun::capture(&cc, &tb, &watch);
+    let judge = MacJudge::new(extractor, &golden);
+    let campaign = Campaign::with_golden(&cc, &tb, &watch, &judge, golden);
+    let window = tb.injection_window();
+    let config = CampaignConfig::new(window.clone());
+
+    let strided = |n: usize| (0..32).map(move |i| i * n / 32);
+    let nets = cc.comb_output_nets();
+    let points = strided(cc.num_ffs())
+        .map(|i| InjectionPoint::Seu(FfId::from_index(i)))
+        .chain(strided(nets.len()).map(|i| InjectionPoint::Set(nets[i])));
+
+    let mut scratch = campaign.point_scratch();
+    let (mut frontier_only, mut dense_reconverged, mut skipped_work) = (0, 0, 0);
+    for point in points {
+        let times = sample_injection_times(2019, point.stream(), window.clone(), 24);
+        let mut runner = campaign.point_runner(point);
+        let engine = campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
+        let oracle = oracle_tallies(&campaign, &tb, &watch, &judge, point, &times);
+        assert_eq!(engine, oracle, "tallies for {point}");
+
+        let went_dense = runner.frontier_peak() as usize == runner.cone_ops();
+        frontier_only += usize::from(!went_dense);
+        dense_reconverged += usize::from(went_dense && runner.cycles_saved() > 0);
+        skipped_work += usize::from(runner.frontier_ops_skipped() > 0);
+    }
+    assert!(frontier_only > 0, "no sampled point stayed Frontier-only");
+    assert!(
+        dense_reconverged > 0,
+        "no sampled point entered Dense and re-converged"
+    );
+    assert!(skipped_work > 0, "no sampled point skipped cone work");
 }

@@ -44,36 +44,6 @@ pub(crate) struct Op {
 /// driver (primary inputs, flip-flop outputs, constants).
 const NO_DRIVER: u32 = u32::MAX;
 
-/// A compiled injection site: one net, resolved against the op list once.
-///
-/// Forcing a transient onto a net needs to know whether the net is driven
-/// by a combinational op (flip *at* that op, in topological position) or
-/// is a source net (flip the stored value before evaluation). Resolving
-/// this used to cost an `O(num_ops)` scan per
-/// [`SimState::eval_forced`](crate::SimState::eval_forced) call; a
-/// `FaultSite` carries the answer, compiled once per target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSite {
-    /// Index of the forced net in the flat value array.
-    pub(crate) target: u32,
-    /// Index of the driving op in [`CompiledCircuit::ops`], or `None` for
-    /// source nets (primary inputs, flip-flop outputs).
-    pub(crate) driver: Option<u32>,
-}
-
-impl FaultSite {
-    /// The forced net.
-    pub fn net(&self) -> NetId {
-        NetId::from_index(self.target as usize)
-    }
-
-    /// `true` if the net is driven by a combinational op (a gate-output
-    /// SET); `false` for source nets.
-    pub fn has_comb_driver(&self) -> bool {
-        self.driver.is_some()
-    }
-}
-
 /// The transitive fan-out cone of one injection net, compiled for
 /// cone-restricted differential fault simulation.
 ///
@@ -81,13 +51,16 @@ impl FaultSite {
 /// injection net: the ops in the transitive fan-out (closed over
 /// flip-flop D→Q edges) and the flip-flops that latch cone nets.
 /// Everything else stays golden on every lane of every cycle, so the
-/// fault engine evaluates just [`Cone::num_ops`] ops per cycle instead of
-/// the full circuit, loads the **boundary nets** (non-cone nets read by
-/// cone ops) from a golden [`NetJournal`](crate::NetJournal), and checks
-/// convergence over [`Cone::num_ffs`] flip-flops only.
+/// [`FaultEngine`](crate::FaultEngine) evaluates at most
+/// [`Cone::num_ops`] ops per cycle instead of the full circuit, reads the
+/// **boundary nets** (non-cone nets read by cone ops) from a golden
+/// [`NetJournal`](crate::NetJournal), and checks convergence over
+/// [`Cone::num_ffs`] flip-flops only.
 ///
 /// Built once per injection point via [`CompiledCircuit::ff_cone`] (SEU)
-/// or [`CompiledCircuit::net_cone`] (SET).
+/// or [`CompiledCircuit::net_cone`] (SET). The fault model is fully
+/// encoded in the cone: a source root (flip-flop Q net, primary input) is
+/// flipped in place, a gate-output root is XOR-forced at its driving op.
 #[derive(Debug, Clone)]
 pub struct Cone {
     /// Cone ops, in the same topological order as the full op list.
@@ -156,11 +129,6 @@ impl Cone {
         let n = net.index();
         (self.touched[n / 64] >> (n % 64)) & 1 == 1
     }
-
-    /// Words in the touched-net bitset (sizes the frontier dirty mask).
-    pub(crate) fn touched_words(&self) -> usize {
-        self.touched.len()
-    }
 }
 
 /// A netlist compiled for fast cycle-based evaluation.
@@ -179,8 +147,7 @@ pub struct CompiledCircuit {
     pub(crate) ff_d: Vec<u32>,
     pub(crate) ff_init: Vec<bool>,
     /// For each net, the index of the op driving it (`NO_DRIVER` for
-    /// source nets) — the compiled net→driving-op index behind
-    /// [`CompiledCircuit::fault_site`].
+    /// source nets: primary inputs, flip-flop outputs, constants).
     net_driver: Vec<u32>,
     levels: Vec<u32>,
     max_level: u32,
@@ -306,16 +273,13 @@ impl CompiledCircuit {
         })
     }
 
-    /// Compile a net into a [`FaultSite`] ready for repeated
-    /// [`SimState::eval_forced_site`](crate::SimState::eval_forced_site)
-    /// calls.
-    pub fn fault_site(&self, net: NetId) -> FaultSite {
-        let target = net.index() as u32;
-        let driver = match self.net_driver[net.index()] {
+    /// Index in the op list of the op driving `net`, or `None` for source
+    /// nets — where a forced evaluation applies its XOR mask.
+    pub(crate) fn driver_op(&self, net: u32) -> Option<u32> {
+        match self.net_driver[net as usize] {
             NO_DRIVER => None,
             op => Some(op),
-        };
-        FaultSite { target, driver }
+        }
     }
 
     /// Compile the fan-out cone of a flip-flop's stored value (the SEU
@@ -357,10 +321,7 @@ impl CompiledCircuit {
             .collect();
         d_pairs.sort_unstable();
 
-        let seed_op = match self.net_driver[root as usize] {
-            NO_DRIVER => None,
-            op => Some(op),
-        };
+        let seed_op = self.driver_op(root);
         if let Some(op) = seed_op {
             op_in[op as usize] = true;
         }

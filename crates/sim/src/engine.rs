@@ -1,203 +1,44 @@
-//! The per-run simulation state and evaluation loop.
+//! The dense whole-circuit simulation state and evaluation loop.
 
-use crate::compile::{CompiledCircuit, Cone};
+use crate::compile::{CompiledCircuit, Op};
 use ffr_netlist::FfId;
 
 /// Number of independent simulation lanes packed into each net value.
 pub const LANES: usize = 64;
 
-/// Broadcast the golden bit of net `n` from a packed
-/// [`NetJournal`](crate::NetJournal) row to all 64 lanes.
-#[inline]
-fn row_broadcast(row: &[u64], n: u32) -> u64 {
-    ((row[(n / 64) as usize] >> (n % 64)) & 1).wrapping_neg()
+/// Evaluate `ops` in order over the flat net-value array.
+pub(crate) fn eval_ops(v: &mut [u64], ops: &[Op]) {
+    for op in ops {
+        let a = v[op.a as usize];
+        let b = v[op.b as usize];
+        let c = v[op.c as usize];
+        v[op.out as usize] = op.kind.eval(a, b, c);
+    }
 }
 
-/// Reusable bookkeeping of event-driven *frontier* evaluation: the
-/// worklist of cone ops whose inputs currently differ from golden, the
-/// per-net golden-diff (dirty) mask, and the set of flip-flops about to
-/// latch a divergent value.
-///
-/// The frontier engine ([`SimState::eval_frontier`] /
-/// [`SimState::eval_forced_frontier`] / [`SimState::tick_frontier`])
-/// evaluates **only** the ops reachable from live divergence instead of
-/// the whole fan-out cone every cycle: a net equal to golden on all
-/// lanes never schedules its readers, and its value is served from the
-/// golden [`NetJournal`](crate::NetJournal) row lazily when read. One
-/// scratch serves any number of cones and batches (re-arm with
-/// [`FrontierScratch::attach`]); the steady-state loop allocates
-/// nothing.
-#[derive(Debug, Clone, Default)]
-pub struct FrontierScratch {
-    /// Bitset over all nets: value in the state differs from this
-    /// cycle's golden value on at least one lane (the value is live).
-    dirty: Vec<u64>,
-    /// Nets marked dirty this cycle, for O(|dirty|) clearing at tick.
-    dirty_nets: Vec<u32>,
-    /// Worklist bitset over cone-local op indices. Popping bits in
-    /// ascending index order is exactly topological order, because the
-    /// cone op list preserves the global levelized order.
-    queue: Vec<u64>,
-    /// Inclusive scheduled-op index range (`u32::MAX` when empty): the
-    /// scan visits only words that can hold work.
-    q_lo: u32,
-    q_hi: u32,
-    /// Cone-local indices of flip-flops whose D net is dirty — the only
-    /// flip-flops that need to latch at the next edge.
-    latch: Vec<u32>,
-    /// Dedupe bitset over cone-local flip-flop indices for `latch`.
-    latched: Vec<u64>,
-    /// Captured D words (parallel to `latch`), so Q-to-D shift chains
-    /// latch pre-edge values like the full two-pass tick.
-    capture: Vec<u64>,
-    /// Ops evaluated since the last [`FrontierScratch::attach`].
-    ops_evaluated: u64,
-    /// Ops evaluated in the current cycle (feeds `peak`).
-    cycle_ops: u32,
-    /// Ops evaluated in the most recently ticked cycle — the hybrid
-    /// dense-switch trigger reads this as a width estimate.
-    last_cycle_ops: u32,
-    /// Most ops evaluated in any single cycle since the last attach.
-    peak: u32,
-}
-
-impl FrontierScratch {
-    /// Empty scratch; call [`FrontierScratch::attach`] before use.
-    pub fn new() -> FrontierScratch {
-        FrontierScratch::default()
-    }
-
-    /// Re-arm the scratch for a (possibly different) cone: size the
-    /// bitsets, clear every per-cycle structure and reset the counters.
-    /// Must be called before the first cycle of every batch.
-    pub fn attach(&mut self, cone: &Cone) {
-        self.dirty.clear();
-        self.dirty.resize(cone.touched_words(), 0);
-        self.dirty_nets.clear();
-        self.queue.clear();
-        self.queue.resize(cone.ops.len().div_ceil(64), 0);
-        self.q_lo = u32::MAX;
-        self.q_hi = 0;
-        self.latch.clear();
-        self.latched.clear();
-        self.latched.resize(cone.ffs.len().div_ceil(64), 0);
-        self.capture.clear();
-        self.ops_evaluated = 0;
-        self.cycle_ops = 0;
-        self.last_cycle_ops = 0;
-        self.peak = 0;
-    }
-
-    /// Drop every pending worklist entry and dirty mark, keeping the
-    /// counters. Correct only at total quiescence — when the caller has
-    /// proven (via a zero lane-diff) that the whole cone state equals
-    /// golden again — or when abandoning the frontier representation for
-    /// dense evaluation.
-    pub fn quiesce(&mut self) {
-        for i in 0..self.dirty_nets.len() {
-            let n = self.dirty_nets[i];
-            self.dirty[(n / 64) as usize] &= !(1u64 << (n % 64));
-        }
-        self.dirty_nets.clear();
-        for i in 0..self.latch.len() {
-            let k = self.latch[i];
-            self.latched[(k / 64) as usize] &= !(1u64 << (k % 64));
-        }
-        self.latch.clear();
-        if self.q_lo != u32::MAX {
-            for w in (self.q_lo / 64)..=(self.q_hi / 64) {
-                self.queue[w as usize] = 0;
-            }
-            self.q_lo = u32::MAX;
-            self.q_hi = 0;
-        }
-        self.cycle_ops = 0;
-    }
-
-    /// `true` if `net` differs from golden on some lane this cycle (its
-    /// state value is live); `false` means the net is golden by
-    /// construction and its state value may be stale.
-    pub fn net_dirty(&self, net: ffr_netlist::NetId) -> bool {
-        self.is_dirty(net.index() as u32)
-    }
-
-    /// Whether *any* net currently differs from golden (post-eval). When
-    /// `false`, every watched output is provably golden and trace
-    /// recording can be skipped wholesale.
-    pub fn any_dirty(&self) -> bool {
-        !self.dirty_nets.is_empty()
-    }
-
-    /// Ops evaluated since the last [`FrontierScratch::attach`].
-    pub fn ops_evaluated(&self) -> u64 {
-        self.ops_evaluated
-    }
-
-    /// Most ops evaluated in any single cycle since the last attach.
-    pub fn peak(&self) -> u32 {
-        self.peak
-    }
-
-    /// Ops evaluated in the most recently ticked cycle.
-    pub fn last_cycle_ops(&self) -> u32 {
-        self.last_cycle_ops
-    }
-
-    #[inline]
-    fn is_dirty(&self, n: u32) -> bool {
-        (self.dirty[(n / 64) as usize] >> (n % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn schedule(&mut self, j: u32) {
-        self.queue[(j / 64) as usize] |= 1u64 << (j % 64);
-        if self.q_lo == u32::MAX {
-            self.q_lo = j;
-            self.q_hi = j;
-        } else {
-            self.q_lo = self.q_lo.min(j);
-            self.q_hi = self.q_hi.max(j);
-        }
-    }
-
-    /// Mark `n` dirty and fan the event out: schedule the cone ops
-    /// reading it and enqueue the flip-flops it feeds for the next
-    /// latch. Idempotent within a cycle.
-    fn spread(&mut self, cone: &Cone, n: u32) {
-        let w = (n / 64) as usize;
-        let bit = 1u64 << (n % 64);
-        if self.dirty[w] & bit == 0 {
-            self.dirty[w] |= bit;
-            self.dirty_nets.push(n);
-        }
-        let (lo, hi) = (
-            cone.reader_off[n as usize] as usize,
-            cone.reader_off[n as usize + 1] as usize,
-        );
-        for i in lo..hi {
-            self.schedule(cone.reader_ops[i]);
-        }
-        let (lo, hi) = (
-            cone.latch_off[n as usize] as usize,
-            cone.latch_off[n as usize + 1] as usize,
-        );
-        for i in lo..hi {
-            let k = cone.latch_ffs[i];
-            let (w, bit) = ((k / 64) as usize, 1u64 << (k % 64));
-            if self.latched[w] & bit == 0 {
-                self.latched[w] |= bit;
-                self.latch.push(k);
-            }
-        }
-    }
+/// Evaluate `ops` in order with `mask` XOR-forced onto the output of
+/// `ops[at]`, in topological position. Splitting the list at the forced
+/// op keeps both sides at full [`eval_ops`] speed instead of testing
+/// every op against the target.
+pub(crate) fn eval_ops_forced(v: &mut [u64], ops: &[Op], at: usize, mask: u64) {
+    let (before, rest) = ops.split_at(at);
+    eval_ops(v, before);
+    let op = &rest[0];
+    let a = v[op.a as usize];
+    let b = v[op.b as usize];
+    let c = v[op.c as usize];
+    v[op.out as usize] = op.kind.eval(a, b, c) ^ mask;
+    eval_ops(v, &rest[1..]);
 }
 
 /// Mutable state of one simulation run: a `u64` per net (64 lanes), the
 /// flip-flop contents, and the current cycle number.
 ///
 /// The lanes are fully independent scenarios sharing the same primary-input
-/// stimulus (unless per-lane inputs are set explicitly); the fault-injection
-/// engine diverges lanes by XOR-flipping flip-flop bits.
+/// stimulus (unless per-lane inputs are set explicitly). This is the
+/// whole-circuit evaluator behind golden-run and journal capture and the
+/// [`reference`](crate::reference) oracle; fault campaigns run on the
+/// cone-restricted [`FaultEngine`](crate::FaultEngine) instead.
 #[derive(Debug, Clone)]
 pub struct SimState {
     values: Vec<u64>,
@@ -225,11 +66,6 @@ impl SimState {
         self.cycle
     }
 
-    /// Overwrite the cycle counter (used when resuming from a journal).
-    pub fn set_cycle(&mut self, cycle: u64) {
-        self.cycle = cycle;
-    }
-
     /// Drive primary input `pi_index` with the same value on all lanes.
     pub fn set_input(&mut self, cc: &CompiledCircuit, pi_index: usize, value: bool) {
         self.values[cc.pi_nets[pi_index] as usize] = if value { !0 } else { 0 };
@@ -243,381 +79,26 @@ impl SimState {
     /// Evaluate all combinational logic for the current inputs and
     /// flip-flop state.
     pub fn eval(&mut self, cc: &CompiledCircuit) {
-        Self::eval_ops(&mut self.values, &cc.ops);
-    }
-
-    fn eval_ops(v: &mut [u64], ops: &[crate::compile::Op]) {
-        for op in ops {
-            let a = v[op.a as usize];
-            let b = v[op.b as usize];
-            let c = v[op.c as usize];
-            v[op.out as usize] = op.kind.eval(a, b, c);
-        }
+        eval_ops(&mut self.values, &cc.ops);
     }
 
     /// Evaluate combinational logic while forcing a transient XOR onto one
     /// net (a Single-Event Transient on the driving gate's output).
     ///
-    /// Convenience wrapper that compiles the net into a
-    /// [`FaultSite`](crate::FaultSite) first; campaigns that force the
-    /// same net repeatedly should compile once with
-    /// [`CompiledCircuit::fault_site`] and call
-    /// [`SimState::eval_forced_site`].
-    pub fn eval_forced(&mut self, cc: &CompiledCircuit, net: ffr_netlist::NetId, mask: u64) {
-        self.eval_forced_site(cc, cc.fault_site(net), mask)
-    }
-
-    /// Evaluate combinational logic while forcing a transient XOR onto a
-    /// pre-compiled [`FaultSite`](crate::FaultSite).
-    ///
     /// The flip is applied in topological position, so downstream logic in
     /// the same cycle observes the disturbed value; the effect lasts for
-    /// this evaluation only. The op list is split at the forced op, so the
-    /// evaluation runs at full [`SimState::eval`] speed on both sides of
-    /// the split instead of testing every op against the target.
-    pub fn eval_forced_site(&mut self, cc: &CompiledCircuit, site: crate::FaultSite, mask: u64) {
+    /// this evaluation only.
+    pub fn eval_forced(&mut self, cc: &CompiledCircuit, net: ffr_netlist::NetId, mask: u64) {
         let v = &mut self.values;
-        match site.driver {
+        match cc.driver_op(net.index() as u32) {
             // A forced primary input / FF output is flipped before the ops
             // run (the flip persists until the driver overwrites it: the
             // next input frame or clock edge).
             None => {
-                v[site.target as usize] ^= mask;
-                Self::eval_ops(v, &cc.ops);
+                v[net.index()] ^= mask;
+                eval_ops(v, &cc.ops);
             }
-            Some(driver) => {
-                let driver = driver as usize;
-                let (before, rest) = cc.ops.split_at(driver);
-                Self::eval_ops(v, before);
-                let op = &rest[0];
-                let a = v[op.a as usize];
-                let b = v[op.b as usize];
-                let c = v[op.c as usize];
-                v[op.out as usize] = op.kind.eval(a, b, c) ^ mask;
-                Self::eval_ops(v, &rest[1..]);
-            }
-        }
-    }
-
-    /// Reset the state in place to the power-on values of
-    /// [`SimState::new`], reusing the allocations. Batch loops that
-    /// recycle one state across batches call this before restoring a
-    /// journal entry so leftover values (e.g. a forced source net) cannot
-    /// leak into the next batch.
-    pub fn reset(&mut self, cc: &CompiledCircuit) {
-        self.values.fill(0);
-        for (i, &q) in cc.ff_q.iter().enumerate() {
-            self.values[q as usize] = if cc.ff_init[i] { !0 } else { 0 };
-        }
-        self.cycle = 0;
-    }
-
-    /// Evaluate only the combinational logic inside a fan-out cone.
-    ///
-    /// Boundary nets must hold their golden values for the current cycle
-    /// (see [`SimState::load_boundary`]); everything outside the cone is
-    /// untouched and must not be read.
-    pub fn eval_cone(&mut self, cone: &Cone) {
-        Self::eval_ops(&mut self.values, &cone.ops);
-    }
-
-    /// Cone-restricted [`SimState::eval_forced_site`]: evaluate the cone
-    /// while XOR-forcing the cone's root net.
-    ///
-    /// Gate-output roots split the cone op list at the driving op; source
-    /// roots (primary inputs, flip-flop Q nets) are flipped in place
-    /// before the cone ops run — for a boundary-loaded source root the
-    /// flip lasts exactly one cycle, because the next
-    /// [`SimState::load_boundary`] restores the golden value, mirroring
-    /// how the full evaluation's driver overwrites it.
-    pub fn eval_forced_cone(&mut self, cone: &Cone, mask: u64) {
-        let v = &mut self.values;
-        match cone.forced_split {
-            None => {
-                v[cone.root as usize] ^= mask;
-                Self::eval_ops(v, &cone.ops);
-            }
-            Some(split) => {
-                let (before, rest) = cone.ops.split_at(split as usize);
-                Self::eval_ops(v, before);
-                let op = &rest[0];
-                let a = v[op.a as usize];
-                let b = v[op.b as usize];
-                let c = v[op.c as usize];
-                v[op.out as usize] = op.kind.eval(a, b, c) ^ mask;
-                Self::eval_ops(v, &rest[1..]);
-            }
-        }
-    }
-
-    /// Cone-restricted [`SimState::tick`]: only the cone's flip-flops
-    /// capture their data inputs. Sound because flip-flops outside the
-    /// cone hold golden values that the cone never reads directly — cone
-    /// ops read them through boundary-net loads instead.
-    pub fn tick_cone(&mut self, cone: &Cone) {
-        for (i, &d) in cone.ff_d.iter().enumerate() {
-            self.scratch[i] = self.values[d as usize];
-        }
-        for (i, &q) in cone.ff_q.iter().enumerate() {
-            self.values[q as usize] = self.scratch[i];
-        }
-        self.cycle += 1;
-    }
-
-    /// Broadcast the golden values of the cone's boundary nets for one
-    /// cycle, from a [`NetJournal`](crate::NetJournal) row.
-    ///
-    /// Must be called before [`SimState::eval_cone`] every cycle: it
-    /// supplies the primary inputs, upstream gate outputs and non-cone
-    /// flip-flop values the cone reads, so the cone loop needs no
-    /// stimulus replay at all.
-    pub fn load_boundary(&mut self, cone: &Cone, row: &[u64]) {
-        for &n in &cone.boundary {
-            let bit = (row[(n / 64) as usize] >> (n % 64)) & 1;
-            self.values[n as usize] = bit.wrapping_neg();
-        }
-    }
-
-    /// Load the cone flip-flops from a packed full-circuit state
-    /// (indexed by global flip-flop index), broadcasting each bit to all
-    /// lanes — the cone-scoped [`SimState::load_ff_state_broadcast`].
-    pub fn load_cone_state_broadcast(&mut self, cone: &Cone, packed: &[u64]) {
-        for (k, &ff) in cone.ffs.iter().enumerate() {
-            let ff = ff as usize;
-            let bit = (packed[ff / 64] >> (ff % 64)) & 1;
-            self.values[cone.ff_q[k] as usize] = bit.wrapping_neg();
-        }
-    }
-
-    /// Cone-scoped [`SimState::diff_lanes`]: lanes whose **cone**
-    /// flip-flop state differs from the packed golden state (indexed by
-    /// global flip-flop index).
-    ///
-    /// Equivalent to the full diff for single-fault batches — flip-flops
-    /// outside the fan-out cone can never deviate from golden — while
-    /// costing O(|cone FFs|) instead of O(all FFs) per cycle.
-    pub fn diff_lanes_cone(&self, cone: &Cone, packed: &[u64]) -> u64 {
-        let mut diff = 0u64;
-        for (k, &ff) in cone.ffs.iter().enumerate() {
-            let ff = ff as usize;
-            let bit = (packed[ff / 64] >> (ff % 64)) & 1;
-            diff |= self.values[cone.ff_q[k] as usize] ^ bit.wrapping_neg();
-        }
-        diff
-    }
-
-    /// Frontier-flip the cone's root net (an SEU on a flip-flop Q net,
-    /// or a SET on a driverless source net): refresh the root to this
-    /// cycle's golden value if it is clean, XOR `mask` onto it, and fan
-    /// the divergence event out to its cone readers and latches.
-    ///
-    /// Byte-identical to [`SimState::flip_ff`] on the cone path: a clean
-    /// root provably holds the golden value, so refresh-then-flip equals
-    /// flip-in-place.
-    pub fn flip_frontier(&mut self, cone: &Cone, fs: &mut FrontierScratch, row: &[u64], mask: u64) {
-        let root = cone.root;
-        if !fs.is_dirty(root) {
-            self.values[root as usize] = row_broadcast(row, root);
-        }
-        self.values[root as usize] ^= mask;
-        fs.spread(cone, root);
-    }
-
-    /// Convert a frontier-represented cone state into the dense form the
-    /// static cone loop ([`SimState::eval_cone`] / [`SimState::tick_cone`])
-    /// expects: refresh every touched-but-clean net to this cycle's
-    /// golden value, so *all* cone nets hold live values afterwards.
-    /// Dirty nets are already live by the frontier invariant. O(|cone|),
-    /// paid once per representation switch.
-    pub fn adopt_frontier(&mut self, cone: &Cone, fs: &FrontierScratch, row: &[u64]) {
-        for (w, &tword) in cone.touched.iter().enumerate() {
-            let mut stale = tword & !fs.dirty[w];
-            while stale != 0 {
-                let b = stale.trailing_zeros();
-                stale &= stale - 1;
-                let n = (w as u32) * 64 + b;
-                self.values[n as usize] = row_broadcast(row, n);
-            }
-        }
-    }
-
-    /// Event-driven [`SimState::eval_cone`]: evaluate only the cone ops
-    /// scheduled on the frontier worklist (their inputs differ from this
-    /// cycle's golden values in `row`), in topological order.
-    ///
-    /// Clean operands are refreshed lazily from the golden row before an
-    /// op runs, so no boundary broadcast and no whole-cone sweep happen
-    /// at all. An op whose output comes out equal to golden stops
-    /// propagating; an op whose output differs schedules its cone
-    /// fan-out (and enqueues the flip-flops it feeds for
-    /// [`SimState::tick_frontier`]).
-    pub fn eval_frontier(&mut self, cone: &Cone, fs: &mut FrontierScratch, row: &[u64]) {
-        Self::propagate(&mut self.values, cone, fs, row, None);
-    }
-
-    /// Event-driven [`SimState::eval_forced_cone`]: XOR-force the cone's
-    /// root for exactly this evaluation. Gate-output roots schedule the
-    /// driving op and apply the mask in topological position; source
-    /// roots flip the golden boundary value in place
-    /// ([`SimState::flip_frontier`]), which the next cycle's lazy golden
-    /// refresh undoes — mirroring how the full evaluation's driver
-    /// overwrites it.
-    pub fn eval_forced_frontier(
-        &mut self,
-        cone: &Cone,
-        fs: &mut FrontierScratch,
-        row: &[u64],
-        mask: u64,
-    ) {
-        match cone.forced_split {
-            None => {
-                self.flip_frontier(cone, fs, row, mask);
-                Self::propagate(&mut self.values, cone, fs, row, None);
-            }
-            Some(split) => {
-                fs.schedule(split);
-                Self::propagate(&mut self.values, cone, fs, row, Some((split, mask)));
-            }
-        }
-    }
-
-    /// Drain the frontier worklist in ascending (= topological) op
-    /// order. Scheduling during the scan only ever adds ops *after* the
-    /// current position, because a reader is levelized after its driver.
-    fn propagate(
-        values: &mut [u64],
-        cone: &Cone,
-        fs: &mut FrontierScratch,
-        row: &[u64],
-        forced: Option<(u32, u64)>,
-    ) {
-        if fs.q_lo == u32::MAX {
-            return;
-        }
-        let mut w = (fs.q_lo / 64) as usize;
-        loop {
-            if w > (fs.q_hi / 64) as usize {
-                break;
-            }
-            // Re-read the word every pop: an evaluated op may schedule a
-            // reader in this same word (at a higher bit).
-            let bits = fs.queue[w];
-            if bits == 0 {
-                w += 1;
-                continue;
-            }
-            let b = bits.trailing_zeros();
-            fs.queue[w] &= !(1u64 << b);
-            let j = (w as u32) * 64 + b;
-            let op = &cone.ops[j as usize];
-            // Lazy golden refresh: clean operands provably hold the
-            // golden value, but their stored word may be stale.
-            for n in [op.a, op.b, op.c] {
-                if !fs.is_dirty(n) {
-                    values[n as usize] = row_broadcast(row, n);
-                }
-            }
-            let a = values[op.a as usize];
-            let bv = values[op.b as usize];
-            let c = values[op.c as usize];
-            let mut out = op.kind.eval(a, bv, c);
-            if let Some((fj, mask)) = forced {
-                if fj == j {
-                    out ^= mask;
-                }
-            }
-            fs.ops_evaluated += 1;
-            fs.cycle_ops += 1;
-            values[op.out as usize] = out;
-            if out != row_broadcast(row, op.out) {
-                fs.spread(cone, op.out);
-            }
-        }
-        fs.q_lo = u32::MAX;
-        fs.q_hi = 0;
-    }
-
-    /// Event-driven [`SimState::tick_cone`]: only flip-flops whose D net
-    /// diverged this cycle latch (everything else provably latches its
-    /// golden value), and the per-lane divergence mask entering the next
-    /// cycle falls out of the latch loop for free.
-    ///
-    /// Returns the lane mask that differs from golden entering the next
-    /// cycle — bit-identical to [`SimState::diff_lanes_cone`] against
-    /// the golden state journal, without the O(|cone FFs|) scan: a lane
-    /// differs entering cycle `c+1` iff some flip-flop latched a
-    /// non-golden bit for it, and only `latch`-listed flip-flops can.
-    /// Flip-flops that latch golden again are dropped from the frontier;
-    /// an empty frontier therefore *is* all-lane convergence.
-    ///
-    /// `next_row` is the golden journal row of the next cycle (`None` on
-    /// the final cycle, where nothing needs seeding).
-    pub fn tick_frontier(
-        &mut self,
-        cone: &Cone,
-        fs: &mut FrontierScratch,
-        next_row: Option<&[u64]>,
-    ) -> u64 {
-        debug_assert!(fs.q_lo == u32::MAX, "tick with an undrained frontier");
-        fs.peak = fs.peak.max(fs.cycle_ops);
-        fs.last_cycle_ops = fs.cycle_ops;
-        fs.cycle_ops = 0;
-
-        // Two-phase latch of the dirty flip-flops only: capture all D
-        // words first so Q-to-D shift chains see pre-edge values.
-        let n = fs.latch.len();
-        fs.capture.clear();
-        for i in 0..n {
-            fs.capture
-                .push(self.values[cone.ff_d[fs.latch[i] as usize] as usize]);
-        }
-
-        // This cycle's dirty marks expire at the edge; next cycle's are
-        // re-seeded below from what actually latched non-golden.
-        for &net in &fs.dirty_nets {
-            fs.dirty[(net / 64) as usize] &= !(1u64 << (net % 64));
-        }
-        fs.dirty_nets.clear();
-        for i in 0..n {
-            let k = fs.latch[i];
-            fs.latched[(k / 64) as usize] &= !(1u64 << (k % 64));
-        }
-
-        let mut diff = 0u64;
-        for i in 0..n {
-            let k = fs.latch[i] as usize;
-            let v = fs.capture[i];
-            self.values[cone.ff_q[k] as usize] = v;
-            if let Some(next_row) = next_row {
-                let q = cone.ff_q[k];
-                let d = v ^ row_broadcast(next_row, q);
-                diff |= d;
-                if d != 0 {
-                    // Still divergent: seed the next cycle's frontier
-                    // (readers of Q, and Q-to-D latch chains). May push
-                    // onto `fs.latch` beyond `n`.
-                    fs.spread(cone, q);
-                }
-            }
-        }
-        fs.latch.drain(..n);
-        self.cycle += 1;
-        diff
-    }
-
-    /// Cone-scoped [`SimState::pack_ff_state`]: overwrite the cone
-    /// flip-flops' bits of a packed full-circuit state with lane `lane`'s
-    /// values, leaving non-cone bits untouched.
-    ///
-    /// Seeding `out` with a golden journal row therefore reconstructs the
-    /// full faulty state of the lane, since non-cone flip-flops are
-    /// golden by construction.
-    pub fn pack_ff_state_cone(&self, cone: &Cone, lane: usize, out: &mut [u64]) {
-        debug_assert!(lane < LANES);
-        for (k, &ff) in cone.ffs.iter().enumerate() {
-            let ff = ff as usize;
-            let bit = (self.values[cone.ff_q[k] as usize] >> lane) & 1;
-            out[ff / 64] = (out[ff / 64] & !(1u64 << (ff % 64))) | (bit << (ff % 64));
+            Some(driver) => eval_ops_forced(v, &cc.ops, driver as usize, mask),
         }
     }
 
@@ -652,7 +133,7 @@ impl SimState {
     /// `mask`. This models a Single-Event Upset.
     ///
     /// Combinational logic is *not* re-evaluated; call [`SimState::eval`]
-    /// afterwards (the fault engine flips before the evaluation of the
+    /// afterwards (the flip is applied before the evaluation of the
     /// injection cycle).
     pub fn flip_ff(&mut self, cc: &CompiledCircuit, ff: FfId, mask: u64) {
         self.values[cc.ff_q[ff.index()] as usize] ^= mask;
@@ -684,33 +165,6 @@ impl SimState {
             let bit = (self.values[q as usize] >> lane) & 1;
             out[i / 64] |= bit << (i % 64);
         }
-    }
-
-    /// Load a packed single-scenario flip-flop state, broadcasting each bit
-    /// to all 64 lanes. Used to restart simulation from a golden journal
-    /// entry.
-    pub fn load_ff_state_broadcast(&mut self, cc: &CompiledCircuit, packed: &[u64]) {
-        debug_assert_eq!(packed.len(), cc.ff_words());
-        for (i, &q) in cc.ff_q.iter().enumerate() {
-            let bit = (packed[i / 64] >> (i % 64)) & 1;
-            self.values[q as usize] = if bit == 1 { !0 } else { 0 };
-        }
-    }
-
-    /// Lanes whose flip-flop state differs from the packed golden state.
-    ///
-    /// Returns a 64-bit mask with bit `l` set iff lane `l` differs from
-    /// `packed` in at least one flip-flop. The fault engine uses this for
-    /// early convergence detection: a lane whose state has returned to
-    /// golden can never diverge again (the stimulus is shared).
-    pub fn diff_lanes(&self, cc: &CompiledCircuit, packed: &[u64]) -> u64 {
-        let mut diff = 0u64;
-        for (i, &q) in cc.ff_q.iter().enumerate() {
-            let bit = (packed[i / 64] >> (i % 64)) & 1;
-            let golden = bit.wrapping_neg(); // 0 -> 0x0, 1 -> all ones
-            diff |= self.values[q as usize] ^ golden;
-        }
-        diff
     }
 }
 
@@ -767,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn flip_diverges_single_lane_and_convergence_detected() {
+    fn flip_diverges_single_lane() {
         let cc = counter4();
         let mut s = SimState::new(&cc);
         s.set_input(&cc, 0, true);
@@ -780,39 +234,6 @@ mod tests {
         let lane0 = read_count(&cc, &s, 0);
         let lane7 = read_count(&cc, &s, 7);
         assert_eq!(lane0 ^ lane7, 0b0010);
-
-        // Golden state is lane 0's packed state; lane 7 must differ.
-        let mut golden = Vec::new();
-        s.pack_ff_state(&cc, 0, &mut golden);
-        let diff = s.diff_lanes(&cc, &golden);
-        assert_eq!(diff, 1u64 << 7);
-    }
-
-    #[test]
-    fn pack_and_broadcast_round_trip() {
-        let cc = counter4();
-        let mut s = SimState::new(&cc);
-        for _ in 0..9 {
-            s.set_input(&cc, 0, true);
-            s.eval(&cc);
-            s.tick(&cc);
-        }
-        let mut packed = Vec::new();
-        s.pack_ff_state(&cc, 0, &mut packed);
-        let mut s2 = SimState::new(&cc);
-        s2.load_ff_state_broadcast(&cc, &packed);
-        s2.set_cycle(s.cycle());
-        assert_eq!(s2.diff_lanes(&cc, &packed), 0);
-        // Continuing both runs produces identical outputs.
-        for _ in 0..5 {
-            s.set_input(&cc, 0, true);
-            s2.set_input(&cc, 0, true);
-            s.eval(&cc);
-            s2.eval(&cc);
-            assert_eq!(read_count(&cc, &s, 0), read_count(&cc, &s2, 0));
-            s.tick(&cc);
-            s2.tick(&cc);
-        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Golden (fault-free) reference run artifacts.
 //!
-//! The fault-injection engine needs three things from the reference run:
+//! Fault injection needs three things from the reference run:
 //!
 //! 1. the **output trace** of the watched ports (to classify failures),
-//! 2. a **per-cycle journal of the packed flip-flop state** — both to
-//!    restart simulation at an arbitrary cycle (checkpointing) and to detect
-//!    when a faulty lane has re-converged to the fault-free state,
+//! 2. a **per-cycle journal of the packed flip-flop state** — what the
+//!    [`reference`](crate::reference) oracle compares a faulty lane with
+//!    to tell whether it has re-converged to the fault-free state,
 //! 3. the **activity trace** (reused as the dynamic feature source).
 
 use crate::activity::ActivityTrace;
@@ -17,8 +17,7 @@ use serde::{Deserialize, Serialize};
 /// Packed lane-0 flip-flop state for every cycle of a run.
 ///
 /// Entry `c` is the state *entering* cycle `c` (i.e. before the inputs of
-/// cycle `c` are applied), so restoring entry `c` and replaying the stimulus
-/// from cycle `c` reproduces the run exactly.
+/// cycle `c` are applied).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateJournal {
     words_per_cycle: usize,
@@ -134,26 +133,6 @@ impl NetJournal {
         let row = self.row(cycle);
         (row[net.index() / 64] >> (net.index() % 64)) & 1 == 1
     }
-
-    /// Golden value of one net during `cycle`, broadcast to all 64
-    /// lanes (all-ones when the net is high, zero when low). This is
-    /// the frontier path's lazy-refresh primitive: clean faulty-state
-    /// nets are reconstructed from the journal on demand instead of
-    /// being swept in every cycle.
-    pub fn net_broadcast(&self, cycle: u64, net: ffr_netlist::NetId) -> u64 {
-        let row = self.row(cycle);
-        ((row[net.index() / 64] >> (net.index() % 64)) & 1).wrapping_neg()
-    }
-}
-
-/// Legacy alias kept for API compatibility: a journal entry used as an
-/// explicit checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Cycle the state belongs to.
-    pub cycle: u64,
-    /// Packed flip-flop state entering that cycle.
-    pub packed: Vec<u64>,
 }
 
 /// All artifacts of the golden (fault-free) reference run.
@@ -193,24 +172,6 @@ impl GoldenRun {
             journal,
         }
     }
-
-    /// Restore a [`SimState`] to the state entering `cycle`, broadcast to
-    /// all lanes, ready for stimulus replay.
-    pub fn restore(&self, cc: &CompiledCircuit, cycle: u64) -> SimState {
-        let mut state = SimState::new(cc);
-        state.load_ff_state_broadcast(cc, self.journal.state_at(cycle));
-        state.set_cycle(cycle);
-        state
-    }
-
-    /// Extract an explicit checkpoint (rarely needed; prefer
-    /// [`GoldenRun::restore`]).
-    pub fn checkpoint(&self, cycle: u64) -> Checkpoint {
-        Checkpoint {
-            cycle,
-            packed: self.journal.state_at(cycle).to_vec(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -238,31 +199,6 @@ mod tests {
         b.connect_en(&r, &en, &next).unwrap();
         b.output("value", &r.q());
         CompiledCircuit::compile(b.finish().unwrap()).unwrap()
-    }
-
-    #[test]
-    fn journal_matches_replay() {
-        let cc = counter();
-        let watch = WatchList::all(&cc);
-        let golden = GoldenRun::capture(&cc, &CountEnable, &watch);
-        assert_eq!(golden.journal.cycles(), 40);
-
-        // Restore at cycle 17 and replay; outputs must match the golden
-        // trace for every remaining cycle.
-        let mut state = golden.restore(&cc, 17);
-        let mut frame = InputFrame::new(cc.num_inputs());
-        for cycle in 17..40u64 {
-            frame.clear();
-            CountEnable.drive(cycle, &mut frame);
-            frame.apply(&cc, &mut state);
-            state.eval(&cc);
-            for w in 0..watch.len() {
-                let golden_bit = golden.trace.bit(w, cycle, 0);
-                let got = (state.output_word(&cc, watch.indices()[w]) >> 5) & 1 == 1;
-                assert_eq!(got, golden_bit, "cycle {cycle} output {w}");
-            }
-            state.tick(&cc);
-        }
     }
 
     #[test]
@@ -306,15 +242,5 @@ mod tests {
         let en = cc.netlist().primary_inputs()[0];
         assert!(!journal.net_bit(3, en));
         assert!(journal.net_bit(4, en));
-    }
-
-    #[test]
-    fn checkpoint_equals_journal_entry() {
-        let cc = counter();
-        let watch = WatchList::all(&cc);
-        let golden = GoldenRun::capture(&cc, &CountEnable, &watch);
-        let cp = golden.checkpoint(9);
-        assert_eq!(cp.cycle, 9);
-        assert_eq!(cp.packed.as_slice(), golden.journal.state_at(9));
     }
 }

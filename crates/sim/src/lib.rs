@@ -15,10 +15,14 @@
 //! * [`run_testbench`] — drive a [`Stimulus`] against a circuit while
 //!   recording an [`OutputTrace`] and per-flip-flop [`ActivityTrace`],
 //! * [`GoldenRun`] — reference run artifacts consumed by `ffr-fault`:
-//!   per-cycle flip-flop state journal, checkpoints, output trace,
-//! * [`Cone`] / [`NetJournal`] — cone-restricted differential fault
-//!   simulation: evaluate only the injection point's fan-out cone and
-//!   broadcast golden boundary-net values from an all-nets journal.
+//!   per-cycle flip-flop state journal, output trace, activity,
+//! * [`FaultEngine`] over a [`Cone`] and the [`NetJournal`] — the one
+//!   fault-evaluation engine: differential simulation of an injection
+//!   point's fan-out cone against the golden all-nets journal, as a
+//!   `Quiescent → Frontier → Dense` state machine,
+//! * [`mod@reference`] — a deliberately naive whole-circuit fault simulator,
+//!   the **test-only oracle** the engine is proven against. Nothing but
+//!   tests and benches may call it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,14 +30,17 @@
 mod activity;
 mod compile;
 mod engine;
+mod fault_engine;
 mod golden;
+pub mod reference;
 mod testbench;
 pub mod vcd;
 
 pub use activity::ActivityTrace;
-pub use compile::{CompiledCircuit, Cone, FaultSite, SimError};
-pub use engine::{FrontierScratch, SimState};
-pub use golden::{Checkpoint, GoldenRun, NetJournal, StateJournal};
+pub use compile::{CompiledCircuit, Cone, SimError};
+pub use engine::SimState;
+pub use fault_engine::{EngineState, FaultEngine};
+pub use golden::{GoldenRun, NetJournal, StateJournal};
 pub use testbench::{
     run_testbench, InputFrame, LaneView, OutputTrace, Stimulus, TestbenchRun, WatchList,
 };

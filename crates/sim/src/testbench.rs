@@ -187,23 +187,10 @@ impl OutputTrace {
         }
     }
 
-    /// Re-initialize the trace in place for a new cycle range, zeroing
-    /// every word. Reuses the existing allocation — batch loops call this
-    /// instead of constructing a fresh trace per batch, with identical
-    /// resulting contents.
-    pub fn reset(&mut self, start: u64, end: u64, width: usize) {
-        assert!(end >= start);
-        self.start = start;
-        self.end = end;
-        self.width = width;
-        self.data.clear();
-        self.data.resize((end - start) as usize * width, 0);
-    }
-
     /// Re-initialize the trace in place to `source`'s contents over
-    /// `start..source.end` — the frontier batch loop seeds the faulty
-    /// trace with the golden trace in one bulk copy, then overwrites only
-    /// the rows where a watched output actually deviates.
+    /// `start..source.end`, reusing the allocation — the batch loop seeds
+    /// the faulty trace with the golden trace in one bulk copy, then
+    /// overwrites only the rows where a watched output actually deviates.
     ///
     /// # Panics
     ///

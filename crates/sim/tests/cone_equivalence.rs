@@ -1,19 +1,21 @@
-//! Property tests: cone-restricted differential simulation is
-//! observationally equivalent to full-circuit evaluation.
+//! Property tests: the fault-evaluation engine is observationally
+//! equivalent to the naive reference oracle.
 //!
-//! For any injection target (SEU flip-flop, gate-output SET, source-net
-//! SET), any lane/time batch and any cycle, the cone path — boundary
-//! nets broadcast from a [`NetJournal`], only cone ops evaluated, only
-//! cone flip-flops ticked — must produce exactly the watched outputs,
-//! convergence masks and packed states of the full evaluation. Watched
-//! outputs outside the cone are golden by construction
-//! ([`Cone::may_differ`]) and are compared against the golden trace.
+//! For any injection target (SEU flip-flop; SET on a gate output, a
+//! flip-flop Q net or a primary input), any batch of lane times
+//! (unsorted, with duplicates) and every cycle, [`FaultEngine`] — which
+//! evaluates only live divergence inside the fan-out cone and claims
+//! everything else golden — must agree with [`reference::simulate`] —
+//! which evaluates the whole circuit from reset — on every watched
+//! output, every flip-flop word and the lane diff entering the next
+//! cycle.
 
 use ffr_circuits::corpus::CorpusSpec;
-use ffr_netlist::{Bus, FfId, NetId, NetlistBuilder};
+use ffr_netlist::{Bus, FfId, NetlistBuilder};
+use ffr_sim::reference::{self, Target};
 use ffr_sim::{
-    CompiledCircuit, Cone, FaultSite, FrontierScratch, GoldenRun, InputFrame, NetJournal, SimState,
-    Stimulus, WatchList,
+    CompiledCircuit, EngineState, FaultEngine, GoldenRun, InputFrame, NetJournal, Stimulus,
+    WatchList,
 };
 use proptest::prelude::*;
 
@@ -84,158 +86,99 @@ impl Stimulus for HashStimulus {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Target {
-    Seu(FfId),
-    Set(FaultSite),
+/// Target `pick` of site kind `kind`: 0 = SEU flip-flop, 1 = gate-output
+/// SET, 2 = Q-net SET, 3 = primary-input SET (both source sites). A
+/// circuit without sites of the kind falls back to an SEU.
+fn target(cc: &CompiledCircuit, kind: usize, pick: usize) -> Target {
+    let ff = FfId::from_index(pick % cc.num_ffs());
+    let nets = match kind {
+        0 => Vec::new(),
+        1 => cc.comb_output_nets(),
+        2 => vec![cc.netlist().ff_q_net(ff)],
+        _ => cc.netlist().primary_inputs().to_vec(),
+    };
+    match nets.len() {
+        0 => Target::Seu(ff),
+        n => Target::Set(nets[pick % n]),
+    }
 }
 
-/// Every interesting SET/SEU target of the circuit: gate outputs (driven
-/// sites), flip-flop Q nets and primary inputs (source sites).
-fn set_targets(cc: &CompiledCircuit) -> Vec<NetId> {
-    let mut targets = cc.comb_output_nets();
-    targets.extend((0..cc.num_ffs()).map(|i| cc.netlist().ff_q_net(FfId::from_index(i))));
-    targets.extend(cc.netlist().primary_inputs().iter().copied());
-    targets
-}
-
-/// The three-way equivalence check shared by the hand-built and corpus
-/// property tests: full batch ≡ static cone ≡ event-driven frontier,
-/// compared on watched outputs, convergence diffs and packed states.
-fn assert_three_way(
+/// Drive the engine the way a campaign batch does (optionally skipping
+/// quiescent spans) and compare everything it claims, cycle by cycle,
+/// with the oracle.
+fn assert_engine_equals_oracle(
     cc: &CompiledCircuit,
     stim: &impl Stimulus,
-    seu: bool,
-    pick: usize,
-    raw_times: &[u64],
-    cycles: u64,
+    target: Target,
+    times: &[u64],
+    skip_quiescent: bool,
 ) {
+    let cycles = stim.num_cycles();
     let watch = WatchList::all(cc);
     let golden = GoldenRun::capture(cc, &stim, &watch);
     let netj = NetJournal::capture(cc, &stim);
+    let oracle = reference::simulate(cc, &stim, &watch, &golden, target, times);
 
-    let (cone, target): (Cone, Target) = if seu {
-        let ff = FfId::from_index(pick % cc.num_ffs());
-        (cc.ff_cone(ff), Target::Seu(ff))
-    } else {
-        let nets = set_targets(cc);
-        let net = nets[pick % nets.len()];
-        (cc.net_cone(net), Target::Set(cc.fault_site(net)))
+    let cone = match target {
+        Target::Seu(ff) => cc.ff_cone(ff),
+        Target::Set(net) => cc.net_cone(net),
     };
-    prop_assert!(cone.num_ops() <= cc.num_ops());
-    prop_assert!(cone.num_ffs() <= cc.num_ffs());
+    let mut engine = FaultEngine::new(cc);
+    engine.attach(&cone, *times.iter().min().unwrap());
 
-    let times: Vec<u64> = raw_times.iter().map(|t| t % cycles).collect();
-    let t0 = *times.iter().min().unwrap();
-
-    let mut full = golden.restore(cc, t0);
-    let mut frame = InputFrame::new(cc.num_inputs());
-    let mut cstate = SimState::new(cc);
-    cstate.load_cone_state_broadcast(&cone, golden.journal.state_at(t0));
-    cstate.set_cycle(t0);
-    // Third contender: event-driven frontier evaluation. No state is
-    // loaded at all — everything is golden (= clean) until the first
-    // injection seeds the worklist.
-    let mut fstate = SimState::new(cc);
-    let mut fs = FrontierScratch::new();
-    fs.attach(&cone);
-    fstate.set_cycle(t0);
-
-    for cycle in t0..cycles {
-        frame.clear();
-        stim.drive(cycle, &mut frame);
-        frame.apply(cc, &mut full);
-        let row = netj.row(cycle);
-        cstate.load_boundary(&cone, row);
-
-        let mut mask = 0u64;
-        for (lane, &t) in times.iter().enumerate() {
-            if t == cycle {
-                mask |= 1u64 << lane;
-            }
-        }
-        match target {
-            Target::Seu(ff) => {
-                if mask != 0 {
-                    full.flip_ff(cc, ff, mask);
-                    cstate.flip_ff(cc, ff, mask);
-                    fstate.flip_frontier(&cone, &mut fs, row, mask);
-                }
-                full.eval(cc);
-                cstate.eval_cone(&cone);
-                fstate.eval_frontier(&cone, &mut fs, row);
-            }
-            Target::Set(site) => {
-                if mask != 0 {
-                    full.eval_forced_site(cc, site, mask);
-                    cstate.eval_forced_cone(&cone, mask);
-                    fstate.eval_forced_frontier(&cone, &mut fs, row, mask);
-                } else {
-                    full.eval(cc);
-                    cstate.eval_cone(&cone);
-                    fstate.eval_frontier(&cone, &mut fs, row);
-                }
-            }
-        }
-
-        // Watched outputs agree: in-cone outputs from the cone state,
-        // out-of-cone outputs are provably golden.
-        for (w, &po) in watch.indices().iter().enumerate() {
-            let want = full.output_word(cc, po);
-            let got = if cone.may_differ(cc.output_net(po)) {
-                cstate.output_word(cc, po)
-            } else {
-                golden.trace.word(w, cycle)
-            };
-            prop_assert_eq!(want, got, "output {} at cycle {}", w, cycle);
-            // Frontier: only dirty nets can deviate; clean or
-            // out-of-cone outputs are golden by construction.
-            let net = cc.output_net(po);
-            let fgot = if cone.may_differ(net) && fs.net_dirty(net) {
-                fstate.output_word(cc, po)
-            } else {
-                golden.trace.word(w, cycle)
-            };
-            prop_assert_eq!(want, fgot, "frontier output {} at cycle {}", w, cycle);
-        }
-
-        full.tick(cc);
-        cstate.tick_cone(&cone);
-
+    for cycle in 0..cycles {
         let next = cycle + 1;
-        let fdiff = fstate.tick_frontier(
-            &cone,
-            &mut fs,
-            if next < cycles {
-                Some(netj.row(next))
+        // Cycles the engine is not driven through — before the first
+        // injection, or skipped while Quiescent — it claims all-golden.
+        let driven = cycle == engine.cycle();
+        if driven {
+            let mask = (0..times.len())
+                .filter(|&lane| times[lane] == cycle)
+                .fold(0u64, |mask, lane| mask | 1 << lane);
+            engine.eval(&cone, netj.row(cycle), mask);
+        }
+        let claimed = |net, golden_word: u64| {
+            let live = if driven {
+                engine.live_word(&cone, net)
             } else {
                 None
-            },
-        );
-        if next < cycles {
-            let packed = golden.journal.state_at(next);
-            // Convergence detection sees identical lane diffs — the
-            // frontier derives its mask from the latch loop alone.
-            prop_assert_eq!(
-                full.diff_lanes(cc, packed),
-                cstate.diff_lanes_cone(&cone, packed),
-                "diff mask entering cycle {}",
-                next
+            };
+            live.unwrap_or(golden_word)
+        };
+        for (w, &po) in watch.indices().iter().enumerate() {
+            assert_eq!(
+                claimed(cc.output_net(po), golden.trace.word(w, cycle)),
+                oracle.trace.word(w, cycle),
+                "output {w} at cycle {cycle}"
             );
-            prop_assert_eq!(
-                full.diff_lanes(cc, packed),
-                fdiff,
-                "frontier diff mask entering cycle {}",
-                next
+        }
+        for (ff, _) in cc.netlist().ffs() {
+            let golden_word = (golden.journal.ff_bit(cycle, ff) as u64).wrapping_neg();
+            assert_eq!(
+                claimed(cc.netlist().ff_q_net(ff), golden_word),
+                oracle.ff_word(cycle, ff),
+                "flip-flop {ff} at cycle {cycle}"
             );
-            // Overlaying the cone flip-flops on the golden row
-            // reconstructs the full packed state of any lane.
-            let lane = times.len() - 1;
-            let mut want = Vec::new();
-            full.pack_ff_state(cc, lane, &mut want);
-            let mut got = packed.to_vec();
-            cstate.pack_ff_state_cone(&cone, lane, &mut got);
-            prop_assert_eq!(want, got, "packed overlay entering cycle {}", next);
+        }
+        let diff = if driven {
+            engine.tick(&cone, (next < cycles).then(|| netj.row(next)))
+        } else {
+            0
+        };
+        if next == cycles {
+            break;
+        }
+        assert_eq!(diff, oracle.lane_diff(next), "lane diff entering {next}");
+        if driven {
+            assert_eq!(
+                diff == 0,
+                engine.state() == EngineState::Quiescent,
+                "quiescence is exactly a zero lane diff (cycle {cycle})"
+            );
+            if skip_quiescent && diff == 0 {
+                let resume = times.iter().copied().filter(|&t| t > cycle).min();
+                engine.skip_to(resume.unwrap_or(cycles));
+            }
         }
     }
 }
@@ -243,43 +186,64 @@ fn assert_three_way(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Cone-restricted batch simulation ≡ full-circuit batch simulation:
-    /// identical watched outputs every cycle (with out-of-cone outputs
-    /// served from the golden trace), identical convergence diffs and
-    /// identical reconstructed packed states, for both fault models and
+    /// Engine ≡ oracle on the hand-built circuit, for every site kind and
     /// random per-lane injection times.
     #[test]
-    fn cone_batch_equals_full_batch(
+    fn engine_equals_oracle(
         width in 2usize..6,
-        seu in any::<bool>(),
+        kind in 0usize..4,
         pick in 0usize..64,
         raw_times in proptest::collection::vec(0u64..1000, 1..16),
         cycles in 24u64..48,
+        skip_quiescent in any::<bool>(),
     ) {
         let cc = circuit(width);
         let stim = MixStimulus { width, cycles };
-        assert_three_way(&cc, &stim, seu, pick, &raw_times, cycles);
+        let mut times: Vec<u64> = raw_times.iter().map(|t| t % cycles).collect();
+        // Always at least one pair of lanes sharing a cycle.
+        times.push(times[0]);
+        assert_engine_equals_oracle(&cc, &stim, target(&cc, kind, pick), &times, skip_quiescent);
     }
 
-    /// Corpus-wide conformance: the same three-way equivalence holds over
+    /// Corpus-wide conformance: the same equivalence holds over
     /// *arbitrary generated corpus circuits* — `CorpusSpec::sampled` maps
     /// free integers onto every generator family (counters, LFSR
     /// pipelines, ALUs, FIFOs, CRCs, register files, seeded mixes), so
     /// shrinking walks both circuit structure and injection placement.
     #[test]
-    fn corpus_cone_batch_equals_full_batch(
-        kind in 0usize..7,
+    fn corpus_engine_equals_oracle(
+        family in 0usize..7,
         size_a in any::<usize>(),
         size_b in any::<usize>(),
         structure_seed in any::<u64>(),
-        seu in any::<bool>(),
+        kind in 0usize..4,
         pick in 0usize..64,
         raw_times in proptest::collection::vec(0u64..1000, 1..12),
         cycles in 24u64..40,
+        skip_quiescent in any::<bool>(),
     ) {
-        let spec = CorpusSpec::sampled(kind, size_a, size_b, structure_seed);
+        let spec = CorpusSpec::sampled(family, size_a, size_b, structure_seed);
         let cc = CompiledCircuit::compile(spec.build()).unwrap();
         let stim = HashStimulus { inputs: cc.num_inputs(), cycles };
-        assert_three_way(&cc, &stim, seu, pick, &raw_times, cycles);
+        let mut times: Vec<u64> = raw_times.iter().map(|t| t % cycles).collect();
+        times.push(times[0]);
+        assert_engine_equals_oracle(&cc, &stim, target(&cc, kind, pick), &times, skip_quiescent);
+    }
+}
+
+/// A full 64-lane batch, every lane struck at a different cycle in
+/// descending order: the widest batch shape a campaign submits.
+#[test]
+fn full_width_batch_equals_oracle() {
+    let cc = circuit(4);
+    let stim = MixStimulus {
+        width: 4,
+        cycles: 96,
+    };
+    let times: Vec<u64> = (0..64).map(|lane| 80 - lane).collect();
+    for kind in 0..4 {
+        for pick in 0..cc.num_ffs() {
+            assert_engine_equals_oracle(&cc, &stim, target(&cc, kind, pick), &times, true);
+        }
     }
 }

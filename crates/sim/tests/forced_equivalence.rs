@@ -4,10 +4,11 @@
 //! value is XOR-flipped before the op list runs, which is exactly what
 //! `flip_ff` + `eval` does. The two must therefore be observationally
 //! equivalent — same outputs, same net values, same downstream state —
-//! for one cycle and for the rest of the run. This pins the compiled
-//! [`FaultSite`](ffr_sim::FaultSite) fast path (split op list, no
-//! per-call driver scan) against the semantics of the original
-//! scan-per-call implementation.
+//! for one cycle and for the rest of the run. Forcing a gate-driven net
+//! splits the op list at the driving op; that path is pinned against a
+//! plain evaluation on the unmasked lanes. `eval_forced` is the SET
+//! primitive of the [`reference`](ffr_sim::reference) oracle, so these
+//! properties are what the oracle's own trustworthiness rests on.
 
 use ffr_netlist::{FfId, NetlistBuilder};
 use ffr_sim::{CompiledCircuit, SimState};
@@ -51,7 +52,7 @@ proptest! {
         let cc = circuit(width);
         let ff = FfId::from_index(ff_index % cc.num_ffs());
         let q_net = cc.netlist().ff_q_net(ff);
-        prop_assert!(!cc.fault_site(q_net).has_comb_driver(), "Q is a source net");
+        prop_assert!(!cc.comb_output_nets().contains(&q_net), "Q is a source net");
 
         let mut forced = SimState::new(&cc);
         let mut flipped = SimState::new(&cc);
@@ -89,13 +90,13 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Forcing a gate-driven net through the compiled `FaultSite` split
-    /// path: the forced net reads as the fault-free value XOR `mask`, the
+    /// Forcing a gate-driven net through the split-op-list path: the
+    /// forced net reads as the fault-free value XOR `mask`, the
     /// lanes outside `mask` are bit-identical to a plain evaluation on
     /// every net of the circuit (lane independence survives the op-list
     /// split), and a zero mask is exactly `eval`.
     #[test]
-    fn eval_forced_site_split_preserves_unmasked_lanes(
+    fn eval_forced_split_preserves_unmasked_lanes(
         width in 2usize..7,
         pick in 0usize..64,
         mask in any::<u64>(),
@@ -104,7 +105,6 @@ proptest! {
         let cc = circuit(width);
         let nets = cc.comb_output_nets();
         let target = nets[pick % nets.len()];
-        prop_assert!(cc.fault_site(target).has_comb_driver());
 
         let mut fast = SimState::new(&cc);
         for _ in 0..warmup {

@@ -3,6 +3,7 @@
 
 use ffr_fault::{Campaign, CampaignConfig, FailureClass, FailureJudge, OutputMismatchJudge};
 use ffr_netlist::{FfId, NetlistBuilder};
+use ffr_sim::reference::{self, Target};
 use ffr_sim::{CompiledCircuit, GoldenRun, InputFrame, LaneView, Stimulus, WatchList};
 use proptest::prelude::*;
 
@@ -48,9 +49,9 @@ fn every_lfsr_ff_is_critical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The campaign engine with 64-lane batching, checkpoint restart and
-    /// early exit must agree with a naive one-fault-per-run reference
-    /// simulation.
+    /// The campaign engine with 64-lane batching, cone restriction and
+    /// early exit must agree with the naive whole-circuit reference
+    /// oracle, judged one lane per injection.
     #[test]
     fn batched_campaign_equals_naive_simulation(
         ff_index in 0usize..8,
@@ -80,31 +81,19 @@ proptest! {
         let ff = FfId::from_index(ff_index);
         let engine_result = campaign.run_ff(ff, &config);
 
-        // Naive reference: one scalar simulation per injection time.
+        // Naive reference: the shared oracle, one lane per injection time.
         let times = ffr_fault::sample_injection_times(seed, ff_index as u64, 5..55, 20);
         let golden = GoldenRun::capture(&cc, &stim, &watch);
-        let mut naive_failures = 0usize;
-        for &t in &times {
-            let mut state = ffr_sim::SimState::new(&cc);
-            let mut frame = InputFrame::new(cc.num_inputs());
-            let mut trace = ffr_sim::OutputTrace::new(0, 60, watch.len());
-            for cycle in 0..60u64 {
-                frame.clear();
-                stim.drive(cycle, &mut frame);
-                frame.apply(&cc, &mut state);
-                if cycle == t {
-                    state.flip_ff(&cc, ff, 1); // lane 0 only
-                }
-                state.eval(&cc);
-                trace.record(&cc, &watch, &state);
-                state.tick(&cc);
-            }
-            let g = LaneView::golden(&golden.trace);
-            let f = LaneView::faulty(&golden.trace, &trace, 0, None);
-            if judge.classify(&g, &f, t) != FailureClass::Benign {
-                naive_failures += 1;
-            }
-        }
+        let oracle = reference::simulate(&cc, &stim, &watch, &golden, Target::Seu(ff), &times);
+        let g = LaneView::golden(&golden.trace);
+        let naive_failures = times
+            .iter()
+            .enumerate()
+            .filter(|&(lane, &t)| {
+                let f = LaneView::faulty(&golden.trace, &oracle.trace, lane, None);
+                judge.classify(&g, &f, t) != FailureClass::Benign
+            })
+            .count();
         prop_assert_eq!(engine_result.failures(), naive_failures);
     }
 
