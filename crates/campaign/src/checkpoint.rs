@@ -275,16 +275,7 @@ impl CampaignCheckpoint {
     /// checkpoint reports "version 1 unsupported" rather than a
     /// missing-field decode error.
     pub fn load(path: &Path) -> io::Result<CampaignCheckpoint> {
-        let text = std::fs::read_to_string(path)?;
-        match crate::store::probe_version(&text) {
-            Some(v) if v != CHECKPOINT_VERSION as u64 => {
-                return Err(io::Error::other(format!(
-                    "checkpoint version {v} unsupported (expected {CHECKPOINT_VERSION})"
-                )))
-            }
-            _ => {}
-        }
-        serde_json::from_str(&text).map_err(io::Error::other)
+        crate::store::load_versioned(path, "checkpoint", CHECKPOINT_VERSION)
     }
 
     /// Extract the shard covering point indices `range` (a snapshot of
@@ -421,16 +412,7 @@ impl ShardCheckpoint {
     ///
     /// Fails on I/O errors, undecodable files, or a version mismatch.
     pub fn load(path: &Path) -> io::Result<ShardCheckpoint> {
-        let text = std::fs::read_to_string(path)?;
-        match crate::store::probe_version(&text) {
-            Some(v) if v != SHARD_VERSION as u64 => {
-                return Err(io::Error::other(format!(
-                    "shard version {v} unsupported (expected {SHARD_VERSION})"
-                )))
-            }
-            _ => {}
-        }
-        serde_json::from_str(&text).map_err(io::Error::other)
+        crate::store::load_versioned(path, "shard", SHARD_VERSION)
     }
 }
 

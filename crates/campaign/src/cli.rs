@@ -97,8 +97,6 @@ RUN OPTIONS:
                             (e.g. fixed:170, wilson:0.05@95,
                             wilson:0.02@99:64..340)         [default: fixed:170]
     --injections <n>        shorthand for --policy fixed:<n>
-    --adaptive <min:max:hw> shorthand for --policy
-                            wilson:<hw>@95:<min>..<max> (e.g. 64:512:0.05)
     --budget <fraction>     measure only this fraction of injection points
                             (a seeded random subset; `ffr estimate` predicts
                             the rest)                       [default: 1.0]
@@ -198,19 +196,6 @@ impl Args {
     }
 }
 
-/// The legacy `--adaptive min:max:hw` shorthand: rewritten into the
-/// canonical `wilson:` spec and parsed by the one policy grammar, so the
-/// shorthand can never drift from what `--policy` accepts.
-fn parse_adaptive(spec: &str) -> Result<AdaptivePolicy, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let [min, max, hw] = parts.as_slice() else {
-        return Err("expected --adaptive min:max:half_width (e.g. 64:512:0.05)".into());
-    };
-    format!("wilson:{hw}@95:{min}..{max}")
-        .parse()
-        .map_err(|e| format!("--adaptive {spec}: {e}"))
-}
-
 fn runner_options(args: &mut Args) -> Result<RunnerOptions, String> {
     Ok(RunnerOptions {
         threads: args.parsed::<usize>("threads")?,
@@ -244,7 +229,10 @@ fn end_progress_line() {
     }
 }
 
-fn print_summary(summary: &session::RunSummary) {
+/// Print the outcome of a `run` / `resume` / `worker` invocation and
+/// return its exit code: 0 once the campaign is complete (its table is
+/// published), 2 while it is resumable.
+fn print_summary(summary: &session::RunSummary) -> i32 {
     end_progress_line();
     let noun = point_noun(summary.fault);
     if summary.table_from_cache {
@@ -262,27 +250,26 @@ fn print_summary(summary: &session::RunSummary) {
             }
         );
         println!(
-            "progress: {}/{} {noun} retired, {} injections executed",
-            summary.completed_points, summary.total_points, summary.total_injections
+            "progress: {}/{} {noun} retired, {} injections executed, {} shard(s) merged",
+            summary.completed_points,
+            summary.total_points,
+            summary.total_injections,
+            summary.merged_shards
         );
     }
-    match summary.outcome {
-        RunOutcome::Complete => {
-            if let Some(path) = &summary.table_path {
-                let table = match summary.fault {
-                    FaultKind::Seu => "FDR table",
-                    FaultKind::Set => "SET de-rating table",
-                };
-                println!("{table} written to {}", path.display());
-            }
-        }
-        RunOutcome::Cancelled => {
-            println!("campaign interrupted — continue with `ffr resume --out <dir>`");
-        }
-        RunOutcome::Drained => {
-            println!("work source drained — remaining points belong to other workers");
-        }
+    if let Some(path) = &summary.table_path {
+        let table = match summary.fault {
+            FaultKind::Seu => "FDR table",
+            FaultKind::Set => "SET de-rating table",
+        };
+        println!("campaign complete — {table} written to {}", path.display());
+        return 0;
     }
+    if summary.outcome == RunOutcome::Drained {
+        println!("work source drained — remaining points belong to other workers");
+    }
+    println!("campaign incomplete — continue with `ffr resume --out <dir>` or `ffr worker`");
+    2
 }
 
 /// Parse the shared `ffr run` campaign flags into a [`RunRequest`]
@@ -318,22 +305,16 @@ fn apply_campaign_flags(args: &mut Args, request: &mut RunRequest) -> Result<(),
     }
     let policy = args.value("policy")?;
     let injections = args.parsed::<usize>("injections")?;
-    let adaptive = args.value("adaptive")?;
-    request.policy = match (policy, injections, adaptive) {
-        (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => {
-            return Err("--policy, --injections and --adaptive are mutually \
-                        exclusive (each fully specifies the stopping rule)"
+    request.policy = match (policy, injections) {
+        (Some(_), Some(_)) => {
+            return Err("--policy and --injections are mutually exclusive \
+                        (each fully specifies the stopping rule)"
                 .into())
         }
-        (Some(spec), None, None) => spec.parse()?,
-        (None, Some(n), None) => {
-            if n == 0 {
-                return Err("--injections must be positive".into());
-            }
-            AdaptivePolicy::fixed(n)
-        }
-        (None, None, Some(spec)) => parse_adaptive(&spec)?,
-        (None, None, None) => AdaptivePolicy::fixed(170),
+        (Some(spec), None) => spec.parse()?,
+        (None, Some(0)) => return Err("--injections must be positive".into()),
+        (None, Some(n)) => AdaptivePolicy::fixed(n),
+        (None, None) => AdaptivePolicy::fixed(170),
     };
     if let Some(budget) = args.parsed::<f64>("budget")? {
         request.budget = budget;
@@ -359,11 +340,7 @@ fn cmd_run(mut args: Args) -> Result<i32, String> {
         progress_printer(),
     )
     .map_err(|e| e.to_string())?;
-    print_summary(&summary);
-    Ok(match summary.outcome {
-        RunOutcome::Complete => 0,
-        RunOutcome::Cancelled | RunOutcome::Drained => 2,
-    })
+    Ok(print_summary(&summary))
 }
 
 fn cmd_resume(mut args: Args) -> Result<i32, String> {
@@ -372,11 +349,7 @@ fn cmd_resume(mut args: Args) -> Result<i32, String> {
     args.finish()?;
     let summary = session::resume(&out, &options, &CancelToken::new(), progress_printer())
         .map_err(|e| e.to_string())?;
-    print_summary(&summary);
-    Ok(match summary.outcome {
-        RunOutcome::Complete => 0,
-        RunOutcome::Cancelled | RunOutcome::Drained => 2,
-    })
+    Ok(print_summary(&summary))
 }
 
 fn cmd_status(mut args: Args) -> Result<i32, String> {
@@ -514,24 +487,7 @@ fn cmd_worker(mut args: Args) -> Result<i32, String> {
         progress_printer(),
     )
     .map_err(|e| e.to_string())?;
-    end_progress_line();
-    let noun = point_noun(summary.fault);
-    println!(
-        "worker progress: {}/{} {noun} retired, {} injections, {} shard(s) merged",
-        summary.completed_points,
-        summary.total_points,
-        summary.total_injections,
-        summary.merged_shards
-    );
-    if summary.campaign_complete {
-        if let Some(path) = &summary.table_path {
-            println!("campaign complete — table written to {}", path.display());
-        }
-        Ok(0)
-    } else {
-        println!("campaign incomplete — rerun `ffr worker` (or `ffr resume`) to continue");
-        Ok(2)
-    }
+    Ok(print_summary(&summary))
 }
 
 /// Parse the `ffr estimate`-specific flags (everything except `--out` /
@@ -890,17 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_spec_parsing() {
-        let p = parse_adaptive("64:512:0.05").unwrap();
-        assert_eq!(p.min_injections, 64);
-        assert_eq!(p.max_injections, 512);
-        assert_eq!(p.ci_half_width, Some(0.05));
-        assert!(parse_adaptive("64:512").is_err());
-        assert!(parse_adaptive("512:64:0.05").is_err());
-        assert!(parse_adaptive("64:512:0.9").is_err());
-    }
-
-    #[test]
     fn policy_flag_parsing_and_exclusivity() {
         let request = |flags: &[&str]| -> Result<crate::session::RunRequest, String> {
             let mut all = vec!["--circuit", "counter"];
@@ -917,23 +862,15 @@ mod tests {
         let r = request(&["--policy", "fixed:96"]).unwrap();
         assert_eq!(r.policy, AdaptivePolicy::fixed(96));
 
-        // …the legacy shorthands still work…
+        // …the `--injections` shorthand still works…
         let r = request(&["--injections", "64"]).unwrap();
         assert_eq!(r.policy, AdaptivePolicy::fixed(64));
-        let r = request(&["--adaptive", "64:512:0.05"]).unwrap();
-        assert_eq!(r.policy.to_string(), "wilson:0.05@95:64..512");
         let r = request(&[]).unwrap();
         assert_eq!(r.policy, AdaptivePolicy::fixed(170));
 
-        // …and the three notations are mutually exclusive.
-        for flags in [
-            &["--policy", "fixed:96", "--injections", "64"][..],
-            &["--policy", "fixed:96", "--adaptive", "64:512:0.05"][..],
-            &["--injections", "64", "--adaptive", "64:512:0.05"][..],
-        ] {
-            let err = request(flags).unwrap_err();
-            assert!(err.contains("mutually exclusive"), "{flags:?}: {err}");
-        }
+        // …and the two notations are mutually exclusive.
+        let err = request(&["--policy", "fixed:96", "--injections", "64"]).unwrap_err();
+        assert!(err.contains("mutually exclusive"), "{err}");
         assert!(request(&["--policy", "bogus:1"]).is_err());
         assert!(request(&["--injections", "0"]).is_err());
     }

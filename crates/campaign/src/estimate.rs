@@ -196,16 +196,7 @@ impl EstimateReport {
     /// the manifest and checkpoint loaders, the version is probed before
     /// full deserialization so foreign versions report the real cause.
     pub fn load_json(path: &Path) -> io::Result<EstimateReport> {
-        let text = std::fs::read_to_string(path)?;
-        match crate::store::probe_version(&text) {
-            Some(v) if v != REPORT_VERSION as u64 => {
-                return Err(io::Error::other(format!(
-                    "estimate report version {v} unsupported (expected {REPORT_VERSION})"
-                )))
-            }
-            _ => {}
-        }
-        serde_json::from_str(&text).map_err(io::Error::other)
+        crate::store::load_versioned(path, "estimate report", REPORT_VERSION)
     }
 }
 
@@ -260,7 +251,7 @@ pub fn estimate_session(out_dir: &Path, options: &EstimateOptions) -> io::Result
     let table = match FdrTable::load_json(&paths.fdr_json()) {
         Ok(t) => t,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let key = parse_fingerprint(&manifest.fingerprint)?;
+            let key = session::parse_key(&manifest.fingerprint)?;
             store
                 .as_ref()
                 .and_then(|s| s.get::<FdrTable>(ArtifactKind::FdrTable, &key).transpose())
@@ -413,32 +404,7 @@ fn estimate_impl(
     let folds_n = options.folds.clamp(2, measured_ffs);
     let folds = StratifiedKFold::new(folds_n, options.cv_seed).split(&ty);
 
-    // Per-model small grid search; the overall winner (highest CV R²,
-    // first-listed wins ties) predicts the unmeasured flip-flops.
-    let mut model_reports = Vec::with_capacity(options.models.len());
-    let mut best: Option<(f64, ffr_core::ModelCandidate)> = None;
-    for &kind in &options.models {
-        let grid = kind.small_grid(options.grid_budget);
-        let mut fit_span = recorder.span("estimate.fit");
-        fit_span.field("model", kind.cli_name());
-        let search = grid_search(&grid, |c| c.build(), &tx, &ty, &folds);
-        drop(fit_span);
-        let scores = search.best_scores;
-        model_reports.push(ModelReport {
-            model: kind.cli_name().to_string(),
-            display_name: kind.display_name().to_string(),
-            best_params: search.best_params.label().to_string(),
-            cv_mae: scores.mae,
-            cv_max: scores.max,
-            cv_rmse: scores.rmse,
-            cv_ev: scores.ev,
-            cv_r2: scores.r2,
-        });
-        if best.as_ref().is_none_or(|(r2, _)| scores.r2 > *r2) {
-            best = Some((scores.r2, search.best_params));
-        }
-    }
-    let (_, winner) = best.expect("at least one model evaluated");
+    let (model_reports, winner) = select_model(options, &tx, &ty, &folds, recorder);
 
     let estimation = Estimation::from_measured_with(&features, table, &mut winner.build());
     let per_ff: Vec<FfEstimateRow> = estimation
@@ -488,6 +454,43 @@ fn estimate_impl(
     })
 }
 
+/// The one fit-select loop of `ffr estimate` and `ffr transfer`: a small
+/// grid search per selected model over `folds`, one [`ModelReport`] each,
+/// and the overall winner — highest CV R², first-listed wins ties. Each
+/// search is an `estimate.fit` span on `recorder`.
+pub(crate) fn select_model(
+    options: &EstimateOptions,
+    tx: &[Vec<f64>],
+    ty: &[f64],
+    folds: &[(Vec<usize>, Vec<usize>)],
+    recorder: &ffr_obs::Recorder,
+) -> (Vec<ModelReport>, ffr_core::ModelCandidate) {
+    let mut reports = Vec::with_capacity(options.models.len());
+    let mut best: Option<(f64, ffr_core::ModelCandidate)> = None;
+    for &kind in &options.models {
+        let grid = kind.small_grid(options.grid_budget);
+        let mut fit_span = recorder.span("estimate.fit");
+        fit_span.field("model", kind.cli_name());
+        let search = grid_search(&grid, |c| c.build(), tx, ty, folds);
+        drop(fit_span);
+        let scores = search.best_scores;
+        reports.push(ModelReport {
+            model: kind.cli_name().to_string(),
+            display_name: kind.display_name().to_string(),
+            best_params: search.best_params.label().to_string(),
+            cv_mae: scores.mae,
+            cv_max: scores.max,
+            cv_rmse: scores.rmse,
+            cv_ev: scores.ev,
+            cv_r2: scores.r2,
+        });
+        if best.as_ref().is_none_or(|(r2, _)| scores.r2 > *r2) {
+            best = Some((scores.r2, search.best_params));
+        }
+    }
+    (reports, best.expect("at least one model evaluated").1)
+}
+
 /// The feature matrix for a prepared circuit: served from the store when
 /// cached, otherwise extracted from the (cached or captured) golden run
 /// and published back. The cache key covers the netlist structure, the
@@ -533,10 +536,6 @@ fn publish_dataset(
     );
     store.put(ArtifactKind::Dataset, &dataset_key, &measured.to_vec())?;
     Ok(())
-}
-
-fn parse_fingerprint(rendered: &str) -> io::Result<StoreKey> {
-    session::parse_key(rendered)
 }
 
 #[cfg(test)]

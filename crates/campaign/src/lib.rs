@@ -104,9 +104,7 @@ pub use estimate::{
 };
 pub use runner::{run_resumable, run_with_source, CancelToken, RunOutcome, RunnerOptions};
 pub use service::{ServiceConfig, ServiceHandle};
-pub use session::{
-    CampaignManifest, RunRequest, RunSummary, SessionPaths, WorkerRequest, WorkerSummary,
-};
+pub use session::{CampaignManifest, RunRequest, RunSummary, SessionPaths, WorkerRequest};
 pub use spec::{CircuitSpec, PreparedCircuit};
 pub use stats::{CampaignStats, SpanStats, WorkerStats, STATS_SCHEMA_VERSION};
 pub use status::{gather_status, StatusReport, STATUS_SCHEMA_VERSION};

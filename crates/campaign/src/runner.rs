@@ -64,9 +64,6 @@ pub struct RunnerOptions {
     pub threads: Option<usize>,
     /// Flush the checkpoint after this many point retirements.
     pub checkpoint_every: usize,
-    /// Injection points claimed per work-steal (small = better balance,
-    /// large = less cursor contention).
-    pub steal_chunk: usize,
     /// Self-cancel after retiring this many points in this invocation
     /// (test/CLI hook for simulating a killed run).
     pub stop_after_points: Option<usize>,
@@ -80,7 +77,6 @@ impl Default for RunnerOptions {
         RunnerOptions {
             threads: None,
             checkpoint_every: 32,
-            steal_chunk: 4,
             stop_after_points: None,
             recorder: ffr_obs::Recorder::disabled(),
         }
@@ -153,7 +149,7 @@ where
     S: Stimulus + Sync,
     J: FailureJudge,
 {
-    let source = CursorSource::new(checkpoint, options.steal_chunk);
+    let source = CursorSource::new(checkpoint);
     run_with_source(
         campaign, checkpoint, &source, options, cancel, sink, progress,
     )

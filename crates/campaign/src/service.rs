@@ -4,8 +4,8 @@
 //! `ffrd` is a long-running, dependency-free HTTP/1.1 server built on
 //! `std::net` and a fixed thread pool. It accepts campaign submissions
 //! as JSON, prepares one session directory per campaign under a shared
-//! root (through [`crate::session::prepare_campaign`], the same
-//! primitive `ffr worker --circuit …` bootstraps with), and lets `ffr
+//! root (through `session::bootstrap`, the same primitive `ffr run` and
+//! `ffr worker --circuit …` bootstrap with), and lets `ffr
 //! worker` fleets pointed at those directories drain the work through
 //! the existing [`crate::work::LeaseQueue`] — which hands out the most
 //! expensive remaining ranges first (see `LeaseQueue::claim`). The
@@ -48,9 +48,10 @@
 //!
 //! `POST /campaigns` answers `201` on first submission, `200` when the
 //! identical campaign already exists (idempotent resubmit), `409` when
-//! the id is taken by a campaign with a different fingerprint, and
-//! `400` on malformed bodies or invalid parameters. Campaign ids are
-//! path-safe names: ASCII letters, digits, `._-`, no leading dot.
+//! the id is taken by a campaign with a different fingerprint, `400` on
+//! malformed bodies or invalid parameters, and `500` when the server
+//! itself fails (full disk, unwritable root). Campaign ids are path-safe
+//! names: ASCII letters, digits, `._-`, no leading dot.
 //!
 //! Workers attach with plain `ffr worker --campaign <root>/<id>`; the
 //! manifest is already on disk, so no worker needs bootstrap flags.
@@ -488,21 +489,21 @@ fn post_campaign(body: &str, ctx: &ServiceCtx) -> Response {
     let dir = ctx.root.join(&id);
     let paths = SessionPaths::new(&dir);
     let existed = paths.manifest().exists();
-    match session::prepare_campaign(&request, &dir) {
-        Ok(manifest) => Response::json(
+    match session::bootstrap(&dir, Some(&request)) {
+        Ok((manifest, ..)) => Response::json(
             if existed { 200 } else { 201 },
             &manifest_entry(&id, &manifest, &paths),
         ),
-        Err(e) => {
-            let message = e.to_string();
-            if message.contains("different parameters") {
-                Response::error(409, message)
-            } else {
-                // Validation failures (short testbench, bad budget) are
-                // the client's; anything else is an I/O surprise.
-                Response::error(400, message)
-            }
-        }
+        // The bootstrap classifies its refusals: a taken id and an
+        // invalid request are the client's; anything else is ours.
+        Err(e) => Response::error(
+            match e.kind() {
+                io::ErrorKind::AlreadyExists => 409,
+                io::ErrorKind::InvalidInput => 400,
+                _ => 500,
+            },
+            e,
+        ),
     }
 }
 
@@ -808,6 +809,16 @@ mod tests {
         assert_eq!(status, 409, "{body}");
         let (status, body) = http(addr, "POST", "/campaigns", r#"{"id":"bad"#);
         assert_eq!(status, 400, "{body}");
+        // Parameters that cannot form a campaign are the client's fault
+        // too; a campaign directory the server cannot create (its path is
+        // taken by a regular file) is the server's.
+        let short = r#"{"id":"short","circuit":"counter:6","cycles":2}"#;
+        let (status, body) = http(addr, "POST", "/campaigns", short);
+        assert_eq!(status, 400, "{body}");
+        std::fs::write(root.join("blocked"), "not a directory").unwrap();
+        let blocked = r#"{"id":"blocked","circuit":"counter:6","cycles":160}"#;
+        let (status, body) = http(addr, "POST", "/campaigns", blocked);
+        assert_eq!(status, 500, "{body}");
 
         // The listing and summary see the submitted campaign.
         let (status, body) = http(addr, "GET", "/campaigns", "");
@@ -838,7 +849,7 @@ mod tests {
             |_, _| {},
         )
         .unwrap();
-        assert!(summary.campaign_complete);
+        assert!(summary.table_path.is_some());
 
         // Status now reports completion; the summary flips to complete.
         let (status, body) = http(addr, "GET", "/campaigns/c1/status", "");

@@ -14,18 +14,21 @@
 //! ```
 //!
 //! `run` creates the manifest and drives the campaign; `resume` reloads
-//! manifest + checkpoint and continues — the final table is
-//! byte-identical either way, for both fault models. When a store is
-//! configured, the golden run and the final table are cached
+//! manifest + checkpoint and continues; `worker` drains it through the
+//! directory's lease queue (`leases/`, `shards/`) — the final table is
+//! byte-identical whichever of them starts or finishes the campaign, for
+//! both fault models, because all three are one driver (the private
+//! `Session`: open → merge shards → measure → merge → publish). When a
+//! store is configured, the golden run and the final table are cached
 //! content-addressed: a rerun with identical inputs is served from the
 //! cache without re-simulating anything.
 
 use crate::adaptive::AdaptivePolicy;
 use crate::checkpoint::{CampaignCheckpoint, CheckpointParams};
-use crate::runner::{run_resumable, run_with_source, CancelToken, RunOutcome, RunnerOptions};
-use crate::spec::CircuitSpec;
+use crate::runner::{run_with_source, CancelToken, RunOutcome, RunnerOptions};
+use crate::spec::{CircuitSpec, PreparedCircuit};
 use crate::store::{ArtifactKind, ArtifactStore, StoreKey};
-use crate::work::{self, LeaseQueue};
+use crate::work::{self, CursorSource, LeaseQueue, WorkSource};
 use ffr_fault::{Campaign, FaultKind, FdrTable, SetDeratingTable};
 use ffr_sim::GoldenRun;
 use serde::{Deserialize, Serialize};
@@ -94,16 +97,7 @@ impl CampaignManifest {
     /// reports "version 1 unsupported" rather than a missing-field
     /// decode error.
     pub fn load(path: &Path) -> io::Result<CampaignManifest> {
-        let text = std::fs::read_to_string(path)?;
-        match crate::store::probe_version(&text) {
-            Some(v) if v != MANIFEST_VERSION as u64 => {
-                return Err(io::Error::other(format!(
-                    "manifest version {v} unsupported (expected {MANIFEST_VERSION})"
-                )))
-            }
-            _ => {}
-        }
-        serde_json::from_str(&text).map_err(io::Error::other)
+        crate::store::load_versioned(path, "manifest", MANIFEST_VERSION)
     }
 }
 
@@ -137,19 +131,9 @@ impl SessionPaths {
         self.out_dir.join("fdr.json")
     }
 
-    /// The final SEU FDR table (CSV).
-    pub fn fdr_csv(&self) -> PathBuf {
-        self.out_dir.join("fdr.csv")
-    }
-
     /// The final SET de-rating table (JSON).
     pub fn set_json(&self) -> PathBuf {
         self.out_dir.join("set-derating.json")
-    }
-
-    /// The final SET de-rating table (CSV).
-    pub fn set_csv(&self) -> PathBuf {
-        self.out_dir.join("set-derating.csv")
     }
 
     /// The ML estimation report (JSON), written by `ffr estimate`.
@@ -172,12 +156,9 @@ impl SessionPaths {
     }
 
     /// The final result table (CSV) of a campaign with the given fault
-    /// model.
+    /// model: next to [`SessionPaths::table_json`].
     pub fn table_csv(&self, fault: FaultKind) -> PathBuf {
-        match fault {
-            FaultKind::Seu => self.fdr_csv(),
-            FaultKind::Set => self.set_csv(),
-        }
+        self.table_json(fault).with_extension("csv")
     }
 
     /// The lease directory of distributed (`ffr worker`) draining.
@@ -245,33 +226,31 @@ impl RunRequest {
     }
 }
 
-/// Outcome summary of a `run`/`resume` invocation.
+/// Outcome summary of a `run` / `resume` / `worker` invocation.
 #[derive(Debug)]
 pub struct RunSummary {
     /// Fault model of the session.
     pub fault: FaultKind,
-    /// How the runner ended (cache-served runs report `Complete`).
+    /// How this invocation's runner ended (cache-served runs report
+    /// `Complete`; [`RunOutcome::Drained`] means other workers computed
+    /// part of the campaign).
     pub outcome: RunOutcome,
     /// `true` if the golden run came from the artifact store.
     pub golden_from_cache: bool,
     /// `true` if the final table was served from the artifact store
     /// without simulating anything.
     pub table_from_cache: bool,
-    /// Retired injection points.
+    /// Shard checkpoints (all workers') merged into the final view.
+    pub merged_shards: usize,
+    /// Retired injection points in the merged view.
     pub completed_points: usize,
     /// Total injection points.
     pub total_points: usize,
-    /// Injections executed so far (all invocations).
+    /// Injections executed so far (all invocations, all workers).
     pub total_injections: usize,
-    /// Path of the final result table, once complete.
+    /// Path of the final result table — `Some` exactly when the whole
+    /// campaign is complete, in which case this invocation published it.
     pub table_path: Option<PathBuf>,
-}
-
-fn open_store(path: &Option<String>) -> io::Result<Option<ArtifactStore>> {
-    match path {
-        None => Ok(None),
-        Some(p) => Ok(Some(ArtifactStore::open(p)?)),
-    }
 }
 
 /// The two final-table types behind one interface, so cache serving and
@@ -303,87 +282,6 @@ impl CampaignTable for SetDeratingTable {
     }
 }
 
-/// Write the session's final table files (JSON + CSV).
-fn write_table_files<T: CampaignTable>(
-    table: &T,
-    paths: &SessionPaths,
-    fault: FaultKind,
-) -> io::Result<()> {
-    table.save_json(&paths.table_json(fault))?;
-    std::fs::write(paths.table_csv(fault), table.to_csv())
-}
-
-/// Serve the final table from the artifact store if cached; returns
-/// whether it was.
-fn serve_cached_table<T: CampaignTable>(
-    store: &ArtifactStore,
-    key: &StoreKey,
-    paths: &SessionPaths,
-    fault: FaultKind,
-) -> io::Result<bool> {
-    match store.get::<T>(T::KIND, key)? {
-        Some(table) => {
-            write_table_files(&table, paths, fault)?;
-            Ok(true)
-        }
-        None => Ok(false),
-    }
-}
-
-/// Write the final table files and publish the table to the store.
-fn publish_table<T: CampaignTable>(
-    table: &T,
-    paths: &SessionPaths,
-    fault: FaultKind,
-    store: &Option<ArtifactStore>,
-    key: &StoreKey,
-) -> io::Result<()> {
-    write_table_files(table, paths, fault)?;
-    if let Some(store) = store {
-        store.put(T::KIND, key, table)?;
-    }
-    Ok(())
-}
-
-/// The campaign's injection-point ids for a circuit: every flip-flop for
-/// SEU, every combinational op output net for SET.
-fn point_ids(fault: FaultKind, cc: &ffr_sim::CompiledCircuit) -> Vec<u32> {
-    match fault {
-        FaultKind::Seu => (0..cc.num_ffs() as u32).collect(),
-        FaultKind::Set => cc
-            .comb_output_nets()
-            .iter()
-            .map(|n| n.index() as u32)
-            .collect(),
-    }
-}
-
-/// The injection points actually measured under a budget: a seeded random
-/// subset of [`point_ids`] (at least two points), in ascending id order.
-///
-/// The subset is a pure function of `(circuit, fault, budget, seed)` — the
-/// shuffle RNG stream is domain-separated from the injection-plan streams
-/// — so budgeted runs resume and cache-serve exactly like full ones.
-pub(crate) fn budgeted_point_ids(
-    fault: FaultKind,
-    cc: &ffr_sim::CompiledCircuit,
-    budget: f64,
-    seed: u64,
-) -> Vec<u32> {
-    use rand::seq::SliceRandom;
-    use rand_chacha::rand_core::SeedableRng;
-    let mut ids = point_ids(fault, cc);
-    if budget >= 1.0 {
-        return ids;
-    }
-    let n = ((ids.len() as f64) * budget).round().max(2.0) as usize;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xB0D6_E7ED);
-    ids.shuffle(&mut rng);
-    ids.truncate(n.min(ids.len()));
-    ids.sort_unstable();
-    ids
-}
-
 /// The golden run for a prepared circuit: served from the store when
 /// cached — keyed by `(netlist, stimulus config)`, so SEU/SET campaigns,
 /// any policy/seed/budget and `ffr estimate` all share one artifact —
@@ -391,7 +289,7 @@ pub(crate) fn budgeted_point_ids(
 /// hit. The single definition of the golden-run cache discipline, shared
 /// by the campaign driver and the estimation stage.
 pub(crate) fn golden_for(
-    prepared: &crate::spec::PreparedCircuit,
+    prepared: &PreparedCircuit,
     store: Option<&ArtifactStore>,
 ) -> io::Result<(GoldenRun, bool)> {
     let key = StoreKey::of(prepared.cc.netlist(), &prepared.config_desc);
@@ -412,10 +310,7 @@ pub(crate) fn golden_for(
 /// parameter (window, seed, policy, budget). The policy enters through
 /// its canonical spec rendering ([`AdaptivePolicy`]'s `Display`), so two
 /// campaigns with different `--policy` values never share a cache entry.
-pub fn campaign_table_key(
-    request: &RunRequest,
-    prepared: &crate::spec::PreparedCircuit,
-) -> StoreKey {
+pub fn campaign_table_key(request: &RunRequest, prepared: &PreparedCircuit) -> StoreKey {
     let campaign_desc = format!(
         "{};fault={};window={}..{};seed={};policy={};budget={}",
         prepared.config_desc,
@@ -429,26 +324,28 @@ pub fn campaign_table_key(
     StoreKey::of(prepared.cc.netlist(), &campaign_desc)
 }
 
-/// Reject requests that cannot form a valid campaign.
+/// Reject requests that cannot form a valid campaign
+/// ([`io::ErrorKind::InvalidInput`]: the caller's fault, not the disk's).
 fn validate_request(request: &RunRequest) -> io::Result<()> {
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidInput, message);
     if request.cycles < MIN_CYCLES {
-        return Err(io::Error::other(format!(
+        return Err(invalid(format!(
             "--cycles {} is too short for an injection window (minimum {MIN_CYCLES})",
             request.cycles
         )));
     }
     if !(request.budget > 0.0 && request.budget <= 1.0) {
-        return Err(io::Error::other(format!(
+        return Err(invalid(format!(
             "--budget {} is not a fraction in (0, 1]",
             request.budget
         )));
     }
-    request.circuit.validate_sources().map_err(io::Error::other)
+    request.circuit.validate_sources().map_err(invalid)
 }
 
-/// The manifest a request produces (pure; shared by `run` and `worker`
-/// bootstrap so concurrent initializers write identical bytes).
-fn manifest_for(request: &RunRequest, table_key: &StoreKey) -> CampaignManifest {
+/// The manifest a request produces, fingerprint aside (pure, so
+/// concurrent initializers write identical bytes).
+fn manifest_for(request: &RunRequest) -> CampaignManifest {
     CampaignManifest {
         version: MANIFEST_VERSION,
         circuit: request.circuit.spec_string(),
@@ -463,373 +360,145 @@ fn manifest_for(request: &RunRequest, table_key: &StoreKey) -> CampaignManifest 
             .store
             .as_ref()
             .map(|p| p.to_string_lossy().into_owned()),
-        fingerprint: table_key.to_string(),
+        fingerprint: String::new(),
     }
 }
 
-/// Start (or restart) a campaign session in `out_dir`.
+/// `Ok` when `existing` is our campaign's fingerprint; otherwise the one
+/// "this directory belongs to another campaign" refusal
+/// ([`io::ErrorKind::AlreadyExists`]), whichever file revealed it.
+fn same_campaign(out_dir: &Path, existing: &str, ours: &str) -> io::Result<()> {
+    if existing == ours {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::AlreadyExists,
+        format!(
+            "{} already holds a different campaign (fingerprint {existing} vs {ours}); \
+             remove it or use a fresh campaign directory",
+            out_dir.display()
+        ),
+    ))
+}
+
+/// Settle which campaign `out_dir` holds — the single bootstrap behind
+/// `ffr run`, `ffr resume`, `ffr worker` and `ffrd`'s `POST /campaigns`.
+///
+/// With a `request` the directory is created and the request's manifest
+/// published — or, if a manifest is already there, adopted when it
+/// describes the *same* campaign (same fingerprint; the manifest is
+/// written once and then only read). Concurrent initializers race
+/// benignly: exactly one wins the create-exclusive publish and the losers
+/// adopt the winner's byte-identical manifest. Without a request the
+/// directory's manifest is the campaign.
+///
+/// The circuit is prepared once and the fingerprint computed once. A
+/// `checkpoint.json` of any other campaign refuses the directory *before*
+/// the manifest is looked at, so a refused request never clobbers the
+/// original campaign's parameters; an undecodable manifest is replaced
+/// only by the campaign the checkpoint vouches for.
+///
+/// Returns the directory's manifest (just published, or adopted), the
+/// prepared circuit and the directory's `checkpoint.json` if it has one.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, or if `out_dir` already holds a checkpoint for a
-/// different campaign (use [`resume`] to continue one).
-pub fn run(
-    request: &RunRequest,
+/// [`io::ErrorKind::InvalidInput`] for an invalid request,
+/// [`io::ErrorKind::AlreadyExists`] when the directory holds a different
+/// campaign, anything else for I/O failures.
+pub(crate) fn bootstrap(
     out_dir: &Path,
-    options: &RunnerOptions,
-    cancel: &CancelToken,
-    progress: impl Fn(usize, usize) + Sync,
-) -> io::Result<RunSummary> {
-    validate_request(request)?;
-    std::fs::create_dir_all(out_dir)?;
+    request: Option<&RunRequest>,
+) -> io::Result<(
+    CampaignManifest,
+    PreparedCircuit,
+    Option<CampaignCheckpoint>,
+)> {
     let paths = SessionPaths::new(out_dir);
-    let prepared = request.circuit.prepare(request.stim_seed, request.cycles);
-
-    // The campaign fingerprint covers the netlist, the stimulus, the
-    // fault model and every campaign parameter.
-    let table_key = campaign_table_key(request, &prepared);
-    let manifest = manifest_for(request, &table_key);
-
-    // Refuse to clobber a different campaign's session directory. The
-    // checkpoint is validated BEFORE the manifest is (re)written, so a
-    // directory with a readable checkpoint but a damaged manifest never
-    // loses the original campaign's parameters to an unrelated run.
-    let checkpoint = match CampaignCheckpoint::load(&paths.checkpoint()) {
-        Ok(cp) if cp.fingerprint == manifest.fingerprint => Some(cp),
-        Ok(_) => {
-            return Err(io::Error::other(format!(
-                "checkpoint in {} belongs to a different campaign; \
-                 remove it or use a fresh --out directory",
+    let mut manifest = match request {
+        Some(request) => {
+            validate_request(request)?;
+            // The directory appears before the (at paper scale, slow)
+            // circuit preparation: workers waiting for a manifest take
+            // its existence as "a bootstrapper is on its way".
+            std::fs::create_dir_all(out_dir).map_err(|e| {
+                io::Error::other(format!("cannot create {}: {e}", out_dir.display()))
+            })?;
+            manifest_for(request)
+        }
+        None => CampaignManifest::load(&paths.manifest()).map_err(|e| {
+            io::Error::other(format!(
+                "no campaign session in {} ({e})",
                 out_dir.display()
-            )))
+            ))
+        })?,
+    };
+    let circuit: CircuitSpec = manifest.circuit.parse().map_err(io::Error::other)?;
+    let prepared = circuit.prepare(manifest.stim_seed, manifest.cycles);
+    if let Some(request) = request {
+        manifest.fingerprint = campaign_table_key(request, &prepared).to_string();
+    }
+    let checkpoint = match CampaignCheckpoint::load(&paths.checkpoint()) {
+        Ok(cp) => {
+            same_campaign(out_dir, &cp.fingerprint, &manifest.fingerprint)?;
+            if cp.params.fault != manifest.fault {
+                return Err(io::Error::other(
+                    "checkpoint fault model does not match the session manifest",
+                ));
+            }
+            Some(cp)
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => None,
         Err(e) => return Err(e),
     };
-    if let Ok(existing) = CampaignManifest::load(&paths.manifest()) {
-        if existing.fingerprint != manifest.fingerprint {
-            return Err(io::Error::other(format!(
-                "{} already holds a campaign with different parameters \
-                 (fingerprint {} vs {}); use a fresh --out directory",
-                out_dir.display(),
-                existing.fingerprint,
-                manifest.fingerprint
-            )));
-        }
-    }
-    manifest.save(&paths.manifest())?;
-
-    let recorder = ffr_obs::Recorder::for_session(out_dir, "local");
-    let store = open_store(&manifest.store)?.map(|s| s.with_recorder(recorder.clone()));
-
-    // Fast path: final table already in the store and no partial
-    // checkpoint to honour.
-    if !request.force && checkpoint.is_none() {
-        if let Some(store) = &store {
-            let num_points =
-                budgeted_point_ids(request.fault, &prepared.cc, request.budget, request.seed).len();
-            let served = match request.fault {
-                FaultKind::Seu => {
-                    serve_cached_table::<FdrTable>(store, &table_key, &paths, request.fault)?
+    if request.is_some() {
+        match CampaignManifest::load(&paths.manifest()) {
+            Ok(existing) => {
+                same_campaign(out_dir, &existing.fingerprint, &manifest.fingerprint)?;
+                manifest = existing;
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let json = serde_json::to_string_pretty(&manifest).map_err(io::Error::other)?;
+                if !crate::store::create_exclusive(&paths.manifest(), &json)? {
+                    let winner = CampaignManifest::load(&paths.manifest())?;
+                    same_campaign(out_dir, &winner.fingerprint, &manifest.fingerprint)?;
+                    manifest = winner;
                 }
-                FaultKind::Set => serve_cached_table::<SetDeratingTable>(
-                    store,
-                    &table_key,
-                    &paths,
-                    request.fault,
-                )?,
-            };
-            if served {
-                recorder.finish();
-                return Ok(RunSummary {
-                    fault: request.fault,
-                    outcome: RunOutcome::Complete,
-                    golden_from_cache: true,
-                    table_from_cache: true,
-                    completed_points: num_points,
-                    total_points: num_points,
-                    total_injections: 0,
-                    table_path: Some(paths.table_json(request.fault)),
-                });
             }
+            // Undecodable: only the campaign the directory's checkpoint
+            // vouches for (checked above) may replace it.
+            Err(_) if checkpoint.is_some() => manifest.save(&paths.manifest())?,
+            Err(e) => return Err(e),
         }
     }
-    let checkpoint = checkpoint.unwrap_or_else(|| fresh_checkpoint(&manifest, &prepared));
-
-    drive(
-        prepared, manifest, checkpoint, paths, store, options, cancel, progress, recorder,
-    )
-}
-
-/// Resume the campaign session in `out_dir` from its manifest and
-/// checkpoint.
-///
-/// Shard checkpoints left behind by `ffr worker` processes are discovered
-/// and merged first, so a partially worker-drained campaign can be
-/// finished single-process (the result is byte-identical either way).
-///
-/// # Errors
-///
-/// Fails on I/O errors or if the directory holds no session (a manifest
-/// with neither a checkpoint nor any shards).
-pub fn resume(
-    out_dir: &Path,
-    options: &RunnerOptions,
-    cancel: &CancelToken,
-    progress: impl Fn(usize, usize) + Sync,
-) -> io::Result<RunSummary> {
-    let paths = SessionPaths::new(out_dir);
-    let manifest = CampaignManifest::load(&paths.manifest()).map_err(|e| {
-        io::Error::other(format!(
-            "no campaign session in {} ({e})",
-            out_dir.display()
-        ))
-    })?;
-    let circuit: CircuitSpec = manifest.circuit.parse().map_err(io::Error::other)?;
-    let prepared = circuit.prepare(manifest.stim_seed, manifest.cycles);
-    let mut checkpoint = match CampaignCheckpoint::load(&paths.checkpoint()) {
-        Ok(cp) => cp,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            // Worker-drained sessions keep their progress in shards until
-            // completion; resume can pick that up from a fresh base.
-            if work::list_shards(&paths.shards_dir())?.is_empty() {
-                return Err(e);
-            }
-            fresh_checkpoint(&manifest, &prepared)
-        }
-        Err(e) => return Err(e),
-    };
-    if checkpoint.fingerprint != manifest.fingerprint {
-        return Err(io::Error::other(
-            "checkpoint does not match the session manifest",
-        ));
-    }
-    if checkpoint.params.fault != manifest.fault {
-        return Err(io::Error::other(
-            "checkpoint fault model does not match the session manifest",
-        ));
-    }
-    let recorder = ffr_obs::Recorder::for_session(out_dir, "local");
-    {
-        let mut span = recorder.span("phase.merge");
-        let merged = merge_shards(&paths, &mut checkpoint)?;
-        span.field("shards", merged);
-    }
-    let store = open_store(&manifest.store)?.map(|s| s.with_recorder(recorder.clone()));
-    drive(
-        prepared, manifest, checkpoint, paths, store, options, cancel, progress, recorder,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    prepared: crate::spec::PreparedCircuit,
-    manifest: CampaignManifest,
-    mut checkpoint: CampaignCheckpoint,
-    paths: SessionPaths,
-    store: Option<ArtifactStore>,
-    options: &RunnerOptions,
-    cancel: &CancelToken,
-    progress: impl Fn(usize, usize) + Sync,
-    recorder: ffr_obs::Recorder,
-) -> io::Result<RunSummary> {
-    let (golden, golden_from_cache) = {
-        let mut span = recorder.span("phase.golden");
-        let got = golden_for(&prepared, store.as_ref())?;
-        span.field("cached", got.1);
-        got
-    };
-
-    let judge = prepared.judge_spec.build(&golden);
-    let campaign = Campaign::with_golden(
-        &prepared.cc,
-        &prepared.stimulus,
-        &prepared.watch,
-        &judge,
-        golden,
-    );
-
-    let checkpoint_path = paths.checkpoint();
-    let mut runner_options = options.clone();
-    runner_options.checkpoint_every = manifest.checkpoint_every;
-    runner_options.recorder = recorder.clone();
-    let outcome = {
-        let mut span = recorder.span("phase.measure");
-        let outcome = run_resumable(
-            &campaign,
-            &mut checkpoint,
-            &runner_options,
-            cancel,
-            |cp| cp.save_recorded(&checkpoint_path, &recorder),
-            progress,
-        )?;
-        span.field("completed_points", checkpoint.completed_points());
-        span.field("total_injections", checkpoint.total_injections());
-        outcome
-    };
-
-    let mut table_path = None;
-    if outcome == RunOutcome::Complete {
-        let _span = recorder.span("phase.publish");
-        table_path = Some(publish_completed(
-            &checkpoint,
-            prepared.cc.num_ffs(),
-            &manifest,
-            &paths,
-            &store,
-        )?);
-    }
-    recorder.finish();
-
-    Ok(RunSummary {
-        fault: manifest.fault,
-        outcome,
-        golden_from_cache,
-        table_from_cache: false,
-        completed_points: checkpoint.completed_points(),
-        total_points: checkpoint.num_points,
-        total_injections: checkpoint.total_injections(),
-        table_path,
-    })
-}
-
-/// Write the final table files (JSON + CSV + store artifact) of a
-/// completed campaign and return the JSON path.
-fn publish_completed(
-    checkpoint: &CampaignCheckpoint,
-    num_ffs: usize,
-    manifest: &CampaignManifest,
-    paths: &SessionPaths,
-    store: &Option<ArtifactStore>,
-) -> io::Result<PathBuf> {
-    let key: StoreKey = parse_key(&manifest.fingerprint)?;
-    match manifest.fault {
-        FaultKind::Seu => publish_table(
-            &checkpoint.to_fdr_table_for(num_ffs),
-            paths,
-            manifest.fault,
-            store,
-            &key,
-        )?,
-        FaultKind::Set => publish_table(
-            &checkpoint.to_set_table(),
-            paths,
-            manifest.fault,
-            store,
-            &key,
-        )?,
-    }
-    Ok(paths.table_json(manifest.fault))
-}
-
-/// The deterministic fresh checkpoint of a manifest's campaign: every
-/// worker (and `resume` over a shard-only session) derives the same base,
-/// so no coordination is needed to create it.
-fn fresh_checkpoint(
-    manifest: &CampaignManifest,
-    prepared: &crate::spec::PreparedCircuit,
-) -> CampaignCheckpoint {
-    CampaignCheckpoint::fresh(
-        manifest.fingerprint.clone(),
-        CheckpointParams {
-            fault: manifest.fault,
-            seed: manifest.seed,
-            window_start: prepared.window.start,
-            window_end: prepared.window.end,
-            policy: manifest.policy.clone(),
-        },
-        budgeted_point_ids(manifest.fault, &prepared.cc, manifest.budget, manifest.seed),
-    )
-}
-
-/// Discover the session's shard checkpoints and merge them into
-/// `checkpoint` (point-indexed, order-independent — see
-/// [`CampaignCheckpoint::merge_shard`]). Returns how many shards were
-/// merged.
-///
-/// # Errors
-///
-/// Fails on I/O errors or if a shard belongs to a different campaign.
-pub fn merge_shards(
-    paths: &SessionPaths,
-    checkpoint: &mut CampaignCheckpoint,
-) -> io::Result<usize> {
-    let shards = work::list_shards(&paths.shards_dir())?;
-    let count = shards.len();
-    for shard in shards {
-        checkpoint.merge_shard(&shard)?;
-    }
-    Ok(count)
-}
-
-/// The "same directory, different campaign" refusal shared by every
-/// bootstrap path.
-fn fingerprint_conflict(out_dir: &Path, existing: &str, ours: &str) -> io::Error {
-    io::Error::other(format!(
-        "{} already holds a campaign with different parameters \
-         (fingerprint {existing} vs {ours}); use a fresh campaign directory",
-        out_dir.display()
-    ))
-}
-
-/// Prepare a campaign directory for `request`: validate the request,
-/// create the directory and publish the manifest — or adopt an existing
-/// manifest if it describes the *same* campaign (same fingerprint).
-///
-/// This is the single campaign-bootstrap primitive shared by `ffr worker
-/// --circuit …` and the `ffrd` service's `POST /campaigns` handler.
-/// Concurrent initializers race benignly: exactly one wins the
-/// create-exclusive publish, and losers adopt the winner's manifest
-/// (which is byte-identical when the parameters agree).
-///
-/// # Errors
-///
-/// Fails on I/O errors, an invalid request, or an existing manifest with
-/// a different fingerprint.
-pub fn prepare_campaign(request: &RunRequest, out_dir: &Path) -> io::Result<CampaignManifest> {
-    validate_request(request)?;
-    let paths = SessionPaths::new(out_dir);
-    let prepared = request.circuit.prepare(request.stim_seed, request.cycles);
-    let manifest = manifest_for(request, &campaign_table_key(request, &prepared));
-    match CampaignManifest::load(&paths.manifest()) {
-        Ok(existing) => {
-            if existing.fingerprint != manifest.fingerprint {
-                return Err(fingerprint_conflict(
-                    out_dir,
-                    &existing.fingerprint,
-                    &manifest.fingerprint,
-                ));
-            }
-            Ok(existing)
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            std::fs::create_dir_all(out_dir)?;
-            let json = serde_json::to_string_pretty(&manifest).map_err(io::Error::other)?;
-            // Exactly one bootstrapper wins (create-exclusive); losers
-            // adopt the winner's manifest — and are refused here if their
-            // parameters describe a different campaign, instead of
-            // silently mixing two campaigns' shards in one directory.
-            if crate::store::create_exclusive(&paths.manifest(), &json)? {
-                Ok(manifest)
-            } else {
-                let existing = CampaignManifest::load(&paths.manifest())?;
-                if existing.fingerprint != manifest.fingerprint {
-                    return Err(fingerprint_conflict(
-                        out_dir,
-                        &existing.fingerprint,
-                        &manifest.fingerprint,
-                    ));
-                }
-                Ok(existing)
-            }
-        }
-        Err(e) => Err(e),
-    }
+    Ok((manifest, prepared, checkpoint))
 }
 
 /// How long a worker without bootstrap flags waits for a sibling
 /// bootstrapper to publish the campaign manifest before giving up.
 const BOOTSTRAP_WAIT: Duration = Duration::from_secs(15);
+
+/// Wait for the campaign manifest a sibling worker launched with
+/// bootstrap flags (or the service) may still be preparing its circuit
+/// for (seconds at paper scale), rather than abandoning the fleet. A
+/// bootstrapper creates the campaign directory before that slow
+/// preparation, so a missing directory means nobody is coming — fail
+/// fast.
+fn await_manifest(paths: &SessionPaths, poll: Duration, cancel: &CancelToken) -> io::Result<()> {
+    let deadline = std::time::Instant::now() + BOOTSTRAP_WAIT;
+    while !paths.manifest().exists() {
+        if cancel.is_cancelled() || !paths.out_dir.exists() || std::time::Instant::now() >= deadline
+        {
+            return Err(io::Error::other(format!(
+                "no campaign session in {} — initialize one with `ffr run`, \
+                 or pass --circuit (plus campaign flags) to the first worker",
+                paths.out_dir.display()
+            )));
+        }
+        std::thread::sleep(poll.max(Duration::from_millis(50)));
+    }
+    Ok(())
+}
 
 /// Parameters of one `ffr worker` invocation.
 #[derive(Debug, Clone)]
@@ -868,29 +537,405 @@ impl WorkerRequest {
     }
 }
 
-/// Outcome summary of one `ffr worker` invocation.
-#[derive(Debug)]
-pub struct WorkerSummary {
-    /// Fault model of the session.
-    pub fault: FaultKind,
-    /// How this worker's runner ended ([`RunOutcome::Drained`] means
-    /// other workers computed part of the campaign).
-    pub outcome: RunOutcome,
-    /// `true` once the whole campaign (all shards merged) is complete —
-    /// in that case this worker also published the final table.
-    pub campaign_complete: bool,
-    /// Shards merged into the final view (all workers').
-    pub merged_shards: usize,
-    /// Retired points in the merged view.
-    pub completed_points: usize,
-    /// Total injection points of the campaign.
-    pub total_points: usize,
-    /// Injections executed across all workers (merged view).
-    pub total_injections: usize,
-    /// `true` if the golden run came from the artifact store.
-    pub golden_from_cache: bool,
-    /// Path of the final result table, once the campaign is complete.
-    pub table_path: Option<PathBuf>,
+/// Where the driver's threads claim injection points from, and where
+/// their progress is flushed to.
+enum Source<'a> {
+    /// The in-process work-stealing cursor; progress goes to
+    /// `checkpoint.json`.
+    Local,
+    /// The session directory's lease queue, shared with other worker
+    /// processes; progress goes to per-range shards and held leases are
+    /// heartbeaten.
+    Leased(&'a WorkerRequest),
+}
+
+/// One opened campaign directory — the state every entry point shares.
+///
+/// The lifecycle is the same however a campaign is started: `open`
+/// (bootstrap) → `drive` (base checkpoint → merge shards → golden run →
+/// measure → merge shards → publish). `run`, `resume` and `worker` only
+/// differ in what they pass to the two and in one guard each. Dropping
+/// the session flushes the telemetry aggregates, so they reach disk on
+/// every exit — errors included.
+struct Session {
+    paths: SessionPaths,
+    manifest: CampaignManifest,
+    /// The manifest's fingerprint: the store key of the final table.
+    table_key: StoreKey,
+    prepared: PreparedCircuit,
+    /// The directory's own `checkpoint.json`, if it had one.
+    resumed: Option<CampaignCheckpoint>,
+    store: Option<ArtifactStore>,
+    recorder: ffr_obs::Recorder,
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.recorder.finish();
+    }
+}
+
+impl Session {
+    /// [`bootstrap`] the directory, then open this process's artifact
+    /// store and telemetry log (`telemetry/<telemetry_id>.jsonl`). A
+    /// per-invocation store — `store`, else the request's — overrides the
+    /// manifest's for this process only.
+    fn open(
+        out_dir: &Path,
+        request: Option<&RunRequest>,
+        store: Option<&Path>,
+        telemetry_id: &str,
+    ) -> io::Result<Session> {
+        let (manifest, prepared, resumed) = bootstrap(out_dir, request)?;
+        let store = store
+            .or(request.and_then(|r| r.store.as_deref()))
+            .or(manifest.store.as_deref().map(Path::new))
+            .map(ArtifactStore::open)
+            .transpose()?;
+        let table_key = parse_key(&manifest.fingerprint)?;
+        let recorder = ffr_obs::Recorder::for_session(out_dir, telemetry_id);
+        Ok(Session {
+            paths: SessionPaths::new(out_dir),
+            manifest,
+            table_key,
+            prepared,
+            resumed,
+            store: store.map(|s| s.with_recorder(recorder.clone())),
+            recorder,
+        })
+    }
+
+    /// Write the session's final table files (JSON + CSV); returns the
+    /// JSON path.
+    fn write_table<T: CampaignTable>(&self, table: &T) -> io::Result<PathBuf> {
+        let fault = self.manifest.fault;
+        table.save_json(&self.paths.table_json(fault))?;
+        std::fs::write(self.paths.table_csv(fault), table.to_csv())?;
+        Ok(self.paths.table_json(fault))
+    }
+
+    /// Serve the final table from the artifact store if cached.
+    fn serve_table<T: CampaignTable>(&self, store: &ArtifactStore) -> io::Result<Option<PathBuf>> {
+        match store.get::<T>(T::KIND, &self.table_key)? {
+            Some(table) => self.write_table(&table).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Write the final table files and publish the table to the store.
+    fn publish_table<T: CampaignTable>(&self, table: &T) -> io::Result<PathBuf> {
+        let path = self.write_table(table)?;
+        if let Some(store) = &self.store {
+            store.put(T::KIND, &self.table_key, table)?;
+        }
+        Ok(path)
+    }
+
+    /// `run`'s fast path: the final table straight from the artifact
+    /// store, if it is there — nothing simulated, no checkpoint created.
+    fn serve_cached(&self) -> io::Result<Option<RunSummary>> {
+        let Some(store) = &self.store else {
+            return Ok(None);
+        };
+        let served = match self.manifest.fault {
+            FaultKind::Seu => self.serve_table::<FdrTable>(store)?,
+            FaultKind::Set => self.serve_table::<SetDeratingTable>(store)?,
+        };
+        Ok(served.map(|table_path| {
+            let num_points = self.point_ids().len();
+            RunSummary {
+                fault: self.manifest.fault,
+                outcome: RunOutcome::Complete,
+                golden_from_cache: true,
+                table_from_cache: true,
+                merged_shards: 0,
+                completed_points: num_points,
+                total_points: num_points,
+                total_injections: 0,
+                table_path: Some(table_path),
+            }
+        }))
+    }
+
+    /// The injection points the campaign measures: every flip-flop (SEU)
+    /// or every combinational op output net (SET) — under a budget, a
+    /// seeded random subset of them (at least two), in ascending id order.
+    ///
+    /// The subset is a pure function of `(circuit, fault, budget, seed)` —
+    /// the shuffle RNG stream is domain-separated from the injection-plan
+    /// streams — so budgeted runs resume and cache-serve exactly like full
+    /// ones.
+    fn point_ids(&self) -> Vec<u32> {
+        use rand::seq::SliceRandom;
+        use rand_chacha::rand_core::SeedableRng;
+        let (cc, manifest) = (&self.prepared.cc, &self.manifest);
+        let mut ids: Vec<u32> = match manifest.fault {
+            FaultKind::Seu => (0..cc.num_ffs() as u32).collect(),
+            FaultKind::Set => cc
+                .comb_output_nets()
+                .iter()
+                .map(|n| n.index() as u32)
+                .collect(),
+        };
+        if manifest.budget >= 1.0 {
+            return ids;
+        }
+        let n = ((ids.len() as f64) * manifest.budget).round().max(2.0) as usize;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(manifest.seed ^ 0xB0D6_E7ED);
+        ids.shuffle(&mut rng);
+        ids.truncate(n.min(ids.len()));
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Base progress: the directory's own checkpoint when it has one
+    /// (e.g. an interrupted `ffr run`), else the deterministic fresh one —
+    /// every process derives the same base, so no coordination is needed
+    /// to create it. Other workers' progress arrives through shards.
+    fn base_checkpoint(&mut self) -> CampaignCheckpoint {
+        self.resumed.take().unwrap_or_else(|| {
+            CampaignCheckpoint::fresh(
+                self.manifest.fingerprint.clone(),
+                CheckpointParams {
+                    fault: self.manifest.fault,
+                    seed: self.manifest.seed,
+                    window_start: self.prepared.window.start,
+                    window_end: self.prepared.window.end,
+                    policy: self.manifest.policy.clone(),
+                },
+                self.point_ids(),
+            )
+        })
+    }
+
+    /// Discover the session's shard checkpoints and merge them into
+    /// `checkpoint` (point-indexed, order-independent — see
+    /// [`CampaignCheckpoint::merge_shard`]). Returns how many shards were
+    /// merged; fails if one belongs to a different campaign.
+    fn merge_shards(&self, checkpoint: &mut CampaignCheckpoint) -> io::Result<usize> {
+        let mut span = self.recorder.span("phase.merge");
+        let shards = work::list_shards(&self.paths.shards_dir())?;
+        for shard in &shards {
+            checkpoint.merge_shard(shard)?;
+        }
+        span.field("shards", shards.len());
+        Ok(shards.len())
+    }
+
+    /// Write the final table files (JSON + CSV + store artifact) of a
+    /// completed campaign and return the JSON path.
+    fn publish_completed(&self, checkpoint: &CampaignCheckpoint) -> io::Result<PathBuf> {
+        match self.manifest.fault {
+            FaultKind::Seu => {
+                self.publish_table(&checkpoint.to_fdr_table_for(self.prepared.cc.num_ffs()))
+            }
+            FaultKind::Set => self.publish_table(&checkpoint.to_set_table()),
+        }
+    }
+
+    /// Drive the campaign as far as `source` lets this process: merge what
+    /// the fleet already retired, measure the rest, merge again, and
+    /// publish the final table once the merged view is complete.
+    ///
+    /// In [`Source::Leased`] mode the **last** worker standing observes
+    /// global completion and publishes — byte-identical to a
+    /// single-process run, no matter how the work was distributed. If
+    /// several workers observe completion simultaneously they all publish
+    /// identical bytes through atomic renames, so the race is benign.
+    fn drive(
+        mut self,
+        source: Source<'_>,
+        options: &RunnerOptions,
+        cancel: &CancelToken,
+        progress: impl Fn(usize, usize) + Sync,
+    ) -> io::Result<RunSummary> {
+        let mut checkpoint = self.base_checkpoint();
+        let mut merged_shards = self.merge_shards(&mut checkpoint)?;
+        let (prepared, recorder) = (&self.prepared, &self.recorder);
+
+        let (golden, golden_from_cache) = {
+            let mut span = recorder.span("phase.golden");
+            let got = golden_for(prepared, self.store.as_ref())?;
+            span.field("cached", got.1);
+            got
+        };
+        let judge = prepared.judge_spec.build(&golden);
+        let campaign = Campaign::with_golden(
+            &prepared.cc,
+            &prepared.stimulus,
+            &prepared.watch,
+            &judge,
+            golden,
+        );
+
+        let queue = match source {
+            Source::Local => None,
+            Source::Leased(request) => Some(
+                LeaseQueue::open(
+                    &self.paths.out_dir,
+                    self.manifest.fingerprint.clone(),
+                    request.worker_id.clone(),
+                    checkpoint.points.len(),
+                    request.lease_points,
+                    request.lease_ttl,
+                    request.poll,
+                    cancel.clone(),
+                )?
+                .with_recorder(recorder.clone()),
+            ),
+        };
+        let checkpoint_path = self.paths.checkpoint();
+        let sink = |cp: &CampaignCheckpoint| match &queue {
+            Some(queue) => queue.flush_held(cp),
+            None => cp.save_recorded(&checkpoint_path, recorder),
+        };
+        let mut runner_options = options.clone();
+        runner_options.checkpoint_every = self.manifest.checkpoint_every;
+        runner_options.recorder = recorder.clone();
+
+        let measuring = AtomicBool::new(true);
+        let measured = std::thread::scope(|scope| {
+            if let Some(queue) = &queue {
+                scope.spawn(|| queue.heartbeat_while(&measuring));
+            }
+            let options = &runner_options;
+            let result = match &queue {
+                Some(queue) => measure(
+                    &campaign,
+                    &mut checkpoint,
+                    queue,
+                    options,
+                    cancel,
+                    sink,
+                    progress,
+                ),
+                None => {
+                    let cursor = CursorSource::new(&checkpoint);
+                    measure(
+                        &campaign,
+                        &mut checkpoint,
+                        &cursor,
+                        options,
+                        cancel,
+                        sink,
+                        progress,
+                    )
+                }
+            };
+            measuring.store(false, Ordering::Relaxed);
+            result
+        });
+        if let Some(queue) = &queue {
+            // Release still-held leases — on cancellation *and* on error —
+            // so another worker can take over immediately instead of
+            // waiting out the TTL; the partial shards are already flushed.
+            queue.release_held();
+        }
+        let outcome = measured?;
+        if queue.is_some() {
+            merged_shards = self.merge_shards(&mut checkpoint)?;
+        }
+
+        let mut table_path = None;
+        if checkpoint.is_complete() {
+            let _span = recorder.span("phase.publish");
+            if merged_shards > 0 {
+                // The merged view holds records `checkpoint.json` may not.
+                checkpoint.save_recorded(&checkpoint_path, recorder)?;
+            }
+            table_path = Some(self.publish_completed(&checkpoint)?);
+        }
+        Ok(RunSummary {
+            fault: self.manifest.fault,
+            outcome,
+            golden_from_cache,
+            table_from_cache: false,
+            merged_shards,
+            completed_points: checkpoint.completed_points(),
+            total_points: checkpoint.num_points,
+            total_injections: checkpoint.total_injections(),
+            table_path,
+        })
+    }
+}
+
+/// `phase.measure`: retire what `work` hands out. Generic rather than
+/// `&dyn WorkSource` on purpose: one instantiation per source lets the
+/// cursor path compile without the lease hooks (`dyn` measured +3.6 % on
+/// `regfile-flat` in the benchmark build).
+fn measure<S, J, W>(
+    campaign: &Campaign<'_, S, J>,
+    checkpoint: &mut CampaignCheckpoint,
+    work: &W,
+    options: &RunnerOptions,
+    cancel: &CancelToken,
+    sink: impl FnMut(&CampaignCheckpoint) -> io::Result<()> + Send,
+    progress: impl Fn(usize, usize) + Sync,
+) -> io::Result<RunOutcome>
+where
+    S: ffr_sim::Stimulus + Sync,
+    J: ffr_fault::FailureJudge,
+    W: WorkSource,
+{
+    let mut span = options.recorder.span("phase.measure");
+    let result = run_with_source(campaign, checkpoint, work, options, cancel, sink, progress);
+    span.field("completed_points", checkpoint.completed_points());
+    span.field("total_injections", checkpoint.total_injections());
+    result
+}
+
+/// Start (or continue) a campaign session in `out_dir`.
+///
+/// When the store already holds the final table and the directory has no
+/// partial checkpoint to honour, the table is served from the cache
+/// without simulating anything. Shards a worker fleet left in the
+/// directory are honoured: their points are not recomputed.
+///
+/// # Errors
+///
+/// Fails on I/O errors, an invalid request, or if `out_dir` already holds
+/// a different campaign.
+pub fn run(
+    request: &RunRequest,
+    out_dir: &Path,
+    options: &RunnerOptions,
+    cancel: &CancelToken,
+    progress: impl Fn(usize, usize) + Sync,
+) -> io::Result<RunSummary> {
+    let session = Session::open(out_dir, Some(request), None, "local")?;
+    if !request.force && session.resumed.is_none() {
+        if let Some(summary) = session.serve_cached()? {
+            return Ok(summary);
+        }
+    }
+    session.drive(Source::Local, options, cancel, progress)
+}
+
+/// Resume the campaign session in `out_dir` from its manifest and
+/// checkpoint.
+///
+/// Shard checkpoints left behind by `ffr worker` processes are merged
+/// first, so a partially worker-drained campaign can be finished
+/// single-process (the result is byte-identical either way).
+///
+/// # Errors
+///
+/// Fails on I/O errors or if the directory holds no session (no manifest,
+/// or a manifest with neither a checkpoint nor any shards).
+pub fn resume(
+    out_dir: &Path,
+    options: &RunnerOptions,
+    cancel: &CancelToken,
+    progress: impl Fn(usize, usize) + Sync,
+) -> io::Result<RunSummary> {
+    let session = Session::open(out_dir, None, None, "local")?;
+    if session.resumed.is_none() && work::list_shards(&session.paths.shards_dir())?.is_empty() {
+        return Err(io::Error::other(format!(
+            "nothing to resume in {}: no checkpoint and no shards",
+            out_dir.display()
+        )));
+    }
+    session.drive(Source::Local, options, cancel, progress)
 }
 
 /// Drain a campaign as one worker of a distributed fleet.
@@ -899,12 +944,8 @@ pub struct WorkerSummary {
 /// [`LeaseQueue`], computes them, flushes per-range shard checkpoints,
 /// and heartbeats its leases from a background thread. It keeps claiming
 /// until every range has a complete shard (waiting out other workers'
-/// live leases, reclaiming expired ones) or until cancelled. The **last**
-/// worker standing observes global completion, merges all shards and
-/// publishes the final table — byte-identical to a single-process
-/// `ffr run`, no matter how the work was distributed. If several workers
-/// observe completion simultaneously they all publish identical bytes
-/// through atomic renames, so the race is benign.
+/// live leases, reclaiming expired ones) or until cancelled; the last
+/// worker standing publishes the final table.
 ///
 /// # Errors
 ///
@@ -917,167 +958,17 @@ pub fn worker(
     options: &RunnerOptions,
     cancel: &CancelToken,
     progress: impl Fn(usize, usize) + Sync,
-) -> io::Result<WorkerSummary> {
-    let paths = SessionPaths::new(out_dir);
-    // The manifest is the shared campaign definition: an existing one
-    // wins; otherwise the worker's own campaign flags bootstrap it
-    // through the same primitive the `ffrd` service uses.
-    let manifest = match &request.init {
-        Some(init) => prepare_campaign(init, out_dir)?,
-        None => match CampaignManifest::load(&paths.manifest()) {
-            Ok(existing) => existing,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                // A sibling worker launched with bootstrap flags (or the
-                // service) may still be preparing its circuit (seconds
-                // at paper scale) before the manifest lands; wait
-                // briefly rather than abandoning the fleet. A
-                // bootstrapper creates the campaign directory before
-                // that slow preparation, so a missing directory means
-                // nobody is coming — fail fast.
-                let deadline = std::time::Instant::now() + BOOTSTRAP_WAIT;
-                loop {
-                    if cancel.is_cancelled()
-                        || !out_dir.exists()
-                        || std::time::Instant::now() >= deadline
-                    {
-                        return Err(io::Error::other(format!(
-                            "no campaign session in {} — initialize one with `ffr run`, \
-                             or pass --circuit (plus campaign flags) to the first worker",
-                            out_dir.display()
-                        )));
-                    }
-                    std::thread::sleep(request.poll.max(Duration::from_millis(50)));
-                    match CampaignManifest::load(&paths.manifest()) {
-                        Ok(manifest) => break manifest,
-                        Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        },
-    };
-
-    let circuit: CircuitSpec = manifest.circuit.parse().map_err(io::Error::other)?;
-    let prepared = circuit.prepare(manifest.stim_seed, manifest.cycles);
-    // Base progress: the session's single-process checkpoint when one
-    // exists (e.g. an interrupted `ffr run` being finished by workers),
-    // else the deterministic fresh base. Other workers' progress arrives
-    // later via shard hydration and the final merge.
-    let mut checkpoint = match CampaignCheckpoint::load(&paths.checkpoint()) {
-        Ok(cp) if cp.fingerprint == manifest.fingerprint => cp,
-        Ok(_) => {
-            return Err(io::Error::other(
-                "checkpoint does not match the session manifest",
-            ))
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => fresh_checkpoint(&manifest, &prepared),
-        Err(e) => return Err(e),
-    };
-    let recorder = ffr_obs::Recorder::for_session(out_dir, &request.worker_id);
-    let store = match &request.store {
-        Some(path) => Some(ArtifactStore::open(path)?),
-        None => open_store(&manifest.store)?,
+) -> io::Result<RunSummary> {
+    if request.init.is_none() {
+        await_manifest(&SessionPaths::new(out_dir), request.poll, cancel)?;
     }
-    .map(|s| s.with_recorder(recorder.clone()));
-    let (golden, golden_from_cache) = {
-        let mut span = recorder.span("phase.golden");
-        let got = golden_for(&prepared, store.as_ref())?;
-        span.field("cached", got.1);
-        got
-    };
-    let judge = prepared.judge_spec.build(&golden);
-    let campaign = Campaign::with_golden(
-        &prepared.cc,
-        &prepared.stimulus,
-        &prepared.watch,
-        &judge,
-        golden,
-    );
-
-    let queue = LeaseQueue::open(
+    Session::open(
         out_dir,
-        manifest.fingerprint.clone(),
-        request.worker_id.clone(),
-        checkpoint.points.len(),
-        request.lease_points,
-        request.lease_ttl,
-        request.poll,
-        cancel.clone(),
+        request.init.as_ref(),
+        request.store.as_deref(),
+        &request.worker_id,
     )?
-    .with_recorder(recorder.clone());
-
-    let mut runner_options = options.clone();
-    runner_options.checkpoint_every = manifest.checkpoint_every;
-    runner_options.recorder = recorder.clone();
-    let stop_heartbeat = AtomicBool::new(false);
-    let run_result = std::thread::scope(|scope| {
-        let heartbeat = scope.spawn(|| {
-            let interval = (request.lease_ttl / 3).max(Duration::from_millis(50));
-            let mut last = std::time::Instant::now();
-            while !stop_heartbeat.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(25));
-                if last.elapsed() >= interval {
-                    // A missed heartbeat is survivable: the lease expires
-                    // and the range is recomputed identically elsewhere.
-                    let _ = queue.refresh_held();
-                    last = std::time::Instant::now();
-                }
-            }
-        });
-        let mut span = recorder.span("phase.measure");
-        let result = run_with_source(
-            &campaign,
-            &mut checkpoint,
-            &queue,
-            &runner_options,
-            cancel,
-            |cp| queue.flush_held(cp),
-            progress,
-        );
-        span.field("completed_points", checkpoint.completed_points());
-        drop(span);
-        stop_heartbeat.store(true, Ordering::Relaxed);
-        heartbeat.join().expect("heartbeat thread");
-        result
-    });
-    // Release still-held leases — on cancellation *and* on error — so
-    // another worker can take over immediately instead of waiting out the
-    // TTL; the partial shards are already flushed.
-    queue.release_held();
-    let outcome = run_result?;
-
-    let merged_shards = {
-        let mut span = recorder.span("phase.merge");
-        let merged = merge_shards(&paths, &mut checkpoint)?;
-        span.field("shards", merged);
-        merged
-    };
-    let campaign_complete = checkpoint.is_complete();
-    let mut table_path = None;
-    if campaign_complete {
-        let _span = recorder.span("phase.publish");
-        checkpoint.save_recorded(&paths.checkpoint(), &recorder)?;
-        table_path = Some(publish_completed(
-            &checkpoint,
-            prepared.cc.num_ffs(),
-            &manifest,
-            &paths,
-            &store,
-        )?);
-    }
-    recorder.finish();
-    Ok(WorkerSummary {
-        fault: manifest.fault,
-        outcome,
-        campaign_complete,
-        merged_shards,
-        completed_points: checkpoint.completed_points(),
-        total_points: checkpoint.num_points,
-        total_injections: checkpoint.total_injections(),
-        golden_from_cache,
-        table_path,
-    })
+    .drive(Source::Leased(request), options, cancel, progress)
 }
 
 pub(crate) fn parse_key(rendered: &str) -> io::Result<StoreKey> {
@@ -1572,7 +1463,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
-        assert!(summary.campaign_complete);
+        assert!(summary.table_path.is_some());
         assert!(summary.merged_shards > 0);
         assert_eq!(
             std::fs::read(out.join("fdr.json")).unwrap(),
@@ -1595,7 +1486,7 @@ mod tests {
             |_, _| {},
         )
         .unwrap();
-        assert!(summary2.campaign_complete);
+        assert!(summary2.table_path.is_some());
 
         // A store override without bootstrap flags (the README's worker
         // invocation) caches the golden run across worker invocations.
@@ -1634,7 +1525,7 @@ mod tests {
             |_, _| {},
         )
         .unwrap_err();
-        assert!(err.to_string().contains("different parameters"), "{err}");
+        assert!(err.to_string().contains("different campaign"), "{err}");
 
         // An uninitialized dir without init flags fails with guidance.
         let empty = tmp_dir("worker_empty");
@@ -1677,7 +1568,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(summary.fault, FaultKind::Set);
-        assert!(summary.campaign_complete);
+        assert!(summary.table_path.is_some());
         assert_eq!(
             std::fs::read(out.join("set-derating.json")).unwrap(),
             reference,
@@ -1764,7 +1655,7 @@ mod tests {
             |_, _| {},
         )
         .unwrap();
-        assert!(summary.campaign_complete);
+        assert!(summary.table_path.is_some());
 
         // …matching the uninterrupted reference.
         let out_ref = tmp_dir("worker_takeover_ref");
@@ -1791,6 +1682,143 @@ mod tests {
         )
         .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
+    }
+
+    #[test]
+    fn run_over_a_worker_drained_directory_recomputes_nothing() {
+        let request = quick_request(None);
+        let out = tmp_dir("drained_rerun");
+        let mut wreq = WorkerRequest::new("w1");
+        wreq.lease_points = 2;
+        wreq.init = Some(request.clone());
+        let drained = worker(
+            &out,
+            &wreq,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
+        assert!(drained.table_path.is_some());
+        let table = std::fs::read(out.join("fdr.json")).unwrap();
+
+        // Only the shards are left to say what was computed.
+        std::fs::remove_file(out.join("checkpoint.json")).unwrap();
+        std::fs::remove_file(out.join("fdr.json")).unwrap();
+        let retirements = std::sync::atomic::AtomicUsize::new(0);
+        let summary = run(
+            &request,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {
+                retirements.fetch_add(1, Ordering::Relaxed);
+            },
+        )
+        .unwrap();
+        assert_eq!(summary.outcome, RunOutcome::Complete);
+        assert_eq!(summary.merged_shards, drained.merged_shards);
+        assert_eq!(summary.total_injections, drained.total_injections);
+        assert_eq!(
+            retirements.load(Ordering::Relaxed),
+            0,
+            "every point was already retired by the worker"
+        );
+        assert_eq!(std::fs::read(out.join("fdr.json")).unwrap(), table);
+        assert!(
+            CampaignCheckpoint::load(&out.join("checkpoint.json"))
+                .unwrap()
+                .is_complete(),
+            "the merged view is saved back as the session checkpoint"
+        );
+        let log =
+            std::fs::read_to_string(SessionPaths::new(&out).telemetry_dir().join("local.jsonl"))
+                .unwrap();
+        assert!(log.contains("\"name\":\"phase.merge\""), "{log}");
+        assert!(!log.contains("\"name\":\"range.run\""), "{log}");
+    }
+
+    #[test]
+    fn entry_points_are_interchangeable_mid_campaign() {
+        // Whoever starts a campaign and whoever finishes it, the table is
+        // the one an uninterrupted `run` writes.
+        let interrupted = RunnerOptions {
+            stop_after_points: Some(2),
+            threads: Some(1),
+            ..RunnerOptions::default()
+        };
+        let finish = RunnerOptions::default();
+        let cancel = CancelToken::new;
+        for fault in [FaultKind::Seu, FaultKind::Set] {
+            let mut request = quick_request(None);
+            request.fault = fault;
+            let table = |dir: &Path| std::fs::read(SessionPaths::new(dir).table_json(fault));
+            let wreq = |id: &str| {
+                let mut wreq = WorkerRequest::new(id);
+                wreq.lease_points = 2;
+                wreq.init = Some(request.clone());
+                wreq
+            };
+            let out_ref = tmp_dir(&format!("matrix_ref_{fault}"));
+            run(&request, &out_ref, &finish, &cancel(), |_, _| {}).unwrap();
+            let reference = table(&out_ref).unwrap();
+
+            // run, interrupted → worker finishes.
+            let out = tmp_dir(&format!("matrix_run_worker_{fault}"));
+            let summary = run(&request, &out, &interrupted, &cancel(), |_, _| {}).unwrap();
+            assert_eq!(summary.outcome, RunOutcome::Cancelled);
+            let summary = worker(&out, &wreq("w1"), &finish, &cancel(), |_, _| {}).unwrap();
+            assert!(summary.table_path.is_some());
+            assert_eq!(table(&out).unwrap(), reference, "{fault}: run → worker");
+
+            // worker, interrupted → run finishes; → resume finishes.
+            for finisher in ["run", "resume"] {
+                let out = tmp_dir(&format!("matrix_worker_{finisher}_{fault}"));
+                let summary =
+                    worker(&out, &wreq("w1"), &interrupted, &cancel(), |_, _| {}).unwrap();
+                assert_eq!(summary.outcome, RunOutcome::Cancelled);
+                assert!(summary.table_path.is_none() && table(&out).is_err());
+                let summary = match finisher {
+                    "run" => run(&request, &out, &finish, &cancel(), |_, _| {}),
+                    _ => resume(&out, &finish, &cancel(), |_, _| {}),
+                }
+                .unwrap();
+                assert_eq!(summary.outcome, RunOutcome::Complete);
+                assert!(summary.merged_shards > 0);
+                assert_eq!(
+                    table(&out).unwrap(),
+                    reference,
+                    "{fault}: worker → {finisher}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_invocation_still_flushes_its_telemetry_aggregates() {
+        // `leases` is a regular file: the golden run is captured and
+        // published (counted by the store), then the lease queue cannot
+        // open — the invocation fails after the recorder counted something.
+        let out = tmp_dir("lost_telemetry");
+        std::fs::create_dir_all(&out).unwrap();
+        std::fs::write(out.join("leases"), "not a directory").unwrap();
+        let mut wreq = WorkerRequest::new("w1");
+        wreq.store = Some(tmp_dir("lost_telemetry_store"));
+        wreq.init = Some(quick_request(None));
+        worker(
+            &out,
+            &wreq,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap_err();
+        let log = std::fs::read_to_string(SessionPaths::new(&out).telemetry_dir().join("w1.jsonl"))
+            .unwrap();
+        assert!(
+            log.contains("\"kind\":\"counter\",\"name\":\"store.puts\""),
+            "aggregates of a failed run must reach the log: {log}"
+        );
     }
 
     #[test]

@@ -119,13 +119,31 @@ pub fn create_exclusive(path: &Path, contents: &str) -> io::Result<bool> {
 /// an opaque missing-field error *before* the deserialized struct's
 /// version check could run. Probing first lets loaders report the real
 /// cause — an unsupported format version — instead.
-pub(crate) fn probe_version(text: &str) -> Option<u64> {
+fn probe_version(text: &str) -> Option<u64> {
     match serde_json::parse_value_complete(text)
         .ok()?
         .get("version")?
     {
         Value::U64(n) => Some(*n),
         _ => None,
+    }
+}
+
+/// Load a versioned JSON document (manifest, checkpoint, shard, report):
+/// the version is probed before full deserialization, so a document of
+/// another format version reports "`what` version N unsupported" rather
+/// than a missing-field decode error.
+pub(crate) fn load_versioned<T: Deserialize>(
+    path: &Path,
+    what: &str,
+    expected: u32,
+) -> io::Result<T> {
+    let text = std::fs::read_to_string(path)?;
+    match probe_version(&text) {
+        Some(v) if v != expected as u64 => Err(io::Error::other(format!(
+            "{what} version {v} unsupported (expected {expected})"
+        ))),
+        _ => serde_json::from_str(&text).map_err(io::Error::other),
     }
 }
 

@@ -26,11 +26,11 @@
 //! so rerunning produces a **byte-identical** report; asserted end-to-end
 //! by `crates/campaign/tests/cli_transfer.rs`.
 
-use crate::estimate::{load_or_extract_features, EstimateOptions, ModelReport};
+use crate::estimate::{load_or_extract_features, select_model, EstimateOptions, ModelReport};
 use crate::session::{self, RunRequest};
 use crate::store::{ArtifactKind, ArtifactStore, StoreKey};
 use ffr_fault::{FaultKind, FdrTable};
-use ffr_ml::model_selection::{grid_search, GroupKFold};
+use ffr_ml::model_selection::GroupKFold;
 use ffr_ml::RegressionScores;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -165,16 +165,7 @@ impl TransferReport {
     /// Fails on I/O errors, undecodable files or a version mismatch (the
     /// version is probed before full deserialization).
     pub fn load_json(path: &Path) -> io::Result<TransferReport> {
-        let text = std::fs::read_to_string(path)?;
-        match crate::store::probe_version(&text) {
-            Some(v) if v != TRANSFER_VERSION as u64 => {
-                return Err(io::Error::other(format!(
-                    "transfer report version {v} unsupported (expected {TRANSFER_VERSION})"
-                )))
-            }
-            _ => {}
-        }
-        serde_json::from_str(&text).map_err(io::Error::other)
+        crate::store::load_versioned(path, "transfer report", TRANSFER_VERSION)
     }
 }
 
@@ -362,27 +353,8 @@ pub fn transfer_from_store(
     // scored only on circuits it never trained on.
     let folds = GroupKFold::leave_one_out(&groups);
     let cv_protocol = format!("loco:{}", circuits.len());
-    let mut model_reports = Vec::with_capacity(options.models.len());
-    let mut best: Option<(f64, ffr_core::ModelCandidate)> = None;
-    for &kind in &options.models {
-        let grid = kind.small_grid(options.grid_budget);
-        let search = grid_search(&grid, |c| c.build(), &tx, &ty, &folds);
-        let scores = search.best_scores;
-        model_reports.push(ModelReport {
-            model: kind.cli_name().to_string(),
-            display_name: kind.display_name().to_string(),
-            best_params: search.best_params.label().to_string(),
-            cv_mae: scores.mae,
-            cv_max: scores.max,
-            cv_rmse: scores.rmse,
-            cv_ev: scores.ev,
-            cv_r2: scores.r2,
-        });
-        if best.as_ref().is_none_or(|(r2, _)| scores.r2 > *r2) {
-            best = Some((scores.r2, search.best_params));
-        }
-    }
-    let (_, winner) = best.expect("at least one model evaluated");
+    let recorder = ffr_obs::Recorder::disabled();
+    let (model_reports, winner) = select_model(options, &tx, &ty, &folds, &recorder);
 
     // Per-train-circuit holdout quality of the winner: refit on the other
     // circuits, score on the held-out one (the LOCO folds, reused).

@@ -49,7 +49,7 @@ use std::collections::HashSet;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -104,6 +104,10 @@ pub trait WorkSource: Sync {
     fn parallelism_hint(&self) -> usize;
 }
 
+/// Injection points claimed per work-steal off the [`CursorSource`]
+/// (small = better balance, large = less cursor contention).
+const STEAL_CHUNK: usize = 4;
+
 /// The in-process work source: pending point indices behind a shared
 /// atomic cursor, claimed in small chunks (work stealing). Per-point cost
 /// varies wildly under adaptive stopping, so small dynamic chunks beat a
@@ -112,13 +116,11 @@ pub trait WorkSource: Sync {
 pub struct CursorSource {
     pending: Vec<usize>,
     cursor: AtomicUsize,
-    chunk: usize,
 }
 
 impl CursorSource {
-    /// A source over every incomplete point of `checkpoint`, claimed
-    /// `steal_chunk` at a time.
-    pub fn new(checkpoint: &CampaignCheckpoint, steal_chunk: usize) -> CursorSource {
+    /// A source over every incomplete point of `checkpoint`.
+    pub fn new(checkpoint: &CampaignCheckpoint) -> CursorSource {
         CursorSource {
             pending: checkpoint
                 .points
@@ -128,18 +130,17 @@ impl CursorSource {
                 .map(|(i, _)| i)
                 .collect(),
             cursor: AtomicUsize::new(0),
-            chunk: steal_chunk.max(1),
         }
     }
 }
 
 impl WorkSource for CursorSource {
     fn claim(&self) -> io::Result<Vec<usize>> {
-        let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
+        let start = self.cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
         if start >= self.pending.len() {
             return Ok(Vec::new());
         }
-        Ok(self.pending[start..(start + self.chunk).min(self.pending.len())].to_vec())
+        Ok(self.pending[start..(start + STEAL_CHUNK).min(self.pending.len())].to_vec())
     }
 
     fn parallelism_hint(&self) -> usize {
@@ -167,11 +168,6 @@ pub struct LeaseRecord {
 }
 
 impl LeaseRecord {
-    /// The leased point-index range.
-    pub fn range(&self) -> Range<usize> {
-        self.range_start..self.range_end
-    }
-
     /// The TTL the lease was written with, recovered from its stamps.
     ///
     /// Both stamps come from the *holder's* clock, so their difference is
@@ -179,17 +175,6 @@ impl LeaseRecord {
     /// either stamp on its own.
     pub fn ttl(&self) -> Duration {
         Duration::from_secs(self.expires_unix.saturating_sub(self.acquired_unix).max(1))
-    }
-
-    /// `true` once the lease's expiry stamp has passed `now_unix`.
-    ///
-    /// **Diagnostic only.** The stamps were written by the holder's clock
-    /// and `now_unix` comes from ours; across hosts with skewed clocks
-    /// this misclassifies live leases as expired (and vice versa).
-    /// Reclaim decisions use [`LeaseRecord::expired_by_age`] instead,
-    /// which only compares durations observed on the local filesystem.
-    pub fn is_expired(&self, now_unix: u64) -> bool {
-        now_unix > self.expires_unix
     }
 
     /// `true` once the lease file has gone longer than its TTL without a
@@ -473,11 +458,6 @@ impl LeaseQueue {
         self
     }
 
-    /// The lease ranges of this campaign.
-    pub fn ranges(&self) -> &[Range<usize>] {
-        &self.ranges
-    }
-
     fn lease_path(&self, index: usize) -> PathBuf {
         self.leases_dir.join(lease_file_name(&self.ranges[index]))
     }
@@ -708,6 +688,22 @@ impl LeaseQueue {
         Ok(())
     }
 
+    /// Heartbeat the held leases every `ttl / 3` for as long as `running`
+    /// is set (the body of a worker's heartbeat thread). A missed
+    /// heartbeat is survivable: the lease expires and the range is
+    /// recomputed identically elsewhere.
+    pub(crate) fn heartbeat_while(&self, running: &AtomicBool) {
+        let interval = (self.ttl / 3).max(Duration::from_millis(50));
+        let mut last = std::time::Instant::now();
+        while running.load(Ordering::Relaxed) {
+            std::thread::sleep(Duration::from_millis(25));
+            if last.elapsed() >= interval {
+                let _ = self.refresh_held();
+                last = std::time::Instant::now();
+            }
+        }
+    }
+
     /// Release every lease this process still holds *without* completing
     /// it (graceful shutdown or error unwind): the partial shard stays on
     /// disk, so the next claimer resumes mid-plan instead of waiting out
@@ -746,25 +742,6 @@ impl LeaseQueue {
             self.recorder.count("shard.flushes", 1);
         }
         Ok(())
-    }
-
-    /// `true` once every lease range has a complete shard on disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn all_ranges_complete(&self) -> io::Result<bool> {
-        let mut state = self.state.lock().expect("queue lock");
-        for index in 0..self.ranges.len() {
-            if state.complete.contains(&index) {
-                continue;
-            }
-            if !self.shard_complete_on_disk(index) {
-                return Ok(false);
-            }
-            state.complete.insert(index);
-        }
-        Ok(true)
     }
 }
 
@@ -983,7 +960,7 @@ mod tests {
     fn cursor_source_hands_out_disjoint_chunks() {
         let mut cp = checkpoint(10);
         cp.points[3].complete = true;
-        let source = CursorSource::new(&cp, 4);
+        let source = CursorSource::new(&cp);
         let mut seen = Vec::new();
         loop {
             let chunk = source.claim().unwrap();
@@ -1032,7 +1009,6 @@ mod tests {
         assert_eq!(shards.len(), 1);
         assert!(shards[0].is_complete());
         assert_eq!(shards[0].worker, "w");
-        assert!(q.all_ranges_complete().unwrap());
         // Drained: nothing left to claim.
         assert!(q.claim().unwrap().is_empty());
     }

@@ -281,7 +281,7 @@ fn adaptive_cli_campaign_completes_and_saves_injections() {
     let adaptive_out = base.join("adaptive");
     for (out, extra) in [
         (&fixed_out, vec!["--injections", "256"]),
-        (&adaptive_out, vec!["--adaptive", "64:256:0.06"]),
+        (&adaptive_out, vec!["--policy", "wilson:0.06@95:64..256"]),
     ] {
         let out_s = out.to_string_lossy().into_owned();
         let mut args = vec![
