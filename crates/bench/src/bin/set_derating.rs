@@ -3,7 +3,7 @@
 //!
 //! Runs the resumable-engine SET campaign over the MAC's combinational
 //! nets (cached in the artifact store), the ML-assisted SEU estimation
-//! flow, and folds both into a circuit-level functional failure rate via
+//! pipeline, and folds both into a circuit-level functional failure rate via
 //! [`SoftErrorEstimate`] — the cross-layer picture the follow-up work
 //! needs on top of the paper's SEU-only evaluation.
 //!
@@ -12,7 +12,10 @@
 
 use ffr_bench::{golden_run, load_or_run_set_table, mac_setup, Scale};
 use ffr_circuits::MacJudge;
-use ffr_core::{EstimationFlow, FlowConfig, ModelKind, RawEventRates, SoftErrorEstimate};
+use ffr_core::{measured_rows, ModelKind, RawEventRates, SoftErrorEstimate};
+use ffr_fault::{Campaign, CampaignConfig};
+use ffr_ml::model_selection::{train_test_split, StratifiedKFold};
+use ffr_netlist::FfId;
 
 fn main() {
     let scale = Scale::from_env();
@@ -40,16 +43,38 @@ fn main() {
     // SEU side: inject a training fraction, predict the rest.
     let golden = golden_run(&setup);
     let judge = MacJudge::new(setup.extractor.clone(), &golden);
-    let flow = EstimationFlow::with_golden(&setup.cc, &setup.tb, &setup.watch, &judge, golden);
-    let config = FlowConfig {
-        training_fraction: 0.3,
-        injections_per_ff: scale.injections_per_ff(),
-        window: setup.tb.injection_window(),
-        seed: 2019,
-    };
-    let estimation = flow.estimate(ModelKind::Knn, &config);
-    println!("\n=== SEU estimation flow (30% trained, k-NN) ===");
-    println!("circuit-level FDR: {:.4}", estimation.circuit_fdr());
+    let features = ffr_features::extract_features(&setup.cc, &golden.activity);
+    let campaign = Campaign::with_golden(&setup.cc, &setup.tb, &setup.watch, &judge, golden);
+    let num_ffs = setup.cc.num_ffs();
+    let (subset, _) = train_test_split(num_ffs, 0.3, 2019);
+    let subset: Vec<FfId> = subset.into_iter().map(FfId::from_index).collect();
+    let config = CampaignConfig::new(setup.tb.injection_window())
+        .with_injections(scale.injections_per_ff())
+        .with_seed(2019);
+    let table = campaign.run_parallel_subset(&subset, &config, |_, _| {});
+    let rows = features.to_rows();
+    let (tx, ty) = measured_rows(&table, &rows);
+    let estimate = ffr_core::estimate(
+        &tx,
+        &ty,
+        &StratifiedKFold::new(5, 2019).split(&ty),
+        &[ModelKind::Knn],
+        1,
+        &rows,
+        &ffr_obs::Recorder::disabled(),
+    );
+    let estimation: Vec<f64> = (0..num_ffs)
+        .map(|i| {
+            table
+                .fdr(FfId::from_index(i))
+                .unwrap_or(estimate.predictions[i])
+        })
+        .collect();
+    println!("\n=== SEU estimation pipeline (30% trained, k-NN) ===");
+    println!(
+        "circuit-level FDR: {:.4}",
+        estimation.iter().sum::<f64>() / num_ffs as f64
+    );
 
     // Combined: generic per-site raw rates (unit: arbitrary, e.g. FIT).
     // Quick scale subsamples the SET nets, so extrapolate the covered

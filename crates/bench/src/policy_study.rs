@@ -299,7 +299,7 @@ pub fn run_study(config: &StudyConfig) -> io::Result<PolicyStudy> {
         config.circuit, config.policies[0]
     );
     let (reference, reference_fingerprint, reference_wall_ms) = run_cell(&reference_request)?;
-    let reference_injections: usize = reference.covered().map(|r| r.injections()).sum();
+    let reference_injections = reference.injections_spent();
     let reference_ffr = reference.circuit_fdr();
 
     let mut rows = Vec::new();
@@ -321,7 +321,7 @@ pub fn run_study(config: &StudyConfig) -> io::Result<PolicyStudy> {
             } else {
                 run_cell(&request)?
             };
-            let injections: usize = table.covered().map(|r| r.injections()).sum();
+            let injections = table.injections_spent();
             let (mean_err, max_err) = fdr_errors(&table, &reference);
             let circuit_ffr = table.circuit_fdr();
 

@@ -36,7 +36,6 @@ use crate::session::{self, CampaignManifest, RunRequest, SessionPaths, WorkerReq
 use crate::spec::CircuitSpec;
 use crate::store::ArtifactStore;
 use crate::work;
-use ffr_core::ModelKind;
 use ffr_fault::{FailureClass, FaultKind, FdrTable, SetDeratingTable};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -494,29 +493,12 @@ fn cmd_worker(mut args: Args) -> Result<i32, String> {
 /// `--store` and the campaign flags of store mode).
 fn estimate_options_from_args(args: &mut Args) -> Result<EstimateOptions, String> {
     let mut options = EstimateOptions::default();
-    if let Some(models) = args.value("models")? {
-        options.models = models
-            .split(',')
-            .map(|m| ModelKind::parse_cli(m.trim()))
-            .collect::<Result<Vec<_>, _>>()?;
-        if options.models.is_empty() {
-            return Err("--models needs at least one model".into());
+    for flag in ["models", "folds", "cv-seed", "grid"] {
+        if let Some(value) = args.value(flag)? {
+            options
+                .set(&flag.replace('-', "_"), &value)
+                .map_err(|e| format!("--{flag}: {e}"))?;
         }
-    }
-    if let Some(folds) = args.parsed::<usize>("folds")? {
-        if folds < 2 {
-            return Err("--folds must be at least 2".into());
-        }
-        options.folds = folds;
-    }
-    if let Some(seed) = args.parsed::<u64>("cv-seed")? {
-        options.cv_seed = seed;
-    }
-    if let Some(grid) = args.parsed::<usize>("grid")? {
-        if grid == 0 {
-            return Err("--grid must be positive".into());
-        }
-        options.grid_budget = grid;
     }
     options.force = args.present("force")?;
     Ok(options)
@@ -681,8 +663,7 @@ fn cmd_report(mut args: Args) -> Result<i32, String> {
                     println!("  {class:<20} {count}");
                 }
             }
-            let injections: usize = table.covered().map(|r| r.injections()).sum();
-            println!("total injections: {injections}");
+            println!("total injections: {}", table.injections_spent());
             println!("\nFDR histogram (10 bins):");
             print!("{}", table.histogram(10));
             if paths.estimate_json().exists() {

@@ -9,11 +9,12 @@
 //! 2. obtain the per-flip-flop feature matrix — served from the store
 //!    when cached (keyed by netlist hash + stimulus config + feature
 //!    schema version), otherwise extracted from the cached golden run,
-//! 3. run cross-validated model selection over a set of [`ModelKind`]s,
-//!    each with a small fixed-seed [`grid_search`] budget,
-//! 4. train the winning model on the measured subset and predict the FDR
-//!    of every unmeasured flip-flop
-//!    ([`Estimation::from_measured_with`]),
+//! 3. hand the measured rows, stratified CV folds and every flip-flop's
+//!    feature row to the workspace's one estimation pipeline
+//!    ([`ffr_core::estimate()`]): cross-validated model selection over a
+//!    set of [`ModelKind`]s, each with a small fixed-seed grid budget,
+//!    then the winner trained on the measured subset predicts every row,
+//! 4. overlay the measured values on the predictions,
 //! 5. emit a versioned [`EstimateReport`]: per-flip-flop FDRs with
 //!    provenance, per-model CV scores (the paper's Table I metrics),
 //!    the circuit-level FFR, and the injection savings vs a full
@@ -27,10 +28,11 @@
 use crate::session::{self, CampaignManifest, RunRequest, SessionPaths};
 use crate::spec::PreparedCircuit;
 use crate::store::{ArtifactKind, ArtifactStore, StoreKey};
-use ffr_core::{Estimation, ModelKind};
+use ffr_core::ModelKind;
 use ffr_fault::{FaultKind, FdrTable};
 use ffr_features::FeatureMatrix;
-use ffr_ml::model_selection::{grid_search, StratifiedKFold};
+use ffr_ml::model_selection::StratifiedKFold;
+use ffr_netlist::FfId;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -78,6 +80,45 @@ impl Default for EstimateOptions {
             store: None,
             force: false,
         }
+    }
+}
+
+impl EstimateOptions {
+    /// Set one model-selection knob from its textual form — the one
+    /// validating parser behind the `ffr estimate` / `ffr transfer` flags
+    /// (`--models`, `--folds`, `--grid`, `--cv-seed`) and the `ffrd`
+    /// `/estimate` query string (`models`, `folds`, `grid`, `cv_seed`).
+    ///
+    /// # Errors
+    ///
+    /// Refuses an unknown key, an unparsable value, an unknown or empty
+    /// model name, `folds < 2` and `grid = 0`; the message does not name
+    /// the key (callers prefix their own spelling of it).
+    pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let bad = |e: std::num::ParseIntError| e.to_string();
+        match key {
+            "models" => {
+                self.models = value
+                    .split(',')
+                    .map(|m| ModelKind::parse_cli(m.trim()))
+                    .collect::<Result<_, _>>()?;
+            }
+            "folds" => {
+                self.folds = value.parse().map_err(bad)?;
+                if self.folds < 2 {
+                    return Err("must be at least 2".into());
+                }
+            }
+            "grid" => {
+                self.grid_budget = value.parse().map_err(bad)?;
+                if self.grid_budget == 0 {
+                    return Err("must be positive".into());
+                }
+            }
+            "cv_seed" => self.cv_seed = value.parse().map_err(bad)?,
+            _ => return Err("unknown estimate option".into()),
+        }
+        Ok(())
     }
 }
 
@@ -213,6 +254,19 @@ pub struct EstimateSummary {
     pub features_from_cache: bool,
 }
 
+/// Everything one estimation needs, however its entry point found it
+/// (session directory or store alone).
+struct EstimateInputs {
+    prepared: PreparedCircuit,
+    circuit: String,
+    fingerprint: String,
+    budget: f64,
+    max_injections_per_point: usize,
+    table: FdrTable,
+    store: Option<ArtifactStore>,
+    recorder: ffr_obs::Recorder,
+}
+
 /// Run the estimation stage on a campaign session directory: read the
 /// manifest and partial FDR table, compute (or cache-serve) the report,
 /// and write `estimate.json` / `estimate.csv` next to the table.
@@ -236,15 +290,12 @@ pub fn estimate_session(out_dir: &Path, options: &EstimateOptions) -> io::Result
         ));
     }
     let circuit: crate::spec::CircuitSpec = manifest.circuit.parse().map_err(io::Error::other)?;
-    let prepared = circuit.prepare(manifest.stim_seed, manifest.cycles);
-    let store_path = options
+    let store = options
         .store
         .clone()
-        .or_else(|| manifest.store.as_ref().map(PathBuf::from));
-    let store = match &store_path {
-        Some(p) => Some(ArtifactStore::open(p)?),
-        None => None,
-    };
+        .or_else(|| manifest.store.as_ref().map(PathBuf::from))
+        .map(ArtifactStore::open)
+        .transpose()?;
 
     // The partial FDR table: the session file is authoritative; fall back
     // to the store (the table artifact shares the campaign fingerprint).
@@ -266,22 +317,21 @@ pub fn estimate_session(out_dir: &Path, options: &EstimateOptions) -> io::Result
         Err(e) => return Err(e),
     };
 
-    let recorder = ffr_obs::Recorder::for_session(out_dir, "estimate");
-    let mut summary = estimate_impl(
-        &prepared,
-        &manifest.circuit,
-        &manifest.fingerprint,
-        manifest.budget,
-        manifest.policy.max_injections,
-        &table,
-        store.as_ref(),
-        options,
-        &recorder,
-    )?;
+    let inputs = EstimateInputs {
+        prepared: circuit.prepare(manifest.stim_seed, manifest.cycles),
+        circuit: manifest.circuit,
+        fingerprint: manifest.fingerprint,
+        budget: manifest.budget,
+        max_injections_per_point: manifest.policy.max_injections,
+        table,
+        store,
+        recorder: ffr_obs::Recorder::for_session(out_dir, "estimate"),
+    };
+    let mut summary = inputs.estimate(options)?;
     summary.report.save_json(&paths.estimate_json())?;
     crate::store::atomic_write(&paths.estimate_csv(), &summary.report.to_csv())?;
     summary.json_path = Some(paths.estimate_json());
-    recorder.finish();
+    inputs.recorder.finish();
     Ok(summary)
 }
 
@@ -322,173 +372,209 @@ pub fn estimate_from_store(
                 store_path.display()
             ))
         })?;
-    estimate_impl(
-        &prepared,
-        &request.circuit.spec_string(),
-        &table_key.to_string(),
-        request.budget,
-        request.policy.max_injections,
-        &table,
-        Some(&store),
-        options,
-        &ffr_obs::Recorder::disabled(),
-    )
+    EstimateInputs {
+        prepared,
+        circuit: request.circuit.spec_string(),
+        fingerprint: table_key.to_string(),
+        budget: request.budget,
+        max_injections_per_point: request.policy.max_injections,
+        table,
+        store: Some(store),
+        recorder: ffr_obs::Recorder::disabled(),
+    }
+    .estimate(options)
 }
 
-/// Shared estimation core: model selection + prediction + report.
-#[allow(clippy::too_many_arguments)]
-fn estimate_impl(
-    prepared: &PreparedCircuit,
-    circuit: &str,
-    fingerprint: &str,
-    budget: f64,
-    max_injections_per_point: usize,
-    table: &FdrTable,
-    store: Option<&ArtifactStore>,
-    options: &EstimateOptions,
-    recorder: &ffr_obs::Recorder,
-) -> io::Result<EstimateSummary> {
-    if options.models.is_empty() {
-        return Err(io::Error::other("no models selected"));
+impl EstimateInputs {
+    /// Validate the inputs, then compute the report or serve it from
+    /// the store's report cache.
+    fn estimate(&self, options: &EstimateOptions) -> io::Result<EstimateSummary> {
+        if options.models.is_empty() {
+            return Err(io::Error::other("no models selected"));
+        }
+        check_trainable(&self.table, self.prepared.cc.num_ffs()).map_err(io::Error::other)?;
+
+        // Report cache: keyed by the campaign fingerprint plus every
+        // estimation knob.
+        let report_desc = format!(
+            "estimate;of={};models={};folds={};cv_seed={};grid={};report_v={REPORT_VERSION}",
+            self.fingerprint,
+            model_names(&options.models),
+            options.folds,
+            options.cv_seed,
+            options.grid_budget
+        );
+        let report_key = StoreKey::of(self.prepared.cc.netlist(), &report_desc);
+        let mut features_from_cache = false;
+        let (report, report_from_cache) = cached_report(
+            self.store.as_ref(),
+            ArtifactKind::Report,
+            &report_key,
+            options.force,
+            || self.compute(options, &mut features_from_cache),
+        )?;
+        Ok(EstimateSummary {
+            report,
+            json_path: None,
+            report_from_cache,
+            features_from_cache,
+        })
     }
-    let total_ffs = prepared.cc.num_ffs();
+
+    /// The computation behind the report cache: features →
+    /// [`ffr_core::estimate()`] over stratified folds → overlay the
+    /// measured values → report.
+    fn compute(
+        &self,
+        options: &EstimateOptions,
+        features_from_cache: &mut bool,
+    ) -> io::Result<EstimateReport> {
+        let (table, store) = (&self.table, self.store.as_ref());
+        let (features, from_cache) = load_or_extract_features(&self.prepared, store)?;
+        *features_from_cache = from_cache;
+        let rows = features.to_rows();
+        let (tx, ty) = ffr_core::measured_rows(table, &rows);
+        self.publish_dataset()?;
+
+        // Stratified CV over the measured subset (every fold sees the full
+        // FDR range); fold count clamps to the subset size.
+        let cv_folds = options.folds.clamp(2, ty.len());
+        let folds = StratifiedKFold::new(cv_folds, options.cv_seed).split(&ty);
+        let estimate = ffr_core::estimate(
+            &tx,
+            &ty,
+            &folds,
+            &options.models,
+            options.grid_budget,
+            &rows,
+            &self.recorder,
+        );
+
+        let per_ff: Vec<FfEstimateRow> = (0..rows.len())
+            .map(|index| {
+                let measured = table.fdr(FfId::from_index(index));
+                FfEstimateRow {
+                    ff: features.ff_names()[index].clone(),
+                    index,
+                    fdr: measured.unwrap_or(estimate.predictions[index]),
+                    measured: measured.is_some(),
+                }
+            })
+            .collect();
+        let injections_spent = table.injections_spent();
+        let full_campaign_injections = rows.len() * self.max_injections_per_point;
+        Ok(EstimateReport {
+            version: REPORT_VERSION,
+            circuit: self.circuit.clone(),
+            campaign_fingerprint: self.fingerprint.clone(),
+            budget: self.budget,
+            measured_ffs: ty.len(),
+            total_ffs: rows.len(),
+            cv_folds,
+            cv_seed: options.cv_seed,
+            models: model_reports(&estimate.models),
+            best_model: estimate.winner.kind().cli_name().to_string(),
+            measured_fdr_mean: table.circuit_fdr(),
+            circuit_ffr: per_ff.iter().map(|r| r.fdr).sum::<f64>() / rows.len() as f64,
+            injections_spent,
+            full_campaign_injections,
+            injection_savings: if injections_spent == 0 {
+                0.0
+            } else {
+                full_campaign_injections as f64 / injections_spent as f64
+            },
+            per_ff,
+        })
+    }
+
+    /// The train dataset rows `(ff index, measured FDR)` as a store
+    /// artifact, so external tooling can reproduce the training set of a
+    /// report.
+    fn publish_dataset(&self) -> io::Result<()> {
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        let dataset_key = StoreKey::of(
+            self.prepared.cc.netlist(),
+            &format!(
+                "train-dataset;of={};{}",
+                self.fingerprint,
+                ffr_features::schema_desc()
+            ),
+        );
+        let measured: Vec<(usize, f64)> = self
+            .table
+            .covered()
+            .map(|r| (r.ff().index(), r.fdr()))
+            .collect();
+        store.put(ArtifactKind::Dataset, &dataset_key, &measured)?;
+        Ok(())
+    }
+}
+
+/// Whether `table` can train a model for a circuit with `total_ffs`
+/// flip-flops: it must describe that circuit and cover at least two of
+/// them.
+pub(crate) fn check_trainable(table: &FdrTable, total_ffs: usize) -> Result<(), String> {
     if table.num_ffs() != total_ffs {
-        return Err(io::Error::other(format!(
+        return Err(format!(
             "FDR table covers {} flip-flops but the circuit has {total_ffs}",
             table.num_ffs()
-        )));
+        ));
     }
     let measured_ffs = table.covered().count();
     if measured_ffs < 2 {
-        return Err(io::Error::other(format!(
+        return Err(format!(
             "need at least 2 measured flip-flops to train on (got {measured_ffs})"
-        )));
+        ));
     }
-
-    // Report cache: keyed by the campaign fingerprint plus every
-    // estimation knob.
-    let model_names: Vec<&str> = options.models.iter().map(|m| m.cli_name()).collect();
-    let report_desc = format!(
-        "estimate;of={fingerprint};models={};folds={};cv_seed={};grid={};report_v={REPORT_VERSION}",
-        model_names.join(","),
-        options.folds,
-        options.cv_seed,
-        options.grid_budget
-    );
-    let report_key = StoreKey::of(prepared.cc.netlist(), &report_desc);
-    if !options.force {
-        if let Some(store) = store {
-            if let Some(report) = store.get::<EstimateReport>(ArtifactKind::Report, &report_key)? {
-                return Ok(EstimateSummary {
-                    report,
-                    json_path: None,
-                    report_from_cache: true,
-                    features_from_cache: false,
-                });
-            }
-        }
-    }
-
-    let (features, features_from_cache) = load_or_extract_features(prepared, store)?;
-
-    // Train/predict dataset: feature rows of the measured subset, paired
-    // with their measured FDRs.
-    let rows = features.to_rows();
-    let measured: Vec<(usize, f64)> = table.covered().map(|r| (r.ff().index(), r.fdr())).collect();
-    let tx: Vec<Vec<f64>> = measured.iter().map(|&(i, _)| rows[i].clone()).collect();
-    let ty: Vec<f64> = measured.iter().map(|&(_, v)| v).collect();
-    publish_dataset(prepared, fingerprint, store, &measured)?;
-
-    // Stratified CV over the measured subset (every fold sees the full
-    // FDR range); fold count clamps to the subset size.
-    let folds_n = options.folds.clamp(2, measured_ffs);
-    let folds = StratifiedKFold::new(folds_n, options.cv_seed).split(&ty);
-
-    let (model_reports, winner) = select_model(options, &tx, &ty, &folds, recorder);
-
-    let estimation = Estimation::from_measured_with(&features, table, &mut winner.build());
-    let per_ff: Vec<FfEstimateRow> = estimation
-        .per_ff
-        .iter()
-        .enumerate()
-        .map(|(i, e)| FfEstimateRow {
-            ff: features.ff_names()[i].clone(),
-            index: i,
-            fdr: e.value(),
-            measured: e.is_measured(),
-        })
-        .collect();
-
-    let injections_spent: usize = table.covered().map(|r| r.injections()).sum();
-    let full_campaign_injections = total_ffs * max_injections_per_point;
-    let report = EstimateReport {
-        version: REPORT_VERSION,
-        circuit: circuit.to_string(),
-        campaign_fingerprint: fingerprint.to_string(),
-        budget,
-        measured_ffs,
-        total_ffs,
-        cv_folds: folds_n,
-        cv_seed: options.cv_seed,
-        models: model_reports,
-        best_model: winner.kind().cli_name().to_string(),
-        measured_fdr_mean: table.circuit_fdr(),
-        circuit_ffr: estimation.circuit_fdr(),
-        injections_spent,
-        full_campaign_injections,
-        injection_savings: if injections_spent == 0 {
-            0.0
-        } else {
-            full_campaign_injections as f64 / injections_spent as f64
-        },
-        per_ff,
-    };
-    if let Some(store) = store {
-        store.put(ArtifactKind::Report, &report_key, &report)?;
-    }
-    Ok(EstimateSummary {
-        report,
-        json_path: None,
-        report_from_cache: false,
-        features_from_cache,
-    })
+    Ok(())
 }
 
-/// The one fit-select loop of `ffr estimate` and `ffr transfer`: a small
-/// grid search per selected model over `folds`, one [`ModelReport`] each,
-/// and the overall winner — highest CV R², first-listed wins ties. Each
-/// search is an `estimate.fit` span on `recorder`.
-pub(crate) fn select_model(
-    options: &EstimateOptions,
-    tx: &[Vec<f64>],
-    ty: &[f64],
-    folds: &[(Vec<usize>, Vec<usize>)],
-    recorder: &ffr_obs::Recorder,
-) -> (Vec<ModelReport>, ffr_core::ModelCandidate) {
-    let mut reports = Vec::with_capacity(options.models.len());
-    let mut best: Option<(f64, ffr_core::ModelCandidate)> = None;
-    for &kind in &options.models {
-        let grid = kind.small_grid(options.grid_budget);
-        let mut fit_span = recorder.span("estimate.fit");
-        fit_span.field("model", kind.cli_name());
-        let search = grid_search(&grid, |c| c.build(), tx, ty, folds);
-        drop(fit_span);
-        let scores = search.best_scores;
-        reports.push(ModelReport {
-            model: kind.cli_name().to_string(),
-            display_name: kind.display_name().to_string(),
-            best_params: search.best_params.label().to_string(),
-            cv_mae: scores.mae,
-            cv_max: scores.max,
-            cv_rmse: scores.rmse,
-            cv_ev: scores.ev,
-            cv_r2: scores.r2,
-        });
-        if best.as_ref().is_none_or(|(r2, _)| scores.r2 > *r2) {
-            best = Some((scores.r2, search.best_params));
+/// The report-cache discipline of `ffr estimate` and `ffr transfer`:
+/// serve `key` from the store unless `force`d, otherwise `compute` the
+/// report and publish it. Returns the report and whether it was
+/// cache-served.
+pub(crate) fn cached_report<R: Serialize + Deserialize>(
+    store: Option<&ArtifactStore>,
+    kind: ArtifactKind,
+    key: &StoreKey,
+    force: bool,
+    compute: impl FnOnce() -> io::Result<R>,
+) -> io::Result<(R, bool)> {
+    if let (Some(store), false) = (store, force) {
+        if let Some(report) = store.get::<R>(kind, key)? {
+            return Ok((report, true));
         }
     }
-    (reports, best.expect("at least one model evaluated").1)
+    let report = compute()?;
+    if let Some(store) = store {
+        store.put(kind, key, &report)?;
+    }
+    Ok((report, false))
+}
+
+/// The `models=` component of a report cache key.
+pub(crate) fn model_names(models: &[ModelKind]) -> String {
+    let names: Vec<&str> = models.iter().map(|m| m.cli_name()).collect();
+    names.join(",")
+}
+
+/// The pipeline's per-kind CV results in report form.
+pub(crate) fn model_reports(models: &[ffr_core::ModelCv]) -> Vec<ModelReport> {
+    models
+        .iter()
+        .map(|m| ModelReport {
+            model: m.best.kind().cli_name().to_string(),
+            display_name: m.best.kind().display_name().to_string(),
+            best_params: m.best.label().to_string(),
+            cv_mae: m.scores.mae,
+            cv_max: m.scores.max,
+            cv_rmse: m.scores.rmse,
+            cv_ev: m.scores.ev,
+            cv_r2: m.scores.r2,
+        })
+        .collect()
 }
 
 /// The feature matrix for a prepared circuit: served from the store when
@@ -516,26 +602,6 @@ pub(crate) fn load_or_extract_features(
         store.put(ArtifactKind::Features, &features_key, &features)?;
     }
     Ok((features, false))
-}
-
-/// The train dataset rows `(ff index, measured FDR)` as a store artifact,
-/// so external tooling can reproduce the training set of a report.
-fn publish_dataset(
-    prepared: &PreparedCircuit,
-    fingerprint: &str,
-    store: Option<&ArtifactStore>,
-    measured: &[(usize, f64)],
-) -> io::Result<()> {
-    let Some(store) = store else { return Ok(()) };
-    let dataset_key = StoreKey::of(
-        prepared.cc.netlist(),
-        &format!(
-            "train-dataset;of={fingerprint};{}",
-            ffr_features::schema_desc()
-        ),
-    );
-    store.put(ArtifactKind::Dataset, &dataset_key, &measured.to_vec())?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -588,6 +654,36 @@ mod tests {
             folds: 4,
             grid_budget: 2,
             ..EstimateOptions::default()
+        }
+    }
+
+    #[test]
+    fn option_setter_validates_every_knob() {
+        let mut options = EstimateOptions::default();
+        for (key, value) in [
+            ("models", "knn, forest"),
+            ("folds", "4"),
+            ("grid", "1"),
+            ("cv_seed", "9"),
+        ] {
+            options.set(key, value).unwrap();
+        }
+        assert_eq!(options.models, [ModelKind::Knn, ModelKind::RandomForest]);
+        assert_eq!(
+            (options.folds, options.grid_budget, options.cv_seed),
+            (4, 1, 9)
+        );
+        for (key, value) in [
+            ("modls", "linear"),
+            ("models", ""),
+            ("models", "knn,perceptron"),
+            ("folds", "1"),
+            ("folds", "many"),
+            ("grid", "0"),
+            ("cv_seed", "-1"),
+            ("force", "1"),
+        ] {
+            assert!(options.set(key, value).is_err(), "{key}={value}");
         }
     }
 

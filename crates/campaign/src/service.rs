@@ -559,8 +559,9 @@ fn campaign_status(id: &str, ctx: &ServiceCtx) -> Response {
 }
 
 /// Estimate options from an `/estimate` query string (e.g.
-/// `?models=linear,forest&grid=1&folds=4`). The same knobs as `ffr
-/// estimate`; unknown keys are refused so typos fail loudly.
+/// `?models=linear,forest&grid=1&folds=4`). The same knobs, parsed and
+/// validated by the same setter, as `ffr estimate`; unknown keys are
+/// refused so typos fail loudly.
 fn estimate_options_from_query(
     query: &str,
     ctx: &ServiceCtx,
@@ -573,33 +574,9 @@ fn estimate_options_from_query(
         let (key, value) = pair
             .split_once('=')
             .ok_or_else(|| format!("malformed query parameter `{pair}`"))?;
-        match key {
-            "models" => {
-                options.models = value
-                    .split(',')
-                    .map(|m| ffr_core::ModelKind::parse_cli(m.trim()))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.models.is_empty() {
-                    return Err("`models` needs at least one model".to_string());
-                }
-            }
-            "folds" => {
-                options.folds = value.parse().map_err(|e| format!("folds: {e}"))?;
-                if options.folds < 2 {
-                    return Err("`folds` must be at least 2".to_string());
-                }
-            }
-            "grid" => {
-                options.grid_budget = value.parse().map_err(|e| format!("grid: {e}"))?;
-                if options.grid_budget == 0 {
-                    return Err("`grid` must be positive".to_string());
-                }
-            }
-            "cv_seed" => {
-                options.cv_seed = value.parse().map_err(|e| format!("cv_seed: {e}"))?;
-            }
-            _ => return Err(format!("unknown query parameter `{key}`")),
-        }
+        options
+            .set(key, value)
+            .map_err(|e| format!("query parameter `{key}`: {e}"))?;
     }
     Ok(options)
 }
@@ -613,14 +590,16 @@ fn campaign_estimate(id: &str, query: &str, ctx: &ServiceCtx) -> Response {
     if !paths.manifest().is_file() {
         return Response::error(404, format!("no campaign `{id}`"));
     }
+    // The query is validated on every request, cached report or not: a
+    // typo must not turn into a 200 once `estimate.json` exists.
+    let options = match estimate_options_from_query(query, ctx) {
+        Ok(options) => options,
+        Err(e) => return Response::error(400, e),
+    };
     if !paths.estimate_json().is_file() {
         // Compute on first request. Concurrent requests may race the
         // computation; both write identical bytes via atomic renames,
         // so the race is benign (just redundant work).
-        let options = match estimate_options_from_query(query, ctx) {
-            Ok(options) => options,
-            Err(e) => return Response::error(400, e),
-        };
         if let Err(e) = crate::estimate::estimate_session(&dir, &options) {
             // Not estimable yet (incomplete campaign, SET session, …):
             // the resource exists but is not ready.

@@ -10,13 +10,17 @@
 //! 2. align the feature matrices under one verified schema
 //!    ([`ffr_features::align`]) and stack the measured rows with
 //!    per-circuit group labels,
-//! 3. select a model by **leave-one-circuit-out** cross-validation
-//!    ([`GroupKFold`]) — every candidate is scored only on circuits it
-//!    never trained on, the honest proxy for the transfer task,
-//! 4. train the winner on all measured rows and predict the per-FF FDR of
-//!    the evaluation circuit from its features alone — **zero fault
-//!    injections** on the target (one golden simulation supplies the
-//!    dynamic feature columns),
+//! 3. hand the stacked rows, **leave-one-circuit-out** folds
+//!    ([`GroupKFold`]) and the evaluation circuit's feature rows to the
+//!    workspace's one estimation pipeline ([`ffr_core::estimate()`]) —
+//!    the same call `ffr estimate` makes, with grouped folds (every
+//!    candidate is scored only on circuits it never trained on, the
+//!    honest proxy for the transfer task) and nothing measured on the
+//!    target,
+//! 4. the winner, trained on all measured rows, thereby predicts the
+//!    per-FF FDR of the evaluation circuit from its features alone —
+//!    **zero fault injections** on the target (one golden simulation
+//!    supplies the dynamic feature columns),
 //! 5. emit a versioned [`TransferReport`]: per-train-circuit holdout
 //!    metrics, the predicted FDR of every target flip-flop, the predicted
 //!    circuit FFR, and — when the store happens to hold a measured table
@@ -26,11 +30,15 @@
 //! so rerunning produces a **byte-identical** report; asserted end-to-end
 //! by `crates/campaign/tests/cli_transfer.rs`.
 
-use crate::estimate::{load_or_extract_features, select_model, EstimateOptions, ModelReport};
+use crate::estimate::{
+    cached_report, check_trainable, load_or_extract_features, model_names, model_reports,
+    EstimateOptions, ModelReport,
+};
 use crate::session::{self, RunRequest};
+use crate::spec::PreparedCircuit;
 use crate::store::{ArtifactKind, ArtifactStore, StoreKey};
 use ffr_fault::{FaultKind, FdrTable};
-use ffr_ml::model_selection::GroupKFold;
+use ffr_ml::model_selection::{take, GroupKFold};
 use ffr_ml::RegressionScores;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -178,16 +186,6 @@ pub struct TransferSummary {
     pub report_from_cache: bool,
 }
 
-/// One loaded training circuit: prepared design, measured table,
-/// verified features.
-struct TrainCircuit {
-    spec_string: String,
-    fingerprint: StoreKey,
-    table: FdrTable,
-    features: ffr_features::FeatureMatrix,
-    total_ffs: usize,
-}
-
 /// Run cross-circuit transfer estimation off the artifact store.
 ///
 /// Every request in `train` must correspond to a completed `ffr run`
@@ -247,140 +245,145 @@ pub fn transfer_from_store(
         .ok_or_else(|| io::Error::other("transfer requires --store"))?;
     let store = ArtifactStore::open(&store_path)?;
 
-    // Load every training circuit: measured table + verified features.
-    let mut circuits = Vec::with_capacity(train.len());
-    for request in train {
-        let prepared = request.circuit.prepare(request.stim_seed, request.cycles);
-        let fingerprint = session::campaign_table_key(request, &prepared);
-        let table: FdrTable = store
-            .get(ArtifactKind::FdrTable, &fingerprint)?
-            .ok_or_else(|| {
-                io::Error::other(format!(
-                    "store {} holds no FDR table for training circuit `{}` \
-                     (fingerprint {fingerprint}) — run `ffr run` with the same \
-                     parameters first",
-                    store_path.display(),
-                    request.circuit.spec_string()
-                ))
-            })?;
-        let total_ffs = prepared.cc.num_ffs();
-        if table.num_ffs() != total_ffs {
-            return Err(io::Error::other(format!(
-                "FDR table of `{}` covers {} flip-flops but the circuit has {total_ffs}",
-                request.circuit.spec_string(),
-                table.num_ffs()
-            )));
-        }
-        if table.covered().count() < 2 {
-            return Err(io::Error::other(format!(
-                "training circuit `{}` has fewer than 2 measured flip-flops",
-                request.circuit.spec_string()
-            )));
-        }
-        let (features, _) = load_or_extract_features(&prepared, Some(&store))?;
-        circuits.push(TrainCircuit {
-            spec_string: request.circuit.spec_string(),
-            fingerprint,
-            table,
-            features,
-            total_ffs,
-        });
-    }
-
-    // The evaluation circuit needs features only (golden simulation, zero
-    // injections) — plus its campaign fingerprint for the report cache
-    // key and the optional measured reference.
-    let eval_prepared = eval.circuit.prepare(eval.stim_seed, eval.cycles);
-    let eval_fingerprint = session::campaign_table_key(eval, &eval_prepared);
-
-    // Report cache: keyed by the evaluation netlist plus every input
-    // fingerprint and estimation knob.
-    let model_names: Vec<&str> = options.models.iter().map(|m| m.cli_name()).collect();
-    let train_prints: Vec<String> = circuits.iter().map(|c| c.fingerprint.to_string()).collect();
+    // Resolve fingerprints first: the report cache key needs nothing
+    // else, so a cache hit loads no table and no feature matrix.
+    let train: Vec<TransferCircuit> = train.iter().map(TransferCircuit::resolve).collect();
+    let eval = TransferCircuit::resolve(eval);
+    let train_prints: Vec<String> = train.iter().map(|c| c.fingerprint.to_string()).collect();
     let report_desc = format!(
-        "transfer;train={};of={eval_fingerprint};models={};cv_seed={};grid={};{};report_v={TRANSFER_VERSION}",
+        "transfer;train={};of={};models={};cv_seed={};grid={};{};report_v={TRANSFER_VERSION}",
         train_prints.join("+"),
-        model_names.join(","),
+        eval.fingerprint,
+        model_names(&options.models),
         options.cv_seed,
         options.grid_budget,
         ffr_features::schema_desc()
     );
-    let report_key = StoreKey::of(eval_prepared.cc.netlist(), &report_desc);
-    if !options.force {
-        if let Some(report) = store.get::<TransferReport>(ArtifactKind::Transfer, &report_key)? {
-            return Ok(TransferSummary {
-                report,
-                report_from_cache: true,
-            });
+    let report_key = StoreKey::of(eval.prepared.cc.netlist(), &report_desc);
+    let (report, report_from_cache) = cached_report(
+        Some(&store),
+        ArtifactKind::Transfer,
+        &report_key,
+        options.force,
+        || transfer(train, eval, &store, options),
+    )?;
+    Ok(TransferSummary {
+        report,
+        report_from_cache,
+    })
+}
+
+/// One circuit of a transfer run, resolved as far as the report cache
+/// key needs: prepared design + campaign fingerprint.
+struct TransferCircuit {
+    spec: String,
+    prepared: PreparedCircuit,
+    fingerprint: StoreKey,
+}
+
+impl TransferCircuit {
+    fn resolve(request: &RunRequest) -> TransferCircuit {
+        let prepared = request.circuit.prepare(request.stim_seed, request.cycles);
+        TransferCircuit {
+            spec: request.circuit.spec_string(),
+            fingerprint: session::campaign_table_key(request, &prepared),
+            prepared,
         }
     }
+}
 
-    let (eval_features, _) = load_or_extract_features(&eval_prepared, Some(&store))?;
+/// The transfer computation behind the report cache: load / align / stack
+/// the measured rows → [`ffr_core::estimate()`] over leave-one-circuit-out
+/// folds, target = every flip-flop of the evaluation circuit → report.
+fn transfer(
+    train: Vec<TransferCircuit>,
+    eval: TransferCircuit,
+    store: &ArtifactStore,
+    options: &EstimateOptions,
+) -> io::Result<TransferReport> {
+    // Every training circuit: measured table + features (its prepared
+    // design is dropped as soon as those are loaded).
+    let mut tables: Vec<FdrTable> = Vec::with_capacity(train.len());
+    let mut matrices = Vec::with_capacity(train.len());
+    let mut fingerprints = Vec::with_capacity(train.len());
+    for circuit in train {
+        let table: FdrTable = store
+            .get(ArtifactKind::FdrTable, &circuit.fingerprint)?
+            .ok_or_else(|| {
+                io::Error::other(format!(
+                    "store {} holds no FDR table for training circuit `{}` \
+                     (fingerprint {}) — run `ffr run` with the same parameters first",
+                    store.root().display(),
+                    circuit.spec,
+                    circuit.fingerprint
+                ))
+            })?;
+        check_trainable(&table, circuit.prepared.cc.num_ffs())
+            .map_err(|e| io::Error::other(format!("training circuit `{}`: {e}", circuit.spec)))?;
+        tables.push(table);
+        let (features, _) = load_or_extract_features(&circuit.prepared, Some(store))?;
+        fingerprints.push(circuit.fingerprint);
+        matrices.push((circuit.spec, features));
+    }
+
+    // The evaluation circuit needs features only (golden simulation, zero
+    // injections).
+    let (eval_features, _) = load_or_extract_features(&eval.prepared, Some(store))?;
     ffr_features::check_schema(&eval_features)
-        .map_err(|e| io::Error::other(format!("evaluation circuit `{eval_spec}`: {e}")))?;
+        .map_err(|e| io::Error::other(format!("evaluation circuit `{}`: {e}", eval.spec)))?;
 
-    // Align all training matrices under one schema, then keep only the
-    // measured rows (with their circuit group labels) for training.
-    let aligned = ffr_features::align(
-        &circuits
-            .iter()
-            .map(|c| (c.spec_string.clone(), c.features.clone()))
-            .collect::<Vec<_>>(),
-    )
-    .map_err(io::Error::other)?;
-    let measured_fdrs: Vec<std::collections::HashMap<usize, f64>> = circuits
-        .iter()
-        .map(|c| {
-            c.table
-                .covered()
-                .map(|r| (r.ff().index(), r.fdr()))
-                .collect()
-        })
-        .collect();
+    // Align all training matrices under one schema (stacked in circuit
+    // order, `FfId` order within each), then keep only the measured rows,
+    // labelled with their circuit group, for training.
+    let aligned = ffr_features::align(&matrices).map_err(io::Error::other)?;
     let mut tx: Vec<Vec<f64>> = Vec::new();
     let mut ty: Vec<f64> = Vec::new();
     let mut groups: Vec<usize> = Vec::new();
-    for (i, origin) in aligned.origins().iter().enumerate() {
-        let group = aligned.groups()[i];
-        if let Some(&fdr) = measured_fdrs[group].get(&origin.row) {
-            tx.push(aligned.rows()[i].clone());
-            ty.push(fdr);
-            groups.push(group);
-        }
+    let mut offset = 0;
+    for (group, table) in tables.iter().enumerate() {
+        let rows = &aligned.rows()[offset..offset + table.num_ffs()];
+        let (x, y) = ffr_core::measured_rows(table, rows);
+        groups.resize(groups.len() + y.len(), group);
+        tx.extend(x);
+        ty.extend(y);
+        offset += table.num_ffs();
     }
 
-    // Model selection by leave-one-circuit-out CV: every candidate is
-    // scored only on circuits it never trained on.
+    // Model selection by leave-one-circuit-out CV, the final fit on every
+    // measured row and the prediction of every evaluation flip-flop: the
+    // one estimation pipeline, with grouped folds and nothing measured on
+    // the target.
     let folds = GroupKFold::leave_one_out(&groups);
-    let cv_protocol = format!("loco:{}", circuits.len());
-    let recorder = ffr_obs::Recorder::disabled();
-    let (model_reports, winner) = select_model(options, &tx, &ty, &folds, &recorder);
+    let estimate = ffr_core::estimate(
+        &tx,
+        &ty,
+        &folds,
+        &options.models,
+        options.grid_budget,
+        &eval_features.to_rows(),
+        &ffr_obs::Recorder::disabled(),
+    );
+    let predictions = &estimate.predictions;
+    let predicted_ffr = mean(predictions);
 
     // Per-train-circuit holdout quality of the winner: refit on the other
-    // circuits, score on the held-out one (the LOCO folds, reused).
-    let mut train_reports = Vec::with_capacity(circuits.len());
-    for (fold, circuit) in folds.iter().zip(&circuits) {
-        let (train_idx, test_idx) = fold;
-        let ftx: Vec<Vec<f64>> = train_idx.iter().map(|&i| tx[i].clone()).collect();
-        let fty: Vec<f64> = train_idx.iter().map(|&i| ty[i]).collect();
-        let vtx: Vec<Vec<f64>> = test_idx.iter().map(|&i| tx[i].clone()).collect();
-        let vty: Vec<f64> = test_idx.iter().map(|&i| ty[i]).collect();
-        let mut model = winner.build();
-        model.fit(&ftx, &fty);
-        let predictions: Vec<f64> = model
-            .predict(&vtx)
-            .into_iter()
-            .map(|p| p.clamp(0.0, 1.0))
-            .collect();
-        let scores = RegressionScores::compute(&vty, &predictions);
+    // circuits, score on the held-out one (the LOCO folds, reused — one
+    // per circuit, in circuit order).
+    let mut train_reports = Vec::with_capacity(tables.len());
+    for (i, (train_idx, test_idx)) in folds.iter().enumerate() {
+        let table = &tables[i];
+        let (ftx, fty) = take(&tx, &ty, train_idx);
+        let (vtx, vty) = take(&tx, &ty, test_idx);
+        let held_out = ffr_core::fit_predict(&estimate.winner, &ftx, &fty, &vtx);
+        let scores = RegressionScores::compute(&vty, &held_out);
         let measured_ffr = mean(&vty);
-        let predicted_ffr = mean(&predictions);
+        let predicted_ffr = mean(&held_out);
         train_reports.push(TrainCircuitReport {
-            circuit: circuit.spec_string.clone(),
-            fingerprint: circuit.fingerprint.to_string(),
-            measured_ffs: circuit.table.covered().count(),
-            total_ffs: circuit.total_ffs,
-            injections_spent: circuit.table.covered().map(|r| r.injections()).sum(),
+            circuit: matrices[i].0.clone(),
+            fingerprint: fingerprints[i].to_string(),
+            measured_ffs: table.covered().count(),
+            total_ffs: table.num_ffs(),
+            injections_spent: table.injections_spent(),
             holdout_mae: scores.mae,
             holdout_rmse: scores.rmse,
             holdout_r2: scores.r2,
@@ -390,38 +393,19 @@ pub fn transfer_from_store(
         });
     }
 
-    // The transfer itself: train on every measured row, predict every
-    // flip-flop of the evaluation circuit from features alone.
-    let mut model = winner.build();
-    model.fit(&tx, &ty);
-    let predictions: Vec<f64> = model
-        .predict(&eval_features.to_rows())
-        .into_iter()
-        .map(|p| p.clamp(0.0, 1.0))
-        .collect();
-    let predicted_ffr = mean(&predictions);
-    let per_ff: Vec<TransferFfRow> = predictions
-        .iter()
-        .enumerate()
-        .map(|(i, &fdr)| TransferFfRow {
-            ff: eval_features.ff_names()[i].clone(),
-            index: i,
-            fdr,
-        })
-        .collect();
-
     // Measured reference, when the store already holds a table for the
     // evaluation campaign (e.g. a validation measurement).
     let reference = store
-        .get::<FdrTable>(ArtifactKind::FdrTable, &eval_fingerprint)?
+        .get::<FdrTable>(ArtifactKind::FdrTable, &eval.fingerprint)?
         .map(|table| {
-            let covered: Vec<(usize, f64)> =
-                table.covered().map(|r| (r.ff().index(), r.fdr())).collect();
-            let measured: Vec<f64> = covered.iter().map(|&(_, v)| v).collect();
-            let predicted: Vec<f64> = covered.iter().map(|&(i, _)| predictions[i]).collect();
+            let measured: Vec<f64> = table.covered().map(|r| r.fdr()).collect();
+            let predicted: Vec<f64> = table
+                .covered()
+                .map(|r| predictions[r.ff().index()])
+                .collect();
             let scores = RegressionScores::compute(&measured, &predicted);
             ReferenceComparison {
-                measured_ffs: covered.len(),
+                measured_ffs: measured.len(),
                 measured_ffr: table.circuit_fdr(),
                 mae: scores.mae,
                 rmse: scores.rmse,
@@ -430,31 +414,31 @@ pub fn transfer_from_store(
             }
         });
 
-    let report = TransferReport {
+    Ok(TransferReport {
         version: TRANSFER_VERSION,
         schema: ffr_features::schema_desc(),
         train: train_reports,
-        eval_circuit: eval_spec,
-        eval_fingerprint: eval_fingerprint.to_string(),
-        eval_total_ffs: eval_prepared.cc.num_ffs(),
-        cv_protocol,
+        eval_circuit: eval.spec,
+        eval_fingerprint: eval.fingerprint.to_string(),
+        eval_total_ffs: eval.prepared.cc.num_ffs(),
+        cv_protocol: format!("loco:{}", tables.len()),
         cv_seed: options.cv_seed,
-        models: model_reports,
-        best_model: winner.kind().cli_name().to_string(),
+        models: model_reports(&estimate.models),
+        best_model: estimate.winner.kind().cli_name().to_string(),
         train_rows: tx.len(),
-        injections_spent: circuits
-            .iter()
-            .map(|c| c.table.covered().map(|r| r.injections()).sum::<usize>())
-            .sum(),
+        injections_spent: tables.iter().map(FdrTable::injections_spent).sum(),
         eval_injections: 0,
         predicted_ffr,
         reference,
-        per_ff,
-    };
-    store.put(ArtifactKind::Transfer, &report_key, &report)?;
-    Ok(TransferSummary {
-        report,
-        report_from_cache: false,
+        per_ff: predictions
+            .iter()
+            .enumerate()
+            .map(|(index, &fdr)| TransferFfRow {
+                ff: eval_features.ff_names()[index].clone(),
+                index,
+                fdr,
+            })
+            .collect(),
     })
 }
 
@@ -545,10 +529,15 @@ mod tests {
         assert!(report.reference.is_none(), "eval circuit never measured");
         assert!(report.train_rows >= report.train.iter().map(|t| t.measured_ffs).sum::<usize>());
 
-        // Rerun is cache-served and identical.
+        // Rerun is cache-served and identical — and the cache is probed
+        // before any input is loaded: with the feature artifacts gone, a
+        // hit neither needs nor re-extracts them.
+        let features_dir = store.join(ArtifactKind::Features.dir_name());
+        std::fs::remove_dir_all(&features_dir).unwrap();
         let summary2 = transfer_from_store(&train, &eval, &options).unwrap();
         assert!(summary2.report_from_cache);
         assert_eq!(summary2.report, summary.report);
+        assert!(!features_dir.exists(), "a cache hit must not load features");
 
         // A forced rerun recomputes to the same report (determinism).
         let forced = EstimateOptions {

@@ -256,6 +256,12 @@ fn ffrd_submit_drain_sigkill_estimate_end_to_end() {
     let (status, body) = http(&addr, "GET", estimate_path, "");
     assert_eq!(status, 200);
     assert_eq!(first, body, "cached estimate must be byte-identical");
+    // The query is validated on every request: once `estimate.json`
+    // exists a typo is still a 400, not a 200 carrying the cached report.
+    for bad in ["modls=linear", "folds=1", "grid=0", "models="] {
+        let (status, body) = http(&addr, "GET", &format!("/campaigns/mac/estimate?{bad}"), "");
+        assert_eq!(status, 400, "?{bad}: {body}");
+    }
 
     // Both campaigns are visible behind the one server.
     let (status, body) = http(&addr, "GET", "/campaigns", "");

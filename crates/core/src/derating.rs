@@ -3,7 +3,7 @@
 //!
 //! The paper estimates the SEU side: per-flip-flop Functional De-Rating
 //! factors, measured on a training subset and predicted for the rest
-//! ([`EstimationFlow`](crate::EstimationFlow)). The follow-up cross-layer
+//! ([`estimate()`](crate::estimate())). The follow-up cross-layer
 //! work additionally needs the transient (SET) contribution: per-net
 //! logical de-rating factors from a combinational-net campaign
 //! ([`SetDeratingTable`]). This module folds both tables with raw event
@@ -17,8 +17,7 @@
 //! transient rate per combinational net (both in the caller's unit of
 //! choice, e.g. FIT per site).
 
-use crate::flow::Estimation;
-use ffr_fault::{FdrTable, SetDeratingTable};
+use ffr_fault::SetDeratingTable;
 
 /// Raw single-event rates per site, before functional de-rating.
 ///
@@ -58,34 +57,23 @@ impl SoftErrorEstimate {
         }
     }
 
-    /// Combine an ML-assisted SEU estimation (measured + predicted FDR
-    /// for every flip-flop) with a SET de-rating table.
+    /// Combine per-flip-flop SEU FDRs with a SET de-rating table.
     ///
-    /// This is how a SET campaign feeds the estimation flow: the flow
-    /// supplies the per-flip-flop side, the resumable SET campaign (`ffr
-    /// run --fault set`) supplies the per-net side.
+    /// `per_ff_fdr` holds one value per flip-flop, however obtained: an
+    /// ML-assisted estimation (measured subset + predictions — this is
+    /// how a SET campaign feeds the estimation pipeline) or a fully
+    /// measured table's [`FdrTable::dense_fdr`](ffr_fault::FdrTable::dense_fdr)
+    /// (the paper's flat-campaign baseline). The resumable SET campaign
+    /// (`ffr run --fault set`) supplies the per-net side.
     pub fn from_estimation(
-        estimation: &Estimation,
+        per_ff_fdr: &[f64],
         set: &SetDeratingTable,
         rates: &RawEventRates,
     ) -> SoftErrorEstimate {
-        let seu_sum: f64 = estimation.values().iter().sum();
-        SoftErrorEstimate::from_sums(seu_sum, set, rates)
-    }
-
-    /// Combine a fully measured SEU FDR table (the paper's flat-campaign
-    /// baseline) with a SET de-rating table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FDR table does not cover every flip-flop.
-    pub fn from_tables(
-        fdr: &FdrTable,
-        set: &SetDeratingTable,
-        rates: &RawEventRates,
-    ) -> SoftErrorEstimate {
-        let seu_sum: f64 = fdr.dense_fdr().iter().sum();
-        SoftErrorEstimate::from_sums(seu_sum, set, rates)
+        SoftErrorEstimate {
+            seu_failure_rate: rates.seu_per_ff * per_ff_fdr.iter().sum::<f64>(),
+            set_failure_rate: rates.set_per_net * set.covered().map(|r| r.derating()).sum::<f64>(),
+        }
     }
 
     /// Like [`SoftErrorEstimate::from_estimation`], but for a SET table
@@ -97,23 +85,14 @@ impl SoftErrorEstimate {
     /// With `set_population == set.num_nets()` this equals
     /// [`SoftErrorEstimate::from_estimation`] exactly.
     pub fn from_estimation_sampled(
-        estimation: &Estimation,
+        per_ff_fdr: &[f64],
         set: &SetDeratingTable,
         rates: &RawEventRates,
         set_population: usize,
     ) -> SoftErrorEstimate {
-        let seu_sum: f64 = estimation.values().iter().sum();
         SoftErrorEstimate {
-            seu_failure_rate: rates.seu_per_ff * seu_sum,
+            seu_failure_rate: rates.seu_per_ff * per_ff_fdr.iter().sum::<f64>(),
             set_failure_rate: rates.set_per_net * set.circuit_derating() * set_population as f64,
-        }
-    }
-
-    fn from_sums(seu_sum: f64, set: &SetDeratingTable, rates: &RawEventRates) -> SoftErrorEstimate {
-        let set_sum: f64 = set.covered().map(|r| r.derating()).sum();
-        SoftErrorEstimate {
-            seu_failure_rate: rates.seu_per_ff * seu_sum,
-            set_failure_rate: rates.set_per_net * set_sum,
         }
     }
 }
@@ -121,7 +100,7 @@ impl SoftErrorEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffr_fault::{FailureClass, FfCampaignResult, NetSetResult};
+    use ffr_fault::{FailureClass, FdrTable, FfCampaignResult, NetSetResult};
     use ffr_netlist::{FfId, NetId};
 
     fn counts(benign: usize, fail: usize) -> [usize; FailureClass::ALL.len()] {
@@ -153,7 +132,7 @@ mod tests {
             seu_per_ff: 10.0,
             set_per_net: 2.0,
         };
-        let est = SoftErrorEstimate::from_tables(&fdr, &set, &rates);
+        let est = SoftErrorEstimate::from_estimation(&fdr.dense_fdr(), &set, &rates);
         assert!((est.seu_failure_rate - 15.0).abs() < 1e-12);
         assert!((est.set_failure_rate - 0.5).abs() < 1e-12);
         assert!((est.total() - 15.5).abs() < 1e-12);
@@ -173,12 +152,8 @@ mod tests {
             seu_per_ff: 0.0,
             set_per_net: 2.0,
         };
-        // Fake estimation with no flip-flops: only the SET side matters.
-        let estimation = Estimation {
-            per_ff: vec![],
-            trained_ffs: vec![],
-            measured: FdrTable::from_results(0, vec![], 8),
-        };
+        // No flip-flops: only the SET side matters.
+        let estimation: [f64; 0] = [];
         // 2 covered nets standing in for a population of 16: mean 0.125
         // de-rating × 16 sites × rate 2.0 = 4.0 (8× the covered-only sum).
         let est = SoftErrorEstimate::from_estimation_sampled(&estimation, &set, &rates, 16);
@@ -197,7 +172,7 @@ mod tests {
             seu_per_ff: 10.0,
             set_per_net: 2.0,
         };
-        let est = SoftErrorEstimate::from_tables(&fdr, &set, &rates);
+        let est = SoftErrorEstimate::from_estimation(&fdr.dense_fdr(), &set, &rates);
         assert_eq!(est.total(), 0.0);
         assert_eq!(est.set_share(), 0.0);
     }

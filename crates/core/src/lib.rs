@@ -22,8 +22,10 @@
 //! * [`evaluate_model`] / [`compare_models`] — Table I,
 //! * [`prediction_report`] — Figs. 2a/3a/4a,
 //! * [`model_learning_curve`] — Figs. 2b/3b/4b,
-//! * [`EstimationFlow`] — the production flow: inject a fraction, predict
-//!   the rest,
+//! * [`estimate()`] — the production pipeline behind `ffr estimate`,
+//!   `ffr transfer` and in-memory use: cross-validated model selection on
+//!   the measured flip-flops ([`measured_rows`]), then fit the winner and
+//!   predict the rest ([`fit_predict`]),
 //! * [`SoftErrorEstimate`] — fold the SEU estimates and a SET de-rating
 //!   table (from `ffr run --fault set`) into one circuit-level
 //!   functional failure rate,
@@ -34,14 +36,14 @@
 
 mod dataset;
 mod derating;
-mod flow;
+mod estimate;
 mod models;
 mod report;
 pub mod savings;
 
 pub use dataset::ReferenceDataset;
 pub use derating::{RawEventRates, SoftErrorEstimate};
-pub use flow::{Estimation, EstimationFlow, FdrEstimate, FlowConfig};
+pub use estimate::{estimate, fit_predict, measured_rows, Estimate, ModelCv};
 pub use models::{DecisionTreeParams, KnnParams, ModelCandidate, ModelKind, SvrParams};
 pub use report::{
     compare_models, evaluate_model, model_learning_curve, prediction_report, LearningCurveReport,

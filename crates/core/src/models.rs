@@ -235,13 +235,6 @@ impl ModelKind {
         grid
     }
 
-    /// Fit this kind's tuned default model on `(x, y)` and predict
-    /// `x_predict` — the fixed-seed [`ffr_ml::fit_predict`] facade indexed
-    /// by model kind. Reruns are bit-identical.
-    pub fn fit_predict(self, x: &[Vec<f64>], y: &[f64], x_predict: &[Vec<f64>]) -> Vec<f64> {
-        ffr_ml::fit_predict(self.build(), x, y, x_predict)
-    }
-
     /// k-NN hyperparameter grid used by the tuning experiment (§IV-B.2).
     pub fn knn_grid() -> Vec<KnnParams> {
         let mut grid = Vec::new();
@@ -448,20 +441,6 @@ mod tests {
             }
             // A budget of one keeps only the tuned default.
             assert_eq!(kind.small_grid(1).len(), 1);
-        }
-    }
-
-    #[test]
-    fn fit_predict_is_deterministic_per_kind() {
-        let x: Vec<Vec<f64>> = (0..24)
-            .map(|i| vec![(i % 5) as f64, (i % 3) as f64])
-            .collect();
-        let y: Vec<f64> = x.iter().map(|r| (r[0] * 0.2).min(1.0)).collect();
-        let px: Vec<Vec<f64>> = vec![vec![1.0, 2.0], vec![4.0, 0.0]];
-        for kind in [ModelKind::RandomForest, ModelKind::Mlp, ModelKind::Knn] {
-            let a = kind.fit_predict(&x, &y, &px);
-            let b = kind.fit_predict(&x, &y, &px);
-            assert_eq!(a, b, "{kind}");
         }
     }
 

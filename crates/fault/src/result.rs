@@ -171,6 +171,13 @@ impl FdrTable {
         }
     }
 
+    /// Fault-injection simulations the table actually spent: the sum of
+    /// the covered flip-flops' injections (under an adaptive stopping
+    /// policy this is less than `covered × injections_per_ff`).
+    pub fn injections_spent(&self) -> usize {
+        self.covered().map(|r| r.injections()).sum()
+    }
+
     /// Total per-class tallies over covered flip-flops.
     pub fn class_totals(&self) -> Vec<(FailureClass, usize)> {
         FailureClass::ALL
@@ -312,6 +319,11 @@ mod tests {
         assert_eq!(table.fdr(FfId::from_index(2)), Some(1.0));
         assert_eq!(table.covered().count(), 2);
         assert!((table.circuit_fdr() - 0.5).abs() < 1e-12);
+        // Measured spend, not `covered × injections_per_ff`: an adaptive
+        // policy may retire flip-flops at different counts.
+        let uneven = FdrTable::from_results(3, vec![result(0, 6, 0, 0), result(2, 0, 10, 0)], 10);
+        assert_eq!(uneven.injections_spent(), 16);
+        assert_eq!(table.injections_spent(), 20);
         let totals = table.class_totals();
         assert_eq!(totals[FailureClass::Benign.tally_index()].1, 10);
     }

@@ -1,13 +1,14 @@
 //! Bring your own circuit: build a custom design with the RTL builder,
 //! round-trip it through structural Verilog, extract the paper's
-//! 25 features and run the full ML-assisted estimation flow on it.
+//! 25 features and run the full ML-assisted estimation pipeline on it.
 //!
 //! Run: `cargo run --release --example custom_circuit`
 
-use ffr_core::{EstimationFlow, FlowConfig, ModelKind};
-use ffr_fault::OutputMismatchJudge;
+use ffr_core::{measured_rows, ModelKind};
+use ffr_fault::{Campaign, CampaignConfig, OutputMismatchJudge};
 use ffr_features::extract_features;
-use ffr_netlist::{verilog, NetlistBuilder};
+use ffr_ml::model_selection::{train_test_split, StratifiedKFold};
+use ffr_netlist::{verilog, FfId, NetlistBuilder};
 use ffr_sim::{run_testbench, CompiledCircuit, InputFrame, Stimulus, WatchList};
 
 /// A small packet-checksum engine: data flows through a pipeline into an
@@ -87,30 +88,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {line}");
     }
 
-    // Full estimation flow: inject 40% of FFs, predict the rest.
+    // Full estimation pipeline: inject a random 40% of the FFs, then
+    // select / fit k-NN on the measured rows and predict the rest.
     let judge = OutputMismatchJudge::new();
-    let flow = EstimationFlow::new(&cc, &Feed, &watch, &judge);
-    let config = FlowConfig {
-        training_fraction: 0.4,
-        injections_per_ff: 40,
-        window: 10..280,
-        seed: 21,
-    };
-    let est = flow.estimate(ModelKind::Knn, &config);
+    let campaign = Campaign::new(&cc, &Feed, &watch, &judge);
+    let (subset, _) = train_test_split(cc.num_ffs(), 0.4, 21);
+    let subset: Vec<FfId> = subset.into_iter().map(FfId::from_index).collect();
+    let config = CampaignConfig::new(10..280)
+        .with_injections(40)
+        .with_seed(21);
+    let table = campaign.run_parallel_subset(&subset, &config, |_, _| {});
+
+    let rows = features.to_rows();
+    let (tx, ty) = measured_rows(&table, &rows);
+    let estimate = ffr_core::estimate(
+        &tx,
+        &ty,
+        &StratifiedKFold::new(4, 21).split(&ty),
+        &[ModelKind::Knn],
+        1,
+        &rows,
+        &ffr_obs::Recorder::disabled(),
+    );
     println!("\nper-flip-flop estimates (M = measured, P = predicted):");
-    for (i, e) in est.per_ff.iter().enumerate() {
-        let ff = ffr_netlist::FfId::from_index(i);
+    let mut fdr_sum = 0.0;
+    for (i, &predicted) in estimate.predictions.iter().enumerate() {
+        let ff = FfId::from_index(i);
+        let measured = table.fdr(ff);
+        fdr_sum += measured.unwrap_or(predicted);
         println!(
             "  {:<18} {} {:.3}",
             cc.netlist().ff_name(ff),
-            if e.is_measured() { "M" } else { "P" },
-            e.value()
+            if measured.is_some() { "M" } else { "P" },
+            measured.unwrap_or(predicted)
         );
     }
     println!(
         "\ncircuit FDR = {:.3} using only {} injections",
-        est.circuit_fdr(),
-        est.injections_spent()
+        fdr_sum / cc.num_ffs() as f64,
+        table.injections_spent()
     );
     Ok(())
 }

@@ -12,6 +12,7 @@
 //! * [`ffr_features`] — per-flip-flop feature extraction,
 //! * [`ffr_ml`] — from-scratch supervised regression library,
 //! * [`ffr_core`] — the DSN 2019 estimation methodology,
+//! * [`ffr_obs`] — dependency-free structured telemetry (spans, counters),
 //! * [`ffr_campaign`] — checkpointed, resumable, adaptively-sampled
 //!   campaign orchestration, the on-disk artifact store and the `ffr` CLI.
 
@@ -22,4 +23,5 @@ pub use ffr_fault as fault;
 pub use ffr_features as features;
 pub use ffr_ml as ml;
 pub use ffr_netlist as netlist;
+pub use ffr_obs as obs;
 pub use ffr_sim as sim;
