@@ -363,6 +363,9 @@ where
                         options
                             .recorder
                             .count("frontier.peak", point_runner.frontier_peak() as u64);
+                        options
+                            .recorder
+                            .count("judge.lanes_diverged", point_runner.lanes_diverged());
                         record.complete =
                             policy.is_settled(record.failures(), record.injections_done);
 

@@ -514,6 +514,19 @@ impl CampaignStats {
             );
         }
 
+        // Judging cost driver, derived from the judge.lanes_diverged counter:
+        // only injections whose watched outputs left golden reach the judge.
+        if let Some(&diverged) = self.counters.get("judge.lanes_diverged") {
+            let injections = self.counters.get("injections").copied().unwrap_or(0);
+            if injections > 0 {
+                let _ = writeln!(
+                    out,
+                    "\njudging:\n  outputs diverged on {:.1}% of injections — judge called {diverged} times",
+                    diverged as f64 / injections as f64 * 100.0,
+                );
+            }
+        }
+
         out.push_str("\ncounters (merged):\n");
         for (name, value) in &self.counters {
             let _ = writeln!(out, "  {name:<28} {value:>12}");

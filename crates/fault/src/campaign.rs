@@ -9,6 +9,12 @@
 //! the merged injection schedule and the convergence early-exit are
 //! shared; how the faulty state is represented and evaluated is the
 //! engine's business alone.
+//!
+//! The loop also keeps the batch's *divergence record* — which lanes'
+//! watched outputs ever left the golden trace, and the last cycle each
+//! did — so only diverged lanes are judged: a clear lane's view is bit
+//! for bit the golden view, which the [`FailureJudge`] contract makes
+//! `Benign`.
 
 use crate::judge::FailureJudge;
 use crate::model::{FailureClass, InjectionPoint};
@@ -76,6 +82,7 @@ pub struct PointRunner {
     frontier_ops_evaluated: u64,
     frontier_cycles: u64,
     frontier_peak: u32,
+    lanes_diverged: u64,
 }
 
 impl PointRunner {
@@ -120,6 +127,14 @@ impl PointRunner {
     pub fn frontier_peak(&self) -> u32 {
         self.frontier_peak
     }
+
+    /// Injections whose watched outputs left the golden trace at some
+    /// cycle, across every batch this runner has simulated — exactly the
+    /// lanes the judge was called for; all others are benign by the
+    /// [`FailureJudge`] contract.
+    pub fn lanes_diverged(&self) -> u64 {
+        self.lanes_diverged
+    }
 }
 
 /// Reusable per-thread simulation buffers: engine, output trace,
@@ -134,6 +149,12 @@ pub struct PointScratch {
     /// duplicate cycles merged — replaces a per-cycle rescan of every
     /// lane's injection time.
     schedule: Vec<(u64, u64)>,
+    /// Lanes of the last batch whose watched outputs differed from golden
+    /// at some cycle.
+    differed: u64,
+    /// Per lane with a `differed` bit, the last cycle at which a watched
+    /// output differed from golden (stale otherwise).
+    last_diff: [u64; 64],
 }
 
 /// A prepared fault-injection campaign: compiled circuit, stimulus, watch
@@ -192,6 +213,12 @@ where
             golden.trace.width(),
             watch.len(),
             "golden run was captured for a different watch list"
+        );
+        let golden_view = LaneView::golden(&golden.trace);
+        assert_eq!(
+            judge.classify(&golden_view, &golden_view, 0),
+            FailureClass::Benign,
+            "judge breaks the FailureJudge contract: a scenario equal to the golden run must be Benign"
         );
         Campaign {
             cc,
@@ -308,6 +335,7 @@ where
             frontier_ops_evaluated: 0,
             frontier_cycles: 0,
             frontier_peak: 0,
+            lanes_diverged: 0,
         }
     }
 
@@ -320,6 +348,8 @@ where
             trace: OutputTrace::new(0, 0, 0),
             converged_at: Vec::new(),
             schedule: Vec::new(),
+            differed: 0,
+            last_diff: [0; 64],
         }
     }
 
@@ -350,14 +380,22 @@ where
                 "injection at cycle {latest} beyond testbench end"
             );
             self.simulate_batch_into(runner, scratch, chunk);
+            // Only diverged lanes are judged: the view of a clear lane is
+            // bit for bit the golden view, Benign by the judge contract.
+            let diverged = scratch.differed.count_ones() as usize;
+            class_counts[FailureClass::Benign.tally_index()] += chunk.len() - diverged;
             let golden_view = LaneView::golden(&self.golden.trace);
             for (lane, &inject_cycle) in chunk.iter().enumerate() {
+                if scratch.differed & (1u64 << lane) == 0 {
+                    continue;
+                }
                 let view = LaneView::faulty(
                     &self.golden.trace,
                     &scratch.trace,
                     lane,
                     scratch.converged_at[lane],
-                );
+                )
+                .with_last_diff(scratch.last_diff[lane]);
                 let class = self.judge.classify(&golden_view, &view, inject_cycle);
                 class_counts[class.tally_index()] += 1;
             }
@@ -374,7 +412,9 @@ where
     /// a bulk copy of the golden trace, the engine starts Quiescent at
     /// the first injection, and only rows where a watched output is live
     /// are overwritten. Quiescent spans are skipped outright — their trace
-    /// is the golden trace by construction.
+    /// is the golden trace by construction. Each overwrite is compared
+    /// with the golden word it replaces, which yields the batch's
+    /// divergence record (`differed`, `last_diff`) for free.
     fn simulate_batch_into(
         &self,
         runner: &mut PointRunner,
@@ -390,7 +430,10 @@ where
             trace,
             converged_at,
             schedule,
+            differed,
+            last_diff,
         } = scratch;
+        *differed = 0;
         converged_at.clear();
         converged_at.resize(times.len(), None);
 
@@ -438,11 +481,21 @@ where
                 pending &= !inject_mask;
             }
             engine.eval(cone, journal.row(cycle), inject_mask);
+            // The row still holds the golden copy from `reset_from`; the
+            // golden run is lane 0 of each word.
             let trace_row = trace.row_mut(cycle);
+            let mut row_diff = 0u64;
             for &(w, net) in &runner.watched_in_cone {
                 if let Some(word) = engine.live_word(cone, net) {
+                    row_diff |= word ^ (trace_row[w] & 1).wrapping_neg();
                     trace_row[w] = word;
                 }
+            }
+            row_diff &= active;
+            *differed |= row_diff;
+            while row_diff != 0 {
+                last_diff[row_diff.trailing_zeros() as usize] = cycle;
+                row_diff &= row_diff - 1;
             }
             let next = cycle + 1;
             let diff = engine.tick(cone, (next < end).then(|| journal.row(next)));
@@ -475,6 +528,7 @@ where
         runner.frontier_cycles += exit - t0;
         runner.frontier_ops_evaluated += engine.ops_evaluated();
         runner.frontier_peak = runner.frontier_peak.max(engine.peak());
+        runner.lanes_diverged += u64::from(differed.count_ones());
     }
 
     /// Run the full flat campaign over every flip-flop, sequentially.
@@ -674,6 +728,23 @@ mod tests {
         let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
         let config = CampaignConfig::new(10..100);
         campaign.run_ff_times(FfId::from_index(0), &[5, 120 + 100], &config);
+    }
+
+    /// Skipping the judge for lanes that never left golden is only sound
+    /// for a judge that calls the golden run benign; any other judge is
+    /// refused before a single injection.
+    #[test]
+    #[should_panic(expected = "FailureJudge contract")]
+    fn judge_failing_the_golden_run_is_rejected() {
+        struct AlwaysFails;
+        impl FailureJudge for AlwaysFails {
+            fn classify(&self, _: &LaneView<'_>, _: &LaneView<'_>, _: u64) -> FailureClass {
+                FailureClass::OutputMismatch
+            }
+        }
+        let cc = probe_circuit();
+        let watch = WatchList::all(&cc);
+        Campaign::new(&cc, &AlwaysOn, &watch, &AlwaysFails);
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Failure classification interfaces.
+//!
+//! The campaign calls a judge only for lanes whose watched outputs left
+//! the golden trace at some cycle; every other lane is tallied
+//! [`FailureClass::Benign`] without a call (see the contract on
+//! [`FailureJudge`]).
 
 use crate::model::FailureClass;
 use ffr_sim::LaneView;
@@ -10,6 +15,16 @@ use ffr_sim::LaneView;
 /// faulty scenario (which transparently serves golden data outside the
 /// simulated window), plus the injection cycle. They must be `Sync`: the
 /// campaign classifies scenarios from multiple worker threads.
+///
+/// # Contract
+///
+/// A judge is a pure function of the two views' bits and `inject_cycle`,
+/// and a scenario whose watched outputs never left the golden trace is
+/// benign: `classify(golden, golden, t) == Benign` for every `t`. The
+/// campaign relies on it — a lane the batch loop never saw deviate is
+/// tallied `Benign` without building a view or calling the judge — and
+/// [`Campaign::with_golden`](crate::Campaign::with_golden) refuses a
+/// judge that breaks it.
 pub trait FailureJudge: Sync {
     /// Classify one fault scenario.
     fn classify(
@@ -43,19 +58,16 @@ impl OutputMismatchJudge {
 impl FailureJudge for OutputMismatchJudge {
     fn classify(
         &self,
-        golden: &LaneView<'_>,
+        _golden: &LaneView<'_>,
         faulty: &LaneView<'_>,
         inject_cycle: u64,
     ) -> FailureClass {
         let from = inject_cycle.saturating_add(self.grace_cycles);
-        for cycle in from..golden.num_cycles() {
-            for w in 0..golden.width() {
-                if golden.bit(w, cycle) != faulty.bit(w, cycle) {
-                    return FailureClass::OutputMismatch;
-                }
-            }
+        if faulty.last_diff().is_some_and(|cycle| cycle >= from) {
+            FailureClass::OutputMismatch
+        } else {
+            FailureClass::Benign
         }
-        FailureClass::Benign
     }
 }
 

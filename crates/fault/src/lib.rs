@@ -24,6 +24,10 @@
 //! * **early convergence exit** — once every lane's flip-flop state has
 //!   returned to the golden state, the remaining cycles are provably
 //!   identical and are skipped,
+//! * **judge only what diverged** — the batch loop records which lanes'
+//!   watched outputs ever left the golden trace (and when they last
+//!   did); the rest are benign by the [`FailureJudge`] contract without a
+//!   call, and [`OutputMismatchJudge`] answers from the record in O(1),
 //! * **parallel campaign** — injection points are distributed over
 //!   threads with rayon.
 //!

@@ -9,6 +9,11 @@
 //! built from them) must match judging the traces of
 //! [`ffr_sim::reference::simulate`], which evaluates the whole circuit
 //! for every cycle from reset, bit for bit.
+//!
+//! The second half pins the divergence record: the judge is called for
+//! exactly the lanes whose watched outputs left golden, and the
+//! `last_diff` the batch loop hands it equals the definition — one scan
+//! of the traces.
 
 use ffr_circuits::corpus::CorpusSpec;
 use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, TrafficConfig};
@@ -20,6 +25,7 @@ use ffr_netlist::{Bus, FfId, NetId, NetlistBuilder};
 use ffr_sim::reference::{self, Target};
 use ffr_sim::{CompiledCircuit, InputFrame, LaneView, Stimulus, WatchList};
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 /// A small sequential design with feedback, cross-register logic and
 /// several observable outputs (same shape as the sim crate's
@@ -349,4 +355,197 @@ fn mac_small_sample_matches_oracle_and_visits_every_engine_state() {
         "no sampled point entered Dense and re-converged"
     );
     assert!(skipped_work > 0, "no sampled point skipped cone work");
+}
+
+/// The definition of [`LaneView::last_diff`], spelled out over the views'
+/// bits: the last cycle at which any watched output differs.
+fn scan_last_diff(golden: &LaneView<'_>, faulty: &LaneView<'_>) -> Option<u64> {
+    (0..golden.num_cycles())
+        .rev()
+        .find(|&c| (0..golden.width()).any(|w| golden.bit(w, c) != faulty.bit(w, c)))
+}
+
+/// Forwards to a real judge and keeps, per call, the `last_diff` the
+/// campaign recorded on the view next to the one scanned from the same
+/// view's bits.
+struct SpyJudge<'j, J> {
+    inner: &'j J,
+    calls: Mutex<Vec<(Option<u64>, Option<u64>)>>,
+}
+
+impl<'j, J: FailureJudge> SpyJudge<'j, J> {
+    fn new(inner: &'j J) -> Self {
+        SpyJudge {
+            inner,
+            calls: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The `(recorded, scanned)` pairs since the last take, in call order.
+    fn take_calls(&self) -> Vec<(Option<u64>, Option<u64>)> {
+        std::mem::take(&mut self.calls.lock().unwrap())
+    }
+}
+
+impl<J: FailureJudge> FailureJudge for SpyJudge<'_, J> {
+    fn classify(&self, golden: &LaneView<'_>, faulty: &LaneView<'_>, t: u64) -> FailureClass {
+        let pair = (faulty.last_diff(), scan_last_diff(golden, faulty));
+        self.calls.lock().unwrap().push(pair);
+        self.inner.classify(golden, faulty, t)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The divergence record is exact, for both fault models, partial
+    /// final batches, lanes sharing an injection cycle and any grace
+    /// window: the judge is called for exactly the lanes whose oracle
+    /// trace ever leaves golden, in lane order, with the scanned
+    /// `last_diff`; and `OutputMismatchJudge` on that record tallies like
+    /// a bit-by-bit walk of the oracle's traces.
+    #[test]
+    fn recorded_divergence_equals_scanned_divergence(
+        width in 2usize..6,
+        seu in any::<bool>(),
+        pick in 0usize..64,
+        raw_times in proptest::collection::vec(0u64..1000, 1..80),
+        cycles in 24u64..48,
+        grace in 0u64..6,
+    ) {
+        let cc = circuit(width);
+        let stim = MixStimulus { width, cycles };
+        let watch = WatchList::all(&cc);
+        let judge = OutputMismatchJudge { grace_cycles: grace };
+        let spy = SpyJudge::new(&judge);
+        let campaign = Campaign::new(&cc, &stim, &watch, &spy);
+        spy.take_calls(); // the contract check of `with_golden`
+        let point = point(&cc, seu, pick);
+        let target = match point {
+            InjectionPoint::Seu(ff) => Target::Seu(ff),
+            InjectionPoint::Set(net) => Target::Set(net),
+        };
+        let times: Vec<u64> = raw_times.iter().map(|t| t % cycles).collect();
+
+        let mut runner = campaign.point_runner(point);
+        let mut scratch = campaign.point_scratch();
+        let engine = campaign.run_point_times_with(
+            &mut runner,
+            &mut scratch,
+            &times,
+            &CampaignConfig::new(0..cycles),
+        );
+        let calls = spy.take_calls();
+
+        let golden = campaign.golden();
+        let golden_view = LaneView::golden(&golden.trace);
+        let mut oracle = [0usize; FailureClass::ALL.len()];
+        let mut oracle_diffs = Vec::new();
+        for chunk in times.chunks(64) {
+            let run = reference::simulate(&cc, &stim, &watch, golden, target, chunk);
+            for (lane, &t) in chunk.iter().enumerate() {
+                let view = LaneView::faulty(&golden.trace, &run.trace, lane, None);
+                let last_diff = scan_last_diff(&golden_view, &view);
+                let class = if last_diff.is_some_and(|c| c >= t + grace) {
+                    FailureClass::OutputMismatch
+                } else {
+                    FailureClass::Benign
+                };
+                oracle[class.tally_index()] += 1;
+                prop_assert_eq!(view.last_diff(), last_diff);
+                oracle_diffs.extend(last_diff);
+            }
+        }
+        prop_assert_eq!(engine, oracle);
+        prop_assert_eq!(runner.lanes_diverged(), calls.len() as u64);
+        for &(recorded, scanned) in &calls {
+            prop_assert_eq!(recorded, scanned);
+        }
+        let recorded: Vec<u64> = calls.iter().filter_map(|&(recorded, _)| recorded).collect();
+        prop_assert_eq!(recorded, oracle_diffs);
+    }
+}
+
+/// A deviation that falls wholly inside the grace window reaches the
+/// judge (the lane diverged) and is still benign: a SET on the net behind
+/// the `carry` output is visible in its injection cycle only — nothing
+/// latches it.
+#[test]
+fn deviation_inside_the_grace_window_is_judged_benign() {
+    let cc = circuit(4);
+    let stim = MixStimulus {
+        width: 4,
+        cycles: 64,
+    };
+    let watch = WatchList::all(&cc);
+    let carry = cc.output_net(cc.netlist().output_index("carry").unwrap());
+    let times: Vec<u64> = (0..40).map(|i| (i * 5) % 64).collect();
+    let config = CampaignConfig::new(0..64);
+    for (grace, class) in [(0, FailureClass::OutputMismatch), (1, FailureClass::Benign)] {
+        let judge = OutputMismatchJudge {
+            grace_cycles: grace,
+        };
+        let campaign = Campaign::new(&cc, &stim, &watch, &judge);
+        let mut runner = campaign.point_runner(InjectionPoint::Set(carry));
+        let mut scratch = campaign.point_scratch();
+        let tallies = campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
+        assert_eq!(tallies[class.tally_index()], times.len(), "grace {grace}");
+        assert_eq!(runner.lanes_diverged(), times.len() as u64);
+    }
+}
+
+/// Who is called when, on a real design under the packet-level judge:
+/// over a mac-small sample (partial 24-lane batches, some going Dense)
+/// the tallies match the oracle, which judges every lane, while the
+/// campaign's judge is called `lanes_diverged` times — fewer than there
+/// are injections — and always with the scanned `last_diff`.
+#[test]
+fn judge_is_called_only_for_diverged_lanes() {
+    let (cc, tb, watch, extractor) =
+        MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
+    let golden = ffr_sim::GoldenRun::capture(&cc, &tb, &watch);
+    let judge = MacJudge::new(extractor, &golden);
+    let spy = SpyJudge::new(&judge);
+    let campaign = Campaign::with_golden(&cc, &tb, &watch, &spy, golden);
+    spy.take_calls(); // the contract check of `with_golden`
+    let window = tb.injection_window();
+    let config = CampaignConfig::new(window.clone());
+
+    let strided = |n: usize| (0..12).map(move |i| i * n / 12);
+    let nets = cc.comb_output_nets();
+    let points = strided(cc.num_ffs())
+        .map(|i| InjectionPoint::Seu(FfId::from_index(i)))
+        .chain(strided(nets.len()).map(|i| InjectionPoint::Set(nets[i])));
+
+    let mut scratch = campaign.point_scratch();
+    let (mut injections, mut diverged, mut dense, mut frontier_only) = (0, 0, 0, 0);
+    for point in points {
+        let times = sample_injection_times(2019, point.stream(), window.clone(), 24);
+        let mut runner = campaign.point_runner(point);
+        let engine = campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
+        let calls = spy.take_calls();
+        assert_eq!(runner.lanes_diverged(), calls.len() as u64, "{point}");
+        for (recorded, scanned) in calls {
+            assert!(recorded.is_some() && recorded == scanned, "{point}");
+        }
+        let oracle = oracle_tallies(&campaign, &tb, &watch, &spy, point, &times);
+        assert_eq!(
+            spy.take_calls().len(),
+            times.len(),
+            "the oracle skips nothing"
+        );
+        assert_eq!(engine, oracle, "tallies for {point}");
+
+        injections += times.len() as u64;
+        diverged += runner.lanes_diverged();
+        let went_dense = runner.frontier_peak() as usize == runner.cone_ops();
+        dense += usize::from(went_dense);
+        frontier_only += usize::from(!went_dense);
+    }
+    assert!(dense > 0, "no sampled point went Dense");
+    assert!(frontier_only > 0, "no sampled point stayed Frontier-only");
+    assert!(
+        0 < diverged && diverged < injections,
+        "{diverged} of {injections} lanes diverged"
+    );
 }

@@ -325,6 +325,9 @@ pub struct LaneView<'a> {
     lane: usize,
     /// Cycle from which outputs are known to equal golden again.
     golden_from: Option<u64>,
+    /// The campaign's record of [`LaneView::last_diff`], when it built
+    /// the view.
+    last_diff: Option<u64>,
 }
 
 impl<'a> LaneView<'a> {
@@ -335,6 +338,7 @@ impl<'a> LaneView<'a> {
             faulty: None,
             lane: 0,
             golden_from: Some(0),
+            last_diff: None,
         }
     }
 
@@ -350,7 +354,16 @@ impl<'a> LaneView<'a> {
             faulty: Some(faulty),
             lane,
             golden_from,
+            last_diff: None,
         }
+    }
+
+    /// Attach the batch loop's divergence record: `cycle` is the last
+    /// cycle at which a watched output of this lane differs from golden,
+    /// so [`LaneView::last_diff`] answers without scanning the traces.
+    pub fn with_last_diff(mut self, cycle: u64) -> LaneView<'a> {
+        self.last_diff = Some(cycle);
+        self
     }
 
     /// Total number of cycles covered (same as the golden trace).
@@ -374,6 +387,24 @@ impl<'a> LaneView<'a> {
             Some(f) if cycle >= f.start() && cycle < f.end() => f.bit(w, cycle, self.lane),
             _ => self.golden.bit(w, cycle, 0),
         }
+    }
+
+    /// The last cycle at which any watched output of this scenario
+    /// differs from golden, `None` if the view is bit for bit the golden
+    /// view. Answered from the record when the campaign built the view
+    /// ([`LaneView::with_last_diff`]); otherwise computed by one backward
+    /// scan of the two traces — the definition the record is tested
+    /// against.
+    pub fn last_diff(&self) -> Option<u64> {
+        self.last_diff.or_else(|| {
+            let faulty = self.faulty?;
+            let end = faulty.end().min(self.golden.end());
+            let end = self.golden_from.map_or(end, |g| g.min(end));
+            (faulty.start()..end).rev().find(|&cycle| {
+                let rows = faulty.row(cycle).iter().zip(self.golden.row(cycle));
+                rows.fold(0u64, |acc, (f, g)| acc | ((f >> self.lane) ^ g)) & 1 == 1
+            })
+        })
     }
 
     /// Read a multi-bit value from consecutive watch offsets, LSB first.
@@ -502,6 +533,18 @@ mod tests {
                 assert_eq!(got, g, "golden region at {cycle}");
             }
         }
+        // The last deviation is found by scanning, honours the
+        // re-convergence cycle and the lane, and a record overrides it.
+        assert_eq!(view.last_diff(), Some(11));
+        faulty.data[7] ^= 1u64 << 3;
+        let view = LaneView::faulty(&run.trace, &faulty, 3, Some(12));
+        assert_eq!(view.last_diff(), Some(11), "cycle 15 is past golden_from");
+        let unconverged = LaneView::faulty(&run.trace, &faulty, 3, None);
+        assert_eq!(unconverged.last_diff(), Some(15));
+        assert_eq!(unconverged.with_last_diff(9).last_diff(), Some(9));
+        let other_lane = LaneView::faulty(&run.trace, &faulty, 4, None);
+        assert_eq!(other_lane.last_diff(), None);
+        assert_eq!(LaneView::golden(&run.trace).last_diff(), None);
     }
 
     #[test]
