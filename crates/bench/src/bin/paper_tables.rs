@@ -1,0 +1,491 @@
+//! Every table and figure of the paper, from one reference dataset, into
+//! the committed `docs/paper-reproduction.md`.
+//!
+//! Loads the paper-scale reference dataset once (MAC, 1054 flip-flops,
+//! 170 injections each, seed 2019; cached in `target/ffr-cache`) and
+//! computes each result once: the design and campaign summary (§IV-A),
+//! Tables I–II, the prediction and learning-curve data of Figs. 2–4, the
+//! campaign-cost savings of §IV-C (from the same learning curves), the
+//! k-NN / SVR hyperparameter searches (§IV-B), and the future-work
+//! extensions (PCA, feature-group ablation, permutation importance).
+//!
+//! ```text
+//! cargo run --release -p ffr-bench --bin paper_tables            # regenerate
+//! cargo run --release -p ffr-bench --bin paper_tables -- --check # CI drift gate
+//! cargo run --release -p ffr-bench --bin paper_tables -- --force # re-run the campaign
+//! ```
+//!
+//! Per-section wall-clock times go to stdout only, so the document stays
+//! byte-stable.
+
+use ffr_bench::drift::{CommittedDoc, DocArgs};
+use ffr_bench::{load_or_collect_dataset, mac_setup, MacSetup, Scale};
+use ffr_core::savings::{max_cost_reduction, savings_table};
+use ffr_core::{
+    compare_models, evaluate_model, model_learning_curve, prediction_report, LearningCurveReport,
+    ModelComparison, ModelKind, PredictionReport, ReferenceDataset, SvrParams,
+};
+use ffr_fault::FdrHistogram;
+use ffr_features::FeatureGroup;
+use ffr_ml::importance::{permutation_importance, ranked};
+use ffr_ml::metrics::RegressionScores;
+use ffr_ml::model_selection::{
+    grid_search, random_search, take, train_test_split, StratifiedKFold,
+};
+use ffr_ml::{
+    Distance, Kernel, KnnRegressor, Pca, Regressor, ScaledRegressor, StandardScaler, SvrRegressor,
+    WeightScheme,
+};
+use ffr_netlist::NetlistStats;
+use ffr_sim::Stimulus;
+use rand::Rng;
+use std::fmt::Write as _;
+use std::process::ExitCode;
+use std::time::Instant;
+
+/// Seed of every split, search and curve (the dataset's campaign seed).
+const SEED: u64 = 2019;
+
+/// The paper's learning-curve sweep (fractions of the whole dataset).
+const LEARNING_CURVE_FRACTIONS: [f64; 9] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
+
+/// The paper's Table I on the authors' testbed: MAE, MAX, RMSE, EV, R².
+const PAPER_TABLE_I: [(ModelKind, [f64; 5]); 3] = [
+    (
+        ModelKind::LinearLeastSquares,
+        [0.165, 0.944, 0.218, 0.520, 0.519],
+    ),
+    (ModelKind::Knn, [0.050, 0.907, 0.124, 0.843, 0.842]),
+    (ModelKind::SvrRbf, [0.063, 0.849, 0.124, 0.845, 0.844]),
+];
+
+/// Run one section, printing its wall-clock time to stdout.
+fn timed<T>(section: &str, work: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = work();
+    println!("{section:<24} {:>6.1} s", t0.elapsed().as_secs_f64());
+    out
+}
+
+/// Append a markdown table. `head` and each row are `" | "`-separated
+/// cells; the first column is left-aligned, the others right-aligned.
+fn table(md: &mut String, head: &str, rows: impl IntoIterator<Item = String>) {
+    let columns = head.split(" | ").count();
+    let _ = writeln!(md, "| {head} |\n|---|{}", "---:|".repeat(columns - 1));
+    for row in rows {
+        let _ = writeln!(md, "| {row} |");
+    }
+    md.push('\n');
+}
+
+fn scores(s: &RegressionScores) -> String {
+    let (mae, max, rmse, ev, r2) = (s.mae, s.max, s.rmse, s.ev, s.r2);
+    format!("{mae:.3} | {max:.3} | {rmse:.3} | {ev:.3} | {r2:.3}")
+}
+
+fn campaign_section(md: &mut String, setup: &MacSetup, ds: &ReferenceDataset) {
+    let (tb, y, n) = (&setup.tb, ds.y(), ds.len());
+    let _ = writeln!(
+        md,
+        "## Design and reference campaign (§IV-A)\n\n```text\n{}```\n\n\
+         Testbench: {} cycles, injection window {:?}, {} packets sent.\n",
+        NetlistStats::of(setup.cc.netlist()),
+        tb.num_cycles(),
+        tb.injection_window(),
+        tb.sent_packets().len()
+    );
+    let summary = format!(
+        "{n} | {} | {} | {:.4} | {} | {}",
+        ds.injections_per_ff,
+        n * ds.injections_per_ff,
+        y.iter().sum::<f64>() / n as f64,
+        y.iter().filter(|&&v| v == 0.0).count(),
+        y.iter().filter(|&&v| v >= 0.999).count()
+    );
+    table(
+        md,
+        "flip-flops | injections/FF | total injections | circuit FDR (mean over FFs) | \
+         fully benign FFs | always-failing FFs",
+        [summary],
+    );
+    let histogram = FdrHistogram::of(y.iter().copied(), 10);
+    let _ = writeln!(md, "FDR histogram (10 bins):\n\n```text\n{histogram}```\n");
+}
+
+fn tables_section(md: &mut String, cmp: &ModelComparison) {
+    md.push_str(
+        "## Table I — the paper's three models\n\n\
+         The paper's values were measured on the authors' testbed.\n\n",
+    );
+    let rows = PAPER_TABLE_I.iter().map(|(kind, paper)| {
+        let ours = &cmp.rows.iter().find(|(k, _)| k == kind).expect("in Table II").1;
+        let [mae, max, rmse, ev, r2] = paper;
+        format!(
+            "{kind} | this repo | {} |\n| | paper | {mae:.3} | {max:.3} | {rmse:.3} | {ev:.3} | {r2:.3}",
+            scores(ours)
+        )
+    });
+    table(md, "model | source | MAE | MAX | RMSE | EV | R²", rows);
+    md.push_str(
+        "## Table II — every model (extension)\n\n\
+         The paper's future-work models under the identical protocol.\n\n",
+    );
+    let rows = cmp
+        .rows
+        .iter()
+        .map(|(kind, s)| format!("{kind} | {}", scores(s)));
+    table(md, "model | MAE | MAX | RMSE | EV | R²", rows);
+    let (best, s) = cmp
+        .rows
+        .iter()
+        .max_by(|a, b| a.1.r2.total_cmp(&b.1.r2))
+        .expect("rows");
+    let _ = writeln!(md, "Best model by R²: {best} ({:.3}).\n", s.r2);
+}
+
+/// `(flip-flops, mean true FDR, mean predicted FDR)` per tenth of the
+/// true-FDR range, over a report's test split.
+fn binned_test_split(report: &PredictionReport) -> [(usize, f64, f64); 10] {
+    let mut bins = [(0usize, 0.0, 0.0); 10];
+    for &(t, p) in &report.test {
+        let bin = &mut bins[((t * 10.0) as usize).min(9)];
+        *bin = (bin.0 + 1, bin.1 + t, bin.2 + p);
+    }
+    bins.map(|(n, t, p)| (n, t / n.max(1) as f64, p / n.max(1) as f64))
+}
+
+fn figures_section(md: &mut String, reports: &[PredictionReport], curves: &[LearningCurveReport]) {
+    md.push_str(
+        "## Figs. 2–4 — prediction and learning curves\n\n\
+         ### (a) True vs predicted FDR on an example fold (training size 50 %)\n\n\
+         Test-split scores:\n\n",
+    );
+    let rows = reports
+        .iter()
+        .map(|r| format!("{} | {}", r.kind, scores(&r.test_scores)));
+    table(md, "model | MAE | MAX | RMSE | EV | R²", rows);
+    let _ = writeln!(
+        md,
+        "The {} test-split flip-flops binned by true FDR, with each model's mean prediction:\n",
+        reports[0].test.len()
+    );
+    let binned: Vec<_> = reports.iter().map(binned_test_split).collect();
+    let rows = (0..10).map(|bin| {
+        let (n, mean_true, _) = binned[0][bin];
+        let (lo, hi) = (bin as f64 / 10.0, (bin + 1) as f64 / 10.0);
+        let close = if bin == 9 { "]" } else { ")" };
+        let mut row = format!("[{lo:.1}, {hi:.1}{close} | {n}");
+        let predicted = binned.iter().map(|model| {
+            assert_eq!(model[bin].0, n, "the example fold is shared by every model");
+            model[bin].2
+        });
+        for mean in std::iter::once(mean_true).chain(predicted) {
+            let cell = if n == 0 {
+                "—".to_string()
+            } else {
+                format!("{mean:.3}")
+            };
+            let _ = write!(row, " | {cell}");
+        }
+        row
+    });
+    let models: Vec<String> = reports.iter().map(|r| r.kind.to_string()).collect();
+    table(
+        md,
+        &format!("true FDR | FFs | mean true | {}", models.join(" | ")),
+        rows,
+    );
+    md.push_str(
+        "### (b) Learning curves (cross-validation fold = 10)\n\n\
+         Train / test R² against the fraction of flip-flops used for training.\n\n",
+    );
+    let rows = LEARNING_CURVE_FRACTIONS
+        .iter()
+        .enumerate()
+        .map(|(i, fraction)| {
+            let points = curves.iter().map(|c| &c.points[i]);
+            let cells: Vec<String> = points
+                .map(|p| format!("{:.3} | {:.3}", p.train_r2, p.test_r2))
+                .collect();
+            format!("{fraction:.2} | {}", cells.join(" | "))
+        });
+    let head: Vec<String> = models
+        .iter()
+        .map(|m| format!("{m} train | {m} test"))
+        .collect();
+    table(md, &format!("train fraction | {}", head.join(" | ")), rows);
+}
+
+fn savings_section(md: &mut String, ds: &ReferenceDataset, curves: &[LearningCurveReport]) {
+    let injections =
+        |fraction: f64| (fraction * ds.len() as f64 * ds.injections_per_ff as f64).round() as usize;
+    let _ = writeln!(
+        md,
+        "## §IV-C — campaign cost reduction\n\n\
+         Fault-injecting only a training fraction of the flip-flops cuts the campaign to that\n\
+         fraction of its {} injections. The R² loss is absolute: the best test R² on the\n\
+         model's learning curve minus the test R² at that fraction.\n",
+        injections(1.0)
+    );
+    let mut headlines = Vec::new();
+    for curve in curves {
+        let _ = writeln!(md, "### {}\n", curve.kind);
+        let rows = savings_table(&curve.points).into_iter().map(|r| {
+            let (fraction, cost) = (r.train_fraction, r.cost_reduction);
+            let injected = injections(fraction);
+            format!(
+                "{fraction:.2} | {injected} | {cost:.1}× | {:.3} | {:.3}",
+                r.test_r2, r.r2_loss
+            )
+        });
+        table(
+            md,
+            "train fraction | injections | cost reduction | test R² | absolute R² loss",
+            rows,
+        );
+        for tolerance in [0.02, 0.10] {
+            if let Some(best) = max_cost_reduction(&curve.points, tolerance) {
+                let (kind, cost, fraction) = (curve.kind, best.cost_reduction, best.train_fraction);
+                let injected = injections(fraction);
+                let percent = fraction * 100.0;
+                headlines.push(format!(
+                    "{kind} | ≤ {tolerance:.2} | {cost:.1}× | {percent:.0} % | {injected}"
+                ));
+            }
+        }
+    }
+    md.push_str("### Headline\n\n");
+    table(
+        md,
+        "model | absolute R² loss | cost reduction | train fraction | injections",
+        headlines,
+    );
+    md.push_str(
+        "Paper: training sizes of 20 %–50 % provide appropriate performance, i.e. the classical\n\
+         campaign cost is reduced 2× to 5×.\n\n",
+    );
+}
+
+fn knn_tuning_section(md: &mut String, ds: &ReferenceDataset) {
+    let folds = StratifiedKFold::new(5, SEED).split(ds.y());
+    let grid = ModelKind::knn_grid();
+    let mut result = grid_search(&grid, |p| p.build(), &ds.x(), ds.y(), &folds);
+    let best = result.best_params;
+    let _ = writeln!(
+        md,
+        "## §IV-B — hyperparameter searches\n\n### k-NN\n\n\
+         Grid search over {} configurations, cross-validation = 5. Winner: k = {}, {:?}, {:?}\n\
+         (paper: k = 3, Manhattan, inverse-distance). Top 10:\n",
+        grid.len(),
+        best.k,
+        best.distance,
+        best.weights
+    );
+    result.evaluated.sort_by(|a, b| b.1.r2.total_cmp(&a.1.r2));
+    let rows = result.evaluated.iter().take(10);
+    let rows =
+        rows.map(|(p, s)| format!("{} | {:?} | {:?} | {:.3}", p.k, p.distance, p.weights, s.r2));
+    table(md, "k | distance | weights | R²", rows);
+}
+
+/// The SVR the search evaluates: SMO capped at 30 000 iterations.
+fn capped_svr(p: &SvrParams) -> ScaledRegressor<SvrRegressor> {
+    let svr = SvrRegressor::new(p.c, p.epsilon, Kernel::Rbf { gamma: p.gamma });
+    ScaledRegressor::new(svr.with_max_iter(30_000))
+}
+
+fn svr_tuning_section(md: &mut String, ds: &ReferenceDataset) {
+    // SMO is quadratic-ish in the training size: search on a stratified
+    // subsample of 350 flip-flops, evenly spaced in FDR order.
+    let (all_x, all_y) = (ds.x(), ds.y());
+    let mut order: Vec<usize> = (0..ds.len()).collect();
+    order.sort_by(|&a, &b| all_y[a].total_cmp(&all_y[b]));
+    let stride = ds.len() as f64 / 350.0;
+    let picks: Vec<usize> = (0..350)
+        .map(|i| order[(i as f64 * stride) as usize])
+        .collect();
+    let x: Vec<Vec<f64>> = picks.iter().map(|&i| all_x[i].clone()).collect();
+    let y: Vec<f64> = picks.iter().map(|&i| all_y[i]).collect();
+    let folds = StratifiedKFold::new(5, SEED).split(&y);
+
+    let coarse = random_search(
+        16,
+        SEED,
+        |rng| SvrParams {
+            c: 10f64.powf(rng.gen_range(-1.0..2.0)),
+            gamma: 10f64.powf(rng.gen_range(-3.0..1.0)),
+            epsilon: 10f64.powf(rng.gen_range(-3.0..-0.5)),
+        },
+        capped_svr,
+        &x,
+        &y,
+        &folds,
+    );
+    let grid = ModelKind::svr_grid();
+    let mut fine = grid_search(&grid, capped_svr, &x, &y, &folds);
+    let (c, f) = (&coarse.best_params, &fine.best_params);
+    let _ = writeln!(
+        md,
+        "### SVR\n\n\
+         Searched on a {}-flip-flop stratified subsample, SMO capped at 30 000 iterations,\n\
+         cross-validation = 5.\n\n\
+         * Stage 1, random search (16 log-uniform draws): best C = {:.3}, γ = {:.4}, ε = {:.4}\n  \
+         (R² {:.3}).\n\
+         * Stage 2, grid search over {} points around the paper's region: winner C = {}, γ = {},\n  \
+         ε = {} (paper: C = 3.5, γ = 0.055, ε = 0.025). Top 10:\n",
+        x.len(),
+        c.c,
+        c.gamma,
+        c.epsilon,
+        coarse.best_scores.r2,
+        grid.len(),
+        f.c,
+        f.gamma,
+        f.epsilon
+    );
+    fine.evaluated.sort_by(|a, b| b.1.r2.total_cmp(&a.1.r2));
+    let rows = fine.evaluated.iter().take(10);
+    let rows = rows.map(|(p, s)| {
+        format!(
+            "{:.3} | {:.4} | {:.4} | {:.3}",
+            p.c, p.gamma, p.epsilon, s.r2
+        )
+    });
+    table(md, "C | γ | ε | R²", rows);
+}
+
+fn pca_section(md: &mut String, ds: &ReferenceDataset) {
+    md.push_str(
+        "## Extensions (§V future work)\n\n### Dimensionality reduction\n\n\
+         The 25 standardized features projected onto their top principal components (both fitted\n\
+         on each training fold), then the paper's k-NN; cross-validation = 10.\n\n",
+    );
+    let (x, y) = (ds.x(), ds.y());
+    let folds = StratifiedKFold::new(10, SEED).split(y);
+    let rows = [2usize, 4, 6, 8, 12, 16, 20, 25].map(|k| {
+        let mut fold_scores = Vec::new();
+        let mut var_ratio = 0.0;
+        for (train, test) in &folds {
+            let (tx, ty) = take(&x, y, train);
+            let (vx, vy) = take(&x, y, test);
+            let mut scaler = StandardScaler::new();
+            let tx_s = scaler.fit_transform(&tx);
+            let pca = Pca::fit(&tx_s, k);
+            var_ratio = pca.explained_variance_ratio(Pca::total_variance(&tx_s));
+            let mut m = KnnRegressor::new(3, Distance::Manhattan, WeightScheme::InverseDistance);
+            m.fit(&pca.transform(&tx_s), &ty);
+            let predicted = m.predict(&pca.transform(&scaler.transform(&vx)));
+            fold_scores.push(RegressionScores::compute(&vy, &predicted));
+        }
+        let s = RegressionScores::mean(&fold_scores);
+        let variance = var_ratio * 100.0;
+        format!(
+            "{k} | {variance:.1} % | {:.3} | {:.3} | {:.3}",
+            s.mae, s.rmse, s.r2
+        )
+    });
+    table(
+        md,
+        "components | variance explained | MAE | RMSE | R²",
+        rows,
+    );
+}
+
+fn ablation_section(md: &mut String, ds: &ReferenceDataset) {
+    use FeatureGroup::{Dynamic, Structural, Synthesis};
+    md.push_str(
+        "### Feature-group ablation\n\n\
+         The paper's k-NN on each feature group and pairwise union; cross-validation = 10,\n\
+         training size 50 %.\n\n",
+    );
+    let union = |a: FeatureGroup, b: FeatureGroup| a.columns().chain(b.columns()).collect();
+    let groups: [(&str, Vec<usize>); 7] = [
+        ("structural only", Structural.columns().collect()),
+        ("synthesis only", Synthesis.columns().collect()),
+        ("dynamic only", Dynamic.columns().collect()),
+        ("structural + synthesis", union(Structural, Synthesis)),
+        ("structural + dynamic", union(Structural, Dynamic)),
+        ("synthesis + dynamic", union(Synthesis, Dynamic)),
+        ("all features", (0..ds.features.num_cols()).collect()),
+    ];
+    let rows = groups.map(|(name, cols)| {
+        let s = evaluate_model(ModelKind::Knn, &ds.with_columns(&cols), 10, 0.5, SEED);
+        format!(
+            "{name} | {} | {:.3} | {:.3} | {:.3}",
+            cols.len(),
+            s.mae,
+            s.rmse,
+            s.r2
+        )
+    });
+    table(md, "feature set | columns | MAE | RMSE | R²", rows);
+}
+
+fn importance_section(md: &mut String, ds: &ReferenceDataset) {
+    let x = ds.x();
+    let (train_idx, test_idx) = train_test_split(ds.len(), 0.5, SEED);
+    let (tx, ty) = take(&x, ds.y(), &train_idx);
+    let (vx, vy) = take(&x, ds.y(), &test_idx);
+    let mut model = ModelKind::Knn.build();
+    model.fit(&tx, &ty);
+    let baseline = ffr_ml::metrics::r2(&vy, &model.predict(&vx));
+    let _ = writeln!(
+        md,
+        "### Permutation importance\n\n\
+         The paper's k-NN fitted on half the flip-flops (held-out R² {baseline:.3}); each feature\n\
+         column of the other half shuffled 8 times.\n"
+    );
+    let names = ds.features.feature_names();
+    let ranking = ranked(permutation_importance(&*model, &vx, &vy, 8, 7));
+    let rows = ranking.iter().map(|fi| {
+        let name = &names[fi.column];
+        format!("{name} | {:.4} | {:.4}", fi.mean_drop, fi.std_drop)
+    });
+    table(md, "feature | R² drop | std dev", rows);
+}
+
+fn main() -> ExitCode {
+    let args = match DocArgs::from_env() {
+        Ok(args) => args,
+        Err(code) => return ExitCode::from(code),
+    };
+    let total = Instant::now();
+    let setup = mac_setup(Scale::Paper);
+    let ds = timed("dataset", || load_or_collect_dataset(&setup, args.force));
+    let mut md = format!(
+        "# Reproducing the paper\n\n\
+         <!-- Generated by `cargo run --release -p ffr-bench --bin paper_tables`.\n     \
+         Do not edit by hand; CI re-renders this file and diffs it\n     \
+         (`paper_tables --check`). -->\n\n\
+         Every table below comes from one reference dataset at the paper's setting: the 10GE MAC\n\
+         ({} flip-flops), {} SEU injections per flip-flop, seed {SEED}. Unless a section says\n\
+         otherwise, models are scored by 10-fold stratified cross-validation at a 50 %\n\
+         training size. Wall-clock times are printed by the generator, not recorded here.\n\n",
+        ds.len(),
+        ds.injections_per_ff
+    );
+    timed("campaign summary", || {
+        campaign_section(&mut md, &setup, &ds)
+    });
+    let cmp = timed("Tables I-II", || {
+        compare_models(&ModelKind::ALL, &ds, 10, 0.5, SEED)
+    });
+    tables_section(&mut md, &cmp);
+    let (reports, curves): (Vec<_>, Vec<_>) = timed("Figs. 2-4", || {
+        let figure = |kind: ModelKind| {
+            let curve = model_learning_curve(kind, &ds, &LEARNING_CURVE_FRACTIONS, 10, SEED);
+            (prediction_report(kind, &ds, 0.5, SEED), curve)
+        };
+        ModelKind::PAPER.map(figure).into_iter().unzip()
+    });
+    figures_section(&mut md, &reports, &curves);
+    // §IV-C prices the two models the paper recommends (k-NN, SVR).
+    savings_section(&mut md, &ds, &curves[1..]);
+    timed("k-NN tuning", || knn_tuning_section(&mut md, &ds));
+    timed("SVR tuning", || svr_tuning_section(&mut md, &ds));
+    timed("PCA", || pca_section(&mut md, &ds));
+    timed("feature ablation", || ablation_section(&mut md, &ds));
+    timed("feature importance", || importance_section(&mut md, &ds));
+    println!("{:<24} {:>6.1} s", "total", total.elapsed().as_secs_f64());
+    CommittedDoc::in_repo("docs/paper-reproduction.md", "paper_tables").finish(&md, args.check)
+}

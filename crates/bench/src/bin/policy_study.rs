@@ -21,16 +21,12 @@
 //! in the artifact store only — `docs/policy-study.md` always holds the
 //! CI-reproducible `mac-small` table.
 
+use ffr_bench::drift::{CommittedDoc, DocArgs};
 use ffr_bench::policy_study::{render_markdown, run_study, PolicyStudy, StudyConfig};
 use ffr_bench::Scale;
 use ffr_core::savings::{policy_cost_table, render_policy_table};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Repo-relative path of the generated markdown.
-fn docs_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/policy-study.md")
-}
 
 /// Where the plain-JSON copy of the studies goes.
 fn json_path() -> PathBuf {
@@ -82,20 +78,15 @@ fn print_summary(study: &PolicyStudy) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let force = args.iter().any(|a| a == "--force");
-    if let Some(unknown) = args
-        .iter()
-        .find(|a| a.as_str() != "--check" && a.as_str() != "--force")
-    {
-        eprintln!("unknown option `{unknown}` (supported: --check, --force)");
-        return ExitCode::from(64);
-    }
+    let args = match DocArgs::from_env() {
+        Ok(args) => args,
+        Err(code) => return ExitCode::from(code),
+    };
+    let docs = CommittedDoc::in_repo("docs/policy-study.md", "policy_study");
 
     // The mac-small study drives the docs and is scale-independent.
     let mut config = StudyConfig::new("mac-small");
-    config.force = force;
+    config.force = args.force;
     let small = match run_study(&config) {
         Ok(study) => study,
         Err(e) => {
@@ -106,48 +97,15 @@ fn main() -> ExitCode {
     print_summary(&small);
     let rendered = render_markdown(&small);
 
-    if check {
-        let committed = match std::fs::read_to_string(docs_path()) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!(
-                    "--check: cannot read {} ({e}); generate it first with \
-                     `cargo run --release -p ffr-bench --bin policy_study`",
-                    docs_path().display()
-                );
-                return ExitCode::from(1);
-            }
-        };
-        if committed == rendered {
-            println!("docs/policy-study.md is up to date");
-            return ExitCode::SUCCESS;
-        }
-        eprintln!("docs/policy-study.md is stale: the committed table differs from the");
-        eprintln!("one the code generates. First differing line:");
-        for (i, (a, b)) in committed.lines().zip(rendered.lines()).enumerate() {
-            if a != b {
-                eprintln!("  line {}:", i + 1);
-                eprintln!("  - {a}");
-                eprintln!("  + {b}");
-                break;
-            }
-        }
-        if committed.lines().count() != rendered.lines().count() {
-            eprintln!(
-                "  (line counts differ: {} committed vs {} generated)",
-                committed.lines().count(),
-                rendered.lines().count()
-            );
-        }
-        eprintln!("Regenerate with `cargo run --release -p ffr-bench --bin policy_study`.");
-        return ExitCode::from(1);
+    if args.check {
+        return docs.finish(&rendered, true);
     }
 
     let mut studies = vec![small];
     if Scale::from_env() == Scale::Paper {
         // The paper-scale MAC sweep: store artifact + stdout only.
         let mut config = StudyConfig::new("mac");
-        config.force = force;
+        config.force = args.force;
         match run_study(&config) {
             Ok(study) => {
                 print_summary(&study);
@@ -170,15 +128,5 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     println!("policy-study.json written to {}", json.display());
-
-    let docs = docs_path();
-    if let Some(parent) = docs.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&docs, &rendered) {
-        eprintln!("failed to write {}: {e}", docs.display());
-        return ExitCode::from(1);
-    }
-    println!("docs/policy-study.md regenerated ({})", docs.display());
-    ExitCode::SUCCESS
+    docs.finish(&rendered, false)
 }

@@ -17,6 +17,7 @@
 //! cargo run --release -p ffr-bench --bin transfer_study -- --force # recompute
 //! ```
 
+use ffr_bench::drift::{CommittedDoc, DocArgs};
 use ffr_campaign::estimate::EstimateOptions;
 use ffr_campaign::runner::{CancelToken, RunnerOptions};
 use ffr_campaign::session::{self, RunRequest};
@@ -29,11 +30,6 @@ use std::process::ExitCode;
 /// The corpus circuits of the study, each evaluated once with the other
 /// three as the training set.
 const CIRCUITS: [&str; 4] = ["fifo2x4", "fifo3x4", "regfile2x4", "regfile3x4"];
-
-/// Repo-relative path of the generated markdown.
-fn docs_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/transfer-study.md")
-}
 
 /// Campaign + study scratch space (store-cached, safe to delete).
 fn study_dir() -> PathBuf {
@@ -103,16 +99,10 @@ fn render_markdown(reports: &[(String, TransferReport)]) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let force = args.iter().any(|a| a == "--force");
-    if let Some(unknown) = args
-        .iter()
-        .find(|a| a.as_str() != "--check" && a.as_str() != "--force")
-    {
-        eprintln!("unknown option `{unknown}` (supported: --check, --force)");
-        return ExitCode::from(64);
-    }
+    let args = match DocArgs::from_env() {
+        Ok(args) => args,
+        Err(code) => return ExitCode::from(code),
+    };
 
     let store = study_dir().join("store");
     let options = RunnerOptions::default();
@@ -138,7 +128,7 @@ fn main() -> ExitCode {
         ],
         grid_budget: 1,
         store: Some(store.clone()),
-        force,
+        force: args.force,
         ..EstimateOptions::default()
     };
     let mut reports = Vec::new();
@@ -176,45 +166,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let rendered = render_markdown(&reports);
-    if check {
-        let committed = match std::fs::read_to_string(docs_path()) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!(
-                    "--check: cannot read {} ({e}); generate it first with \
-                     `cargo run --release -p ffr-bench --bin transfer_study`",
-                    docs_path().display()
-                );
-                return ExitCode::from(1);
-            }
-        };
-        if committed == rendered {
-            println!("docs/transfer-study.md is up to date");
-            return ExitCode::SUCCESS;
-        }
-        eprintln!("docs/transfer-study.md is stale: the committed table differs from the");
-        eprintln!("one the code generates. First differing line:");
-        for (i, (a, b)) in committed.lines().zip(rendered.lines()).enumerate() {
-            if a != b {
-                eprintln!("  line {}:", i + 1);
-                eprintln!("  - {a}");
-                eprintln!("  + {b}");
-                break;
-            }
-        }
-        eprintln!("Regenerate with `cargo run --release -p ffr-bench --bin transfer_study`.");
-        return ExitCode::from(1);
-    }
-
-    let docs = docs_path();
-    if let Some(parent) = docs.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&docs, &rendered) {
-        eprintln!("failed to write {}: {e}", docs.display());
-        return ExitCode::from(1);
-    }
-    println!("docs/transfer-study.md regenerated ({})", docs.display());
-    ExitCode::SUCCESS
+    CommittedDoc::in_repo("docs/transfer-study.md", "transfer_study")
+        .finish(&render_markdown(&reports), args.check)
 }

@@ -1,12 +1,14 @@
-//! Shared experiment harness for the per-table / per-figure binaries and
-//! the Criterion microbenchmarks.
+//! Shared experiment harness for the experiment binaries and the
+//! Criterion microbenchmarks.
 //!
-//! Every binary works on the same **reference dataset** (MAC features +
-//! flat-campaign FDR); collecting it is the expensive step, so it is
-//! cached as JSON under `target/ffr-cache/`, keyed by the experiment
-//! scale.
+//! Campaign artifacts (golden runs, the **reference dataset** of MAC
+//! features + flat-campaign FDR, SET tables) are the expensive step, so
+//! they are cached in an artifact store under `target/ffr-cache/`, keyed
+//! by the netlist and the experiment scale.
 //!
-//! Scale is controlled by the `FFR_SCALE` environment variable:
+//! `paper_tables` always runs the paper's setting. `policy_study` and
+//! `set_derating` read the scale from the `FFR_SCALE` environment
+//! variable:
 //!
 //! * `paper` (default) — the paper's setting: 1054-FF MAC, 170 injections
 //!   per flip-flop;
@@ -15,6 +17,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod drift;
 pub mod policy_study;
 
 use ffr_campaign::{ArtifactKind, ArtifactStore, StoreKey};
@@ -133,12 +136,6 @@ pub fn mac_setup(scale: Scale) -> MacSetup {
     }
 }
 
-/// Build the failure judge for a setup (reuses a cached golden run).
-pub fn mac_judge(setup: &MacSetup) -> MacJudge {
-    let golden = golden_run(setup);
-    MacJudge::new(setup.extractor.clone(), &golden)
-}
-
 /// The golden reference run for a setup, served from the artifact store
 /// when available (it is the most expensive part of experiment setup).
 pub fn golden_run(setup: &MacSetup) -> GoldenRun {
@@ -162,19 +159,21 @@ pub fn golden_run(setup: &MacSetup) -> GoldenRun {
     golden
 }
 
-/// Load the cached reference dataset for `scale`, or run the full flat
-/// campaign (§IV-A) and cache it in the artifact store.
-pub fn load_or_collect_dataset(scale: Scale) -> ReferenceDataset {
+/// Load the cached reference dataset for `setup`, or run the full flat
+/// campaign (§IV-A) and cache it in the artifact store. `force` re-runs
+/// the campaign even when the dataset is cached.
+pub fn load_or_collect_dataset(setup: &MacSetup, force: bool) -> ReferenceDataset {
     let store = artifact_store();
-    let setup = mac_setup(scale);
-    let key = dataset_key(scale, &setup.cc);
-    if let Ok(Some(ds)) = store.get::<ReferenceDataset>(ArtifactKind::Dataset, &key) {
-        eprintln!("[ffr-bench] dataset served from artifact store ({key})");
-        return ds;
+    let key = dataset_key(setup.scale, &setup.cc);
+    if !force {
+        if let Ok(Some(ds)) = store.get::<ReferenceDataset>(ArtifactKind::Dataset, &key) {
+            eprintln!("[ffr-bench] dataset served from artifact store ({key})");
+            return ds;
+        }
     }
-    let judge = mac_judge(&setup);
+    let judge = MacJudge::new(setup.extractor.clone(), &golden_run(setup));
     let config = CampaignConfig::new(setup.tb.injection_window())
-        .with_injections(scale.injections_per_ff())
+        .with_injections(setup.scale.injections_per_ff())
         .with_seed(2019);
     eprintln!(
         "[ffr-bench] running flat campaign: {} FFs x {} injections...",
@@ -260,9 +259,6 @@ pub fn load_or_run_set_table(scale: Scale) -> ffr_fault::SetDeratingTable {
     }
     table
 }
-
-/// The paper's learning-curve sweep (fractions of the whole dataset).
-pub const LEARNING_CURVE_FRACTIONS: [f64; 9] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 
 #[cfg(test)]
 mod tests {

@@ -45,7 +45,8 @@ pub fn savings_table(points: &[LearningCurvePoint]) -> Vec<SavingsRow> {
 }
 
 /// The largest cost reduction whose R² loss stays within `tolerance` of
-/// the best point (the paper's "up-to-5× for <10 % accuracy loss").
+/// the best point. `tolerance` is an absolute R² difference (`0.10` means
+/// 0.10 of R²), not a relative accuracy loss.
 pub fn max_cost_reduction(points: &[LearningCurvePoint], tolerance: f64) -> Option<SavingsRow> {
     savings_table(points)
         .into_iter()
