@@ -72,7 +72,8 @@ impl Regressor for GradientBoostingRegressor {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         for _ in 0..self.n_estimators {
             let residual: Vec<f64> = y.iter().zip(&current).map(|(t, p)| t - p).collect();
-            let (fit_x, fit_r): (Vec<Vec<f64>>, Vec<f64>) = if self.subsample < 1.0 {
+            let mut tree = DecisionTreeRegressor::new(self.max_depth, 2, 1);
+            if self.subsample < 1.0 {
                 let keep = ((n as f64 * self.subsample).round() as usize).max(2);
                 let mut idx: Vec<usize> = (0..n).collect();
                 for i in 0..keep {
@@ -80,15 +81,12 @@ impl Regressor for GradientBoostingRegressor {
                     idx.swap(i, j);
                 }
                 idx.truncate(keep);
-                (
-                    idx.iter().map(|&i| x[i].clone()).collect(),
-                    idx.iter().map(|&i| residual[i]).collect(),
-                )
+                let fit_x: Vec<Vec<f64>> = idx.iter().map(|&i| x[i].clone()).collect();
+                let fit_r: Vec<f64> = idx.iter().map(|&i| residual[i]).collect();
+                tree.fit(&fit_x, &fit_r);
             } else {
-                (x.to_vec(), residual.clone())
-            };
-            let mut tree = DecisionTreeRegressor::new(self.max_depth, 2, 1);
-            tree.fit(&fit_x, &fit_r);
+                tree.fit(x, &residual);
+            }
             for (c, xi) in current.iter_mut().zip(x) {
                 *c += self.learning_rate * tree.predict_one(xi);
             }
