@@ -4,7 +4,8 @@
 //! Loads the paper-scale reference dataset once (MAC, 1054 flip-flops,
 //! 170 injections each, seed 2019; cached in `target/ffr-cache`) and
 //! computes each result once: the design and campaign summary (§IV-A),
-//! Tables I–II, the prediction and learning-curve data of Figs. 2–4, the
+//! Tables I–II (scored by `ffr_core::estimate`, the pipeline behind
+//! `ffr estimate`), the prediction and learning-curve data of Figs. 2–4, the
 //! campaign-cost savings of §IV-C (from the same learning curves), the
 //! k-NN / SVR hyperparameter searches (§IV-B), and the future-work
 //! extensions (PCA, feature-group ablation, permutation importance).
@@ -20,23 +21,21 @@
 
 use ffr_bench::drift::{CommittedDoc, DocArgs};
 use ffr_bench::{load_or_collect_dataset, mac_setup, MacSetup, Scale};
-use ffr_core::savings::{max_cost_reduction, savings_table};
-use ffr_core::{
-    compare_models, evaluate_model, model_learning_curve, prediction_report, LearningCurveReport,
-    ModelComparison, ModelKind, PredictionReport, ReferenceDataset, SvrParams,
-};
+use ffr_core::{estimate, ModelKind, ReferenceDataset};
 use ffr_fault::FdrHistogram;
 use ffr_features::FeatureGroup;
 use ffr_ml::importance::{permutation_importance, ranked};
 use ffr_ml::metrics::RegressionScores;
 use ffr_ml::model_selection::{
-    grid_search, random_search, take, train_test_split, StratifiedKFold,
+    grid_search, learning_curve, random_search, take, train_test_split, LearningCurvePoint,
+    StratifiedKFold,
 };
 use ffr_ml::{
     Distance, Kernel, KnnRegressor, Pca, Regressor, ScaledRegressor, StandardScaler, SvrRegressor,
     WeightScheme,
 };
 use ffr_netlist::NetlistStats;
+use ffr_obs::Recorder;
 use ffr_sim::Stimulus;
 use rand::Rng;
 use std::fmt::Write as _;
@@ -58,6 +57,9 @@ const PAPER_TABLE_I: [(ModelKind, [f64; 5]); 3] = [
     (ModelKind::Knn, [0.050, 0.907, 0.124, 0.843, 0.842]),
     (ModelKind::SvrRbf, [0.063, 0.849, 0.124, 0.845, 0.844]),
 ];
+
+/// A model's learning curve, one point per [`LEARNING_CURVE_FRACTIONS`].
+type Curve = (ModelKind, Vec<LearningCurvePoint>);
 
 /// Run one section, printing its wall-clock time to stdout.
 fn timed<T>(section: &str, work: impl FnOnce() -> T) -> T {
@@ -81,6 +83,26 @@ fn table(md: &mut String, head: &str, rows: impl IntoIterator<Item = String>) {
 fn scores(s: &RegressionScores) -> String {
     let (mae, max, rmse, ev, r2) = (s.mae, s.max, s.rmse, s.ev, s.r2);
     format!("{mae:.3} | {max:.3} | {rmse:.3} | {ev:.3} | {r2:.3}")
+}
+
+/// The paper's fold protocol at its §IV-B setting: 10-fold stratified
+/// cross-validation, each fold trained on 50 % of the flip-flops.
+fn paper_folds(y: &[f64]) -> Vec<(Vec<usize>, Vec<usize>)> {
+    StratifiedKFold::new(10, SEED).split_with_training_size(y, 0.5)
+}
+
+/// Mean test-fold scores of each model's tuned default under `folds`,
+/// in `kinds` order — the Table I metric bundle, scored by the
+/// estimation pipeline itself (a grid budget of 1 evaluates exactly the
+/// tuned default; nothing is predicted).
+fn cv_scores(
+    x: &[Vec<f64>],
+    y: &[f64],
+    folds: &[(Vec<usize>, Vec<usize>)],
+    kinds: &[ModelKind],
+) -> Vec<RegressionScores> {
+    let scored = estimate(x, y, folds, kinds, 1, &[], &Recorder::disabled());
+    scored.models.into_iter().map(|m| m.scores).collect()
 }
 
 fn campaign_section(md: &mut String, setup: &MacSetup, ds: &ReferenceDataset) {
@@ -112,13 +134,13 @@ fn campaign_section(md: &mut String, setup: &MacSetup, ds: &ReferenceDataset) {
     let _ = writeln!(md, "FDR histogram (10 bins):\n\n```text\n{histogram}```\n");
 }
 
-fn tables_section(md: &mut String, cmp: &ModelComparison) {
+fn tables_section(md: &mut String, scored: &[(ModelKind, RegressionScores)]) {
     md.push_str(
         "## Table I — the paper's three models\n\n\
          The paper's values were measured on the authors' testbed.\n\n",
     );
     let rows = PAPER_TABLE_I.iter().map(|(kind, paper)| {
-        let ours = &cmp.rows.iter().find(|(k, _)| k == kind).expect("in Table II").1;
+        let ours = &scored.iter().find(|(k, _)| k == kind).expect("in Table II").1;
         let [mae, max, rmse, ev, r2] = paper;
         format!(
             "{kind} | this repo | {} |\n| | paper | {mae:.3} | {max:.3} | {rmse:.3} | {ev:.3} | {r2:.3}",
@@ -130,17 +152,72 @@ fn tables_section(md: &mut String, cmp: &ModelComparison) {
         "## Table II — every model (extension)\n\n\
          The paper's future-work models under the identical protocol.\n\n",
     );
-    let rows = cmp
-        .rows
+    let rows = scored
         .iter()
         .map(|(kind, s)| format!("{kind} | {}", scores(s)));
     table(md, "model | MAE | MAX | RMSE | EV | R²", rows);
-    let (best, s) = cmp
-        .rows
+    let (best, s) = scored
         .iter()
         .max_by(|a, b| a.1.r2.total_cmp(&b.1.r2))
         .expect("rows");
     let _ = writeln!(md, "Best model by R²: {best} ({:.3}).\n", s.r2);
+}
+
+/// The data behind one of Figs. 2a/3a/4a: true vs predicted FDR on the
+/// test split of an example fold.
+struct PredictionReport {
+    kind: ModelKind,
+    /// `(true, predicted)` on the test split, sorted by true FDR.
+    test: Vec<(f64, f64)>,
+    test_scores: RegressionScores,
+}
+
+/// Fit `kind`'s tuned default on fold 0 of a 2-fold split under the
+/// paper's protocol (training size 50 %) and predict the fold's test
+/// split — the paper's "example test data fold". The predictions are not
+/// clamped to the FDR range.
+fn prediction_report(kind: ModelKind, ds: &ReferenceDataset) -> PredictionReport {
+    let (x, y) = (ds.x(), ds.y());
+    let folds = StratifiedKFold::new(2, SEED).split_with_training_size(y, 0.5);
+    let (train_idx, test_idx) = &folds[0];
+    let (tx, ty) = take(&x, y, train_idx);
+    let (vx, vy) = take(&x, y, test_idx);
+    let predicted = ffr_ml::fit_predict(kind.build(), &tx, &ty, &vx);
+    let test_scores = RegressionScores::compute(&vy, &predicted);
+    let mut test: Vec<(f64, f64)> = vy.into_iter().zip(predicted).collect();
+    test.sort_by(|a, b| a.0.total_cmp(&b.0));
+    PredictionReport {
+        kind,
+        test,
+        test_scores,
+    }
+}
+
+/// Train / test R² of `kind` against training fractions of the **whole
+/// dataset** (Figs. 2b/3b/4b) under `cv_folds`-fold stratified
+/// cross-validation, in `fractions` order.
+fn model_learning_curve(
+    kind: ModelKind,
+    ds: &ReferenceDataset,
+    fractions: &[f64],
+    cv_folds: usize,
+    seed: u64,
+) -> Vec<LearningCurvePoint> {
+    let y = ds.y();
+    let folds = StratifiedKFold::new(cv_folds, seed).split(y);
+    // `learning_curve` reads fractions relative to the fold's training
+    // split; rescale so the sweep is in whole-dataset terms.
+    let train_len = folds[0].0.len() as f64;
+    let n = y.len() as f64;
+    let rescaled: Vec<f64> = fractions
+        .iter()
+        .map(|f| (f * n / train_len).min(1.0))
+        .collect();
+    let mut points = learning_curve(|| kind.build(), &ds.x(), y, &rescaled, &folds, seed);
+    for (p, &orig) in points.iter_mut().zip(fractions) {
+        p.train_fraction = orig;
+    }
+    points
 }
 
 /// `(flip-flops, mean true FDR, mean predicted FDR)` per tenth of the
@@ -154,7 +231,7 @@ fn binned_test_split(report: &PredictionReport) -> [(usize, f64, f64); 10] {
     bins.map(|(n, t, p)| (n, t / n.max(1) as f64, p / n.max(1) as f64))
 }
 
-fn figures_section(md: &mut String, reports: &[PredictionReport], curves: &[LearningCurveReport]) {
+fn figures_section(md: &mut String, reports: &[PredictionReport], curves: &[Curve]) {
     md.push_str(
         "## Figs. 2–4 — prediction and learning curves\n\n\
          ### (a) True vs predicted FDR on an example fold (training size 50 %)\n\n\
@@ -203,7 +280,7 @@ fn figures_section(md: &mut String, reports: &[PredictionReport], curves: &[Lear
         .iter()
         .enumerate()
         .map(|(i, fraction)| {
-            let points = curves.iter().map(|c| &c.points[i]);
+            let points = curves.iter().map(|(_, points)| &points[i]);
             let cells: Vec<String> = points
                 .map(|p| format!("{:.3} | {:.3}", p.train_r2, p.test_r2))
                 .collect();
@@ -216,7 +293,45 @@ fn figures_section(md: &mut String, reports: &[PredictionReport], curves: &[Lear
     table(md, &format!("train fraction | {}", head.join(" | ")), rows);
 }
 
-fn savings_section(md: &mut String, ds: &ReferenceDataset, curves: &[LearningCurveReport]) {
+/// One row of the §IV-C cost/accuracy trade-off table.
+struct SavingsRow {
+    /// Fraction of flip-flops fault-injected.
+    train_fraction: f64,
+    /// Campaign cost reduction vs a full flat campaign (`1 / fraction`).
+    cost_reduction: f64,
+    test_r2: f64,
+    /// R² loss relative to the best point on the curve.
+    r2_loss: f64,
+}
+
+/// The trade-off table of a learning curve.
+fn savings_table(points: &[LearningCurvePoint]) -> Vec<SavingsRow> {
+    let best = points
+        .iter()
+        .map(|p| p.test_r2)
+        .fold(f64::NEG_INFINITY, f64::max);
+    points
+        .iter()
+        .map(|p| SavingsRow {
+            train_fraction: p.train_fraction,
+            cost_reduction: 1.0 / p.train_fraction,
+            test_r2: p.test_r2,
+            r2_loss: best - p.test_r2,
+        })
+        .collect()
+}
+
+/// The largest cost reduction whose R² loss stays within `tolerance` of
+/// the best point. `tolerance` is an absolute R² difference (`0.10` means
+/// 0.10 of R²), not a relative accuracy loss.
+fn max_cost_reduction(points: &[LearningCurvePoint], tolerance: f64) -> Option<SavingsRow> {
+    savings_table(points)
+        .into_iter()
+        .filter(|r| r.r2_loss <= tolerance)
+        .max_by(|a, b| a.cost_reduction.total_cmp(&b.cost_reduction))
+}
+
+fn savings_section(md: &mut String, ds: &ReferenceDataset, curves: &[Curve]) {
     let injections =
         |fraction: f64| (fraction * ds.len() as f64 * ds.injections_per_ff as f64).round() as usize;
     let _ = writeln!(
@@ -228,9 +343,9 @@ fn savings_section(md: &mut String, ds: &ReferenceDataset, curves: &[LearningCur
         injections(1.0)
     );
     let mut headlines = Vec::new();
-    for curve in curves {
-        let _ = writeln!(md, "### {}\n", curve.kind);
-        let rows = savings_table(&curve.points).into_iter().map(|r| {
+    for (kind, points) in curves {
+        let _ = writeln!(md, "### {kind}\n");
+        let rows = savings_table(points).into_iter().map(|r| {
             let (fraction, cost) = (r.train_fraction, r.cost_reduction);
             let injected = injections(fraction);
             format!(
@@ -244,8 +359,8 @@ fn savings_section(md: &mut String, ds: &ReferenceDataset, curves: &[LearningCur
             rows,
         );
         for tolerance in [0.02, 0.10] {
-            if let Some(best) = max_cost_reduction(&curve.points, tolerance) {
-                let (kind, cost, fraction) = (curve.kind, best.cost_reduction, best.train_fraction);
+            if let Some(best) = max_cost_reduction(points, tolerance) {
+                let (cost, fraction) = (best.cost_reduction, best.train_fraction);
                 let injected = injections(fraction);
                 let percent = fraction * 100.0;
                 headlines.push(format!(
@@ -266,9 +381,61 @@ fn savings_section(md: &mut String, ds: &ReferenceDataset, curves: &[LearningCur
     );
 }
 
+/// k-NN hyperparameters of the §IV-B search.
+#[derive(Clone, Copy)]
+struct KnnParams {
+    k: usize,
+    distance: Distance,
+    weights: WeightScheme,
+}
+
+impl KnnParams {
+    fn build(self) -> ScaledRegressor<KnnRegressor> {
+        ScaledRegressor::new(KnnRegressor::new(self.k, self.distance, self.weights))
+    }
+}
+
+/// The §IV-B.2 k-NN grid.
+fn knn_grid() -> Vec<KnnParams> {
+    let mut grid = Vec::new();
+    for k in [1usize, 2, 3, 5, 7, 11, 15] {
+        for distance in [Distance::Manhattan, Distance::Euclidean] {
+            for weights in [WeightScheme::Uniform, WeightScheme::InverseDistance] {
+                grid.push(KnnParams {
+                    k,
+                    distance,
+                    weights,
+                });
+            }
+        }
+    }
+    grid
+}
+
+/// SVR hyperparameters of the §IV-B search.
+#[derive(Clone)]
+struct SvrParams {
+    c: f64,
+    gamma: f64,
+    epsilon: f64,
+}
+
+/// The §IV-B.3 SVR grid around the paper's tuned point.
+fn svr_grid() -> Vec<SvrParams> {
+    let mut grid = Vec::new();
+    for c in [0.5, 1.0, 3.5, 10.0] {
+        for gamma in [0.01, 0.055, 0.2, 1.0] {
+            for epsilon in [0.01, 0.025, 0.1] {
+                grid.push(SvrParams { c, gamma, epsilon });
+            }
+        }
+    }
+    grid
+}
+
 fn knn_tuning_section(md: &mut String, ds: &ReferenceDataset) {
     let folds = StratifiedKFold::new(5, SEED).split(ds.y());
-    let grid = ModelKind::knn_grid();
+    let grid = knn_grid();
     let mut result = grid_search(&grid, |p| p.build(), &ds.x(), ds.y(), &folds);
     let best = result.best_params;
     let _ = writeln!(
@@ -321,7 +488,7 @@ fn svr_tuning_section(md: &mut String, ds: &ReferenceDataset) {
         &y,
         &folds,
     );
-    let grid = ModelKind::svr_grid();
+    let grid = svr_grid();
     let mut fine = grid_search(&grid, capped_svr, &x, &y, &folds);
     let (c, f) = (&coarse.best_params, &fine.best_params);
     let _ = writeln!(
@@ -408,8 +575,10 @@ fn ablation_section(md: &mut String, ds: &ReferenceDataset) {
         ("synthesis + dynamic", union(Synthesis, Dynamic)),
         ("all features", (0..ds.features.num_cols()).collect()),
     ];
+    let folds = paper_folds(ds.y());
     let rows = groups.map(|(name, cols)| {
-        let s = evaluate_model(ModelKind::Knn, &ds.with_columns(&cols), 10, 0.5, SEED);
+        let x = ds.with_columns(&cols).x();
+        let s = cv_scores(&x, ds.y(), &folds, &[ModelKind::Knn])[0];
         format!(
             "{name} | {} | {:.3} | {:.3} | {:.3}",
             cols.len(),
@@ -467,14 +636,15 @@ fn main() -> ExitCode {
     timed("campaign summary", || {
         campaign_section(&mut md, &setup, &ds)
     });
-    let cmp = timed("Tables I-II", || {
-        compare_models(&ModelKind::ALL, &ds, 10, 0.5, SEED)
+    let rows: Vec<_> = timed("Tables I-II", || {
+        let scores = cv_scores(&ds.x(), ds.y(), &paper_folds(ds.y()), &ModelKind::ALL);
+        ModelKind::ALL.into_iter().zip(scores).collect()
     });
-    tables_section(&mut md, &cmp);
-    let (reports, curves): (Vec<_>, Vec<_>) = timed("Figs. 2-4", || {
+    tables_section(&mut md, &rows);
+    let (reports, curves): (Vec<_>, Vec<Curve>) = timed("Figs. 2-4", || {
         let figure = |kind: ModelKind| {
             let curve = model_learning_curve(kind, &ds, &LEARNING_CURVE_FRACTIONS, 10, SEED);
-            (prediction_report(kind, &ds, 0.5, SEED), curve)
+            (prediction_report(kind, &ds), (kind, curve))
         };
         ModelKind::PAPER.map(figure).into_iter().unzip()
     });
@@ -488,4 +658,123 @@ fn main() -> ExitCode {
     timed("feature importance", || importance_section(&mut md, &ds));
     println!("{:<24} {:>6.1} s", "total", total.elapsed().as_secs_f64());
     CommittedDoc::in_repo("docs/paper-reproduction.md", "paper_tables").finish(&md, args.check)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ffr_features::FeatureMatrix;
+
+    /// A synthetic dataset whose FDR is a non-linear function of two
+    /// features, mimicking the paper's setting at unit-test scale.
+    fn synthetic(n: usize) -> ReferenceDataset {
+        let names: Vec<String> = vec!["f0".into(), "f1".into(), "f2".into()];
+        let ffs: Vec<String> = (0..n).map(|i| format!("ff{i}")).collect();
+        let mut features = FeatureMatrix::zeros(ffs, names);
+        let mut fdr = Vec::with_capacity(n);
+        for i in 0..n {
+            let a = ((i * 37) % 101) as f64 / 101.0;
+            let b = ((i * 53) % 97) as f64 / 97.0;
+            let c = ((i * 11) % 89) as f64 / 89.0; // noise feature
+            features.set(i, 0, a);
+            features.set(i, 1, b);
+            features.set(i, 2, c);
+            // Non-linear target in [0, 1].
+            fdr.push(((a * b * 2.5).min(1.0) * (0.5 + 0.5 * (3.0 * a).sin().abs())).min(1.0));
+        }
+        ReferenceDataset {
+            features,
+            fdr,
+            injections_per_ff: 0,
+        }
+    }
+
+    fn point(frac: f64, r2: f64) -> LearningCurvePoint {
+        let s = RegressionScores {
+            mae: 0.0,
+            max: 0.0,
+            rmse: 0.0,
+            ev: r2,
+            r2,
+        };
+        LearningCurvePoint {
+            train_fraction: frac,
+            train_r2: r2 + 0.05,
+            test_r2: r2,
+            train_scores: s,
+            test_scores: s,
+        }
+    }
+
+    #[test]
+    fn nonlinear_models_beat_linear_like_the_paper() {
+        let ds = synthetic(300);
+        let folds = StratifiedKFold::new(5, 42).split_with_training_size(ds.y(), 0.5);
+        let scores = cv_scores(&ds.x(), ds.y(), &folds, &ModelKind::PAPER);
+        let [lin, knn, svr] = [0, 1, 2].map(|i| scores[i].r2);
+        assert!(knn > lin, "knn {knn} must beat linear {lin}");
+        assert!(svr > lin, "svr {svr} must beat linear {lin}");
+    }
+
+    #[test]
+    fn prediction_report_is_sorted_and_complete() {
+        let ds = synthetic(120);
+        let rep = prediction_report(ModelKind::Knn, &ds);
+        // Fold 0 of two tests half the flip-flops, each predicted once.
+        assert_eq!(rep.test.len(), 60);
+        assert!(rep.test.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    #[test]
+    fn learning_curve_flattens() {
+        let ds = synthetic(250);
+        let points = model_learning_curve(ModelKind::Knn, &ds, &[0.1, 0.3, 0.5, 0.7, 0.9], 5, 7);
+        assert_eq!(points.len(), 5);
+        // Test score at 50 % should be close to the score at 90 % —
+        // the paper's central cost-saving observation.
+        let at = |frac: f64| {
+            points
+                .iter()
+                .find(|p| (p.train_fraction - frac).abs() < 1e-9)
+                .expect("point exists")
+                .test_r2
+        };
+        assert!(at(0.9) - at(0.5) < 0.1, "curve must flatten: {points:?}");
+        assert!(at(0.5) > at(0.1) - 0.05, "more data helps early on");
+    }
+
+    #[test]
+    fn table_and_selection() {
+        // A saturating curve: 0.2 -> 0.78, 0.5 -> 0.84, 0.9 -> 0.85.
+        let pts = vec![point(0.2, 0.78), point(0.5, 0.84), point(0.9, 0.85)];
+        let table = savings_table(&pts);
+        assert_eq!(table.len(), 3);
+        assert!((table[0].cost_reduction - 5.0).abs() < 1e-9);
+        assert!((table[1].cost_reduction - 2.0).abs() < 1e-9);
+        // Tight tolerance picks 2x, loose tolerance 5x — the paper's two
+        // headline numbers.
+        let tight = max_cost_reduction(&pts, 0.02).unwrap();
+        assert!((tight.cost_reduction - 2.0).abs() < 1e-9);
+        let loose = max_cost_reduction(&pts, 0.10).unwrap();
+        assert!((loose.cost_reduction - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn no_point_within_tolerance() {
+        let pts = vec![point(0.1, 0.2), point(0.9, 0.9)];
+        let r = max_cost_reduction(&pts, 0.05).unwrap();
+        assert!((r.cost_reduction - 1.0 / 0.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn grids_contain_paper_points() {
+        let knn = knn_grid();
+        assert!(knn.iter().any(|p| p.k == 3
+            && p.distance == Distance::Manhattan
+            && p.weights == WeightScheme::InverseDistance));
+        let svr = svr_grid();
+        assert!(svr
+            .iter()
+            .any(|p| p.c == 3.5 && p.gamma == 0.055 && p.epsilon == 0.025));
+    }
 }

@@ -24,7 +24,6 @@
 use ffr_bench::drift::{CommittedDoc, DocArgs};
 use ffr_bench::policy_study::{render_markdown, run_study, PolicyStudy, StudyConfig};
 use ffr_bench::Scale;
-use ffr_core::savings::{policy_cost_table, render_policy_table};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -33,7 +32,8 @@ fn json_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/policy-study/policy-study.json")
 }
 
-/// Console summary of a study through the core savings fold-in.
+/// Console summary of a study: each full-budget policy's cost and
+/// accuracy against the reference, then the budgeted ML-flow cells.
 fn print_summary(study: &PolicyStudy) {
     println!(
         "=== {} ({} FFs, reference {} @ {} injections, FFR {:.4}) ===",
@@ -43,16 +43,24 @@ fn print_summary(study: &PolicyStudy) {
         study.reference_injections,
         study.reference_ffr
     );
-    let full_budget: Vec<(&str, usize, f64)> = study
-        .rows
+    let full_budget: Vec<_> = study.rows.iter().filter(|r| r.budget >= 1.0).collect();
+    let width = full_budget
         .iter()
-        .filter(|r| r.budget >= 1.0)
-        .map(|r| (r.policy.as_str(), r.injections, r.ffr_delta))
-        .collect();
-    print!(
-        "{}",
-        render_policy_table(&policy_cost_table(study.reference_injections, full_budget))
+        .map(|r| r.policy.len())
+        .fold(6, usize::max);
+    println!(
+        "{:<width$} {:>12} {:>10} {:>10}",
+        "policy", "injections", "saved", "|dFFR|"
     );
+    for row in full_budget {
+        println!(
+            "{:<width$} {:>12} {:>9.1}% {:>10.4}",
+            row.policy,
+            row.injections,
+            row.saved_vs_reference * 100.0,
+            row.ffr_delta.abs()
+        );
+    }
     for row in study.rows.iter().filter(|r| r.budget < 1.0) {
         if let Some(est) = &row.estimate {
             println!(

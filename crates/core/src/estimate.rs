@@ -238,13 +238,24 @@ mod tests {
     #[test]
     fn grid_budget_one_evaluates_exactly_the_tuned_default() {
         let (x, y, _) = dataset();
-        let folds = StratifiedKFold::new(4, 7).split(&y);
-        for kind in [ModelKind::Knn, ModelKind::GradientBoosting] {
-            let e = run(&folds, &[kind], 1);
-            assert_eq!(e.models.len(), 1);
-            assert_eq!(e.winner.label(), "tuned-default");
-            let expected = ffr_ml::model_selection::cross_validate(|| kind.build(), &x, &y, &folds);
-            assert_eq!(e.models[0].scores, expected.mean_test());
+        // Plain stratified folds and the paper's training-size protocol
+        // (what `paper_tables` scores Tables I–II with).
+        let splitter = StratifiedKFold::new(4, 7);
+        for folds in [
+            splitter.split(&y),
+            splitter.split_with_training_size(&y, 0.5),
+        ] {
+            for kind in ModelKind::PAPER
+                .into_iter()
+                .chain([ModelKind::GradientBoosting])
+            {
+                let e = run(&folds, &[kind], 1);
+                assert_eq!(e.models.len(), 1);
+                assert_eq!(e.winner.label(), "tuned-default");
+                let expected =
+                    ffr_ml::model_selection::cross_validate(|| kind.build(), &x, &y, &folds);
+                assert_eq!(e.models[0].scores, expected.mean_test());
+            }
         }
     }
 

@@ -9,27 +9,23 @@
 //! 3. obtain reference FDR values by **statistical fault injection** —
 //!    either for every flip-flop (the paper's validation baseline) or only
 //!    for a training subset (the cost-saving use case, [`ffr_fault`]),
-//! 4. **train and evaluate regression models** ([`ffr_ml`]) under 10-fold
-//!    stratified cross-validation, producing the paper's Table I metrics,
-//!    the per-fold prediction plots (Figs. 2a/3a/4a) and the learning
-//!    curves (Figs. 2b/3b/4b).
+//! 4. **select, fit and apply a regression model** ([`ffr_ml`]) on the
+//!    measured flip-flops, predicting the rest.
 //!
 //! Entry points:
 //!
 //! * [`ReferenceDataset::collect`] — full campaign + features (§IV-A),
 //! * [`ModelKind`] — the paper's three models plus the future-work ones,
-//!   with tuned hyperparameters and default search spaces,
-//! * [`evaluate_model`] / [`compare_models`] — Table I,
-//! * [`prediction_report`] — Figs. 2a/3a/4a,
-//! * [`model_learning_curve`] — Figs. 2b/3b/4b,
-//! * [`estimate()`] — the production pipeline behind `ffr estimate`,
-//!   `ffr transfer` and in-memory use: cross-validated model selection on
-//!   the measured flip-flops ([`measured_rows`]), then fit the winner and
-//!   predict the rest ([`fit_predict`]),
+//!   with tuned hyperparameters and small selection grids
+//!   ([`ModelKind::small_grid`]),
+//! * [`estimate()`] — the one select → fit → predict pipeline, behind
+//!   `ffr estimate`, `ffr transfer`, in-memory use and the paper's tables
+//!   (`paper_tables` in `ffr-bench`): cross-validated model selection on
+//!   the measured flip-flops ([`measured_rows`]) over the caller's folds,
+//!   then fit the winner and predict the rest ([`fit_predict`]),
 //! * [`SoftErrorEstimate`] — fold the SEU estimates and a SET de-rating
 //!   table (from `ffr run --fault set`) into one circuit-level
-//!   functional failure rate,
-//! * [`savings`] — the 2–5× campaign-cost-reduction analysis.
+//!   functional failure rate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,14 +34,8 @@ mod dataset;
 mod derating;
 mod estimate;
 mod models;
-mod report;
-pub mod savings;
 
 pub use dataset::ReferenceDataset;
 pub use derating::{RawEventRates, SoftErrorEstimate};
 pub use estimate::{estimate, fit_predict, measured_rows, Estimate, ModelCv};
-pub use models::{DecisionTreeParams, KnnParams, ModelCandidate, ModelKind, SvrParams};
-pub use report::{
-    compare_models, evaluate_model, model_learning_curve, prediction_report, LearningCurveReport,
-    ModelComparison, PredictionReport,
-};
+pub use models::{ModelCandidate, ModelKind};

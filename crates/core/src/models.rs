@@ -1,5 +1,6 @@
 //! The model zoo: the paper's three evaluated models and its future-work
-//! models, with tuned hyperparameters and default search spaces.
+//! models, with tuned hyperparameters and the small selection grids
+//! around them.
 
 use ffr_ml::{
     Activation, Distance, GradientBoostingRegressor, Kernel, KnnRegressor, LinearRegression,
@@ -234,36 +235,6 @@ impl ModelKind {
         grid.truncate(budget);
         grid
     }
-
-    /// k-NN hyperparameter grid used by the tuning experiment (§IV-B.2).
-    pub fn knn_grid() -> Vec<KnnParams> {
-        let mut grid = Vec::new();
-        for k in [1usize, 2, 3, 5, 7, 11, 15] {
-            for distance in [Distance::Manhattan, Distance::Euclidean] {
-                for weights in [WeightScheme::Uniform, WeightScheme::InverseDistance] {
-                    grid.push(KnnParams {
-                        k,
-                        distance,
-                        weights,
-                    });
-                }
-            }
-        }
-        grid
-    }
-
-    /// SVR hyperparameter grid around the paper's tuned point (§IV-B.3).
-    pub fn svr_grid() -> Vec<SvrParams> {
-        let mut grid = Vec::new();
-        for c in [0.5, 1.0, 3.5, 10.0] {
-            for gamma in [0.01, 0.055, 0.2, 1.0] {
-                for epsilon in [0.01, 0.025, 0.1] {
-                    grid.push(SvrParams { c, gamma, epsilon });
-                }
-            }
-        }
-        grid
-    }
 }
 
 impl std::fmt::Display for ModelKind {
@@ -317,53 +288,11 @@ impl std::fmt::Debug for ModelCandidate {
     }
 }
 
-/// k-NN hyperparameters for search experiments.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct KnnParams {
-    /// Number of neighbors.
-    pub k: usize,
-    /// Distance metric.
-    pub distance: Distance,
-    /// Weighting scheme.
-    pub weights: WeightScheme,
-}
-
-impl KnnParams {
-    /// Build the (scaled) model.
-    pub fn build(self) -> ScaledRegressor<KnnRegressor> {
-        ScaledRegressor::new(KnnRegressor::new(self.k, self.distance, self.weights))
-    }
-}
-
-/// SVR hyperparameters for search experiments.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SvrParams {
-    /// Penalty C.
-    pub c: f64,
-    /// RBF width γ.
-    pub gamma: f64,
-    /// Tube width ε.
-    pub epsilon: f64,
-}
-
-impl SvrParams {
-    /// Build the (scaled) model.
-    pub fn build(self) -> ScaledRegressor<SvrRegressor> {
-        ScaledRegressor::new(SvrRegressor::new(
-            self.c,
-            self.epsilon,
-            Kernel::Rbf { gamma: self.gamma },
-        ))
-    }
-}
-
 /// Decision-tree hyperparameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DecisionTreeParams {
-    /// Maximum depth.
-    pub max_depth: usize,
-    /// Minimum samples per leaf.
-    pub min_samples_leaf: usize,
+#[derive(Clone, Copy)]
+struct DecisionTreeParams {
+    max_depth: usize,
+    min_samples_leaf: usize,
 }
 
 impl Default for DecisionTreeParams {
@@ -376,8 +305,7 @@ impl Default for DecisionTreeParams {
 }
 
 impl DecisionTreeParams {
-    /// Build the tree.
-    pub fn build(self) -> ffr_ml::DecisionTreeRegressor {
+    fn build(self) -> ffr_ml::DecisionTreeRegressor {
         ffr_ml::DecisionTreeRegressor::new(self.max_depth, 2, self.min_samples_leaf)
     }
 }
@@ -398,18 +326,6 @@ mod tests {
             let p = m.predict_one(&x[0]);
             assert!(p.is_finite(), "{kind}: non-finite prediction");
         }
-    }
-
-    #[test]
-    fn grids_contain_paper_points() {
-        let knn = ModelKind::knn_grid();
-        assert!(knn.iter().any(|p| p.k == 3
-            && p.distance == Distance::Manhattan
-            && p.weights == WeightScheme::InverseDistance));
-        let svr = ModelKind::svr_grid();
-        assert!(svr
-            .iter()
-            .any(|p| p.c == 3.5 && p.gamma == 0.055 && p.epsilon == 0.025));
     }
 
     #[test]

@@ -112,6 +112,41 @@ impl StratifiedKFold {
             })
             .collect()
     }
+
+    /// The paper's fold protocol (§IV-B: CV = 10, training size = 50 %):
+    /// the stratified folds of [`StratifiedKFold::split`], each training
+    /// split cut down to `training_size` — a fraction of the **whole
+    /// dataset** — by a seeded shuffle, so the kept rows are an unbiased
+    /// random subset and the folds stay leakage-free.
+    ///
+    /// A fold keeps `round(y.len() × training_size)` rows, at least 2 and
+    /// at most its whole training split (the rule of [`learning_curve`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `training_size` is outside `(0, 1)` or
+    /// `y.len() < n_splits`.
+    pub fn split_with_training_size(
+        &self,
+        y: &[f64],
+        training_size: f64,
+    ) -> Vec<(Vec<usize>, Vec<usize>)> {
+        assert!(
+            training_size > 0.0 && training_size < 1.0,
+            "training size must be in (0,1)"
+        );
+        let target = ((y.len() as f64) * training_size).round() as usize;
+        self.split(y)
+            .into_iter()
+            .enumerate()
+            .map(|(fold, (mut train, test))| {
+                let seed = self.seed ^ ((fold as u64) << 20) ^ 0x51;
+                train.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+                train.truncate(target.max(2).min(train.len()));
+                (train, test)
+            })
+            .collect()
+    }
 }
 
 /// Grouped cross-validation: each fold holds out one entire group — the
@@ -397,6 +432,27 @@ mod tests {
             let high = test.iter().filter(|&&i| y[i] > 0.5).count();
             assert_eq!(high, 5, "each fold holds half high-FDR samples");
         }
+    }
+
+    #[test]
+    fn training_size_protocol_truncates_folds() {
+        let y: Vec<f64> = (0..100).map(|i| ((i * 37) % 101) as f64 / 101.0).collect();
+        let folds = StratifiedKFold::new(5, 1).split_with_training_size(&y, 0.3);
+        for (train, test) in &folds {
+            assert_eq!(train.len(), 30);
+            assert_eq!(test.len(), 20);
+        }
+    }
+
+    #[test]
+    fn training_size_protocol_keeps_short_training_splits_whole() {
+        // n = 3 in 2 folds: one fold trains on a single row, below the
+        // floor of 2 — it keeps that row instead of panicking.
+        let y = [0.1, 0.5, 0.9];
+        let folds = StratifiedKFold::new(2, 0).split_with_training_size(&y, 0.5);
+        let mut train_lens: Vec<usize> = folds.iter().map(|(train, _)| train.len()).collect();
+        train_lens.sort_unstable();
+        assert_eq!(train_lens, [1, 2]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! estimation flow, at small scale.
 
 use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, TrafficConfig};
-use ffr_core::{compare_models, measured_rows, ModelKind, ReferenceDataset};
+use ffr_core::{measured_rows, ModelKind, ReferenceDataset};
 use ffr_fault::{Campaign, CampaignConfig, FdrTable};
 use ffr_ml::metrics;
 use ffr_ml::model_selection::{train_test_split, StratifiedKFold};
@@ -26,15 +26,17 @@ fn nonlinear_models_beat_linear_on_real_fault_data() {
     // 24 injections per FF: enough resolution in the reference FDR values
     // for the model-quality gap to clear the asserted margin reliably.
     let (ds, _) = small_dataset(24, 1);
-    let cmp = compare_models(
+    let scored = ffr_core::estimate(
+        &ds.x(),
+        ds.y(),
+        &StratifiedKFold::new(5, 42).split_with_training_size(ds.y(), 0.5),
         &[ModelKind::LinearLeastSquares, ModelKind::Knn],
-        &ds,
-        5,
-        0.5,
-        42,
+        1,
+        &[],
+        &ffr_obs::Recorder::disabled(),
     );
-    let lin = cmp.rows[0].1;
-    let knn = cmp.rows[1].1;
+    let lin = scored.models[0].scores;
+    let knn = scored.models[1].scores;
     assert!(
         knn.r2 > lin.r2 + 0.1,
         "paper's central claim must hold: knn {} vs linear {}",
