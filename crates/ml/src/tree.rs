@@ -168,13 +168,26 @@ fn best_split(
             let sum_right = total_sum - sum_left;
             let sse_right = (total_sq - sq_left) - sum_right * sum_right / nr;
             let sse = sse_left + sse_right;
-            let threshold = 0.5 * (x[order[cut - 1]][f] + x[order[cut]][f]);
+            let threshold = split_threshold(x[order[cut - 1]][f], x[order[cut]][f]);
             if best.is_none_or(|(_, _, b)| sse < b) {
                 best = Some((f, threshold, sse));
             }
         }
     }
     best.map(|(f, t, _)| (f, t))
+}
+
+/// Threshold between adjacent sorted values `a < b`: their midpoint, or
+/// `a` when the midpoint is not in `[a, b)` (adjacent floats round it up
+/// to `b`; `a + b` overflows). Rows go left on `x <= threshold`, so the
+/// split then still separates `a` from `b`.
+fn split_threshold(a: f64, b: f64) -> f64 {
+    let mid = 0.5 * (a + b);
+    if a <= mid && mid < b {
+        mid
+    } else {
+        a
+    }
 }
 
 impl Regressor for DecisionTreeRegressor {
@@ -261,6 +274,25 @@ mod tests {
         t.fit(&x, &y);
         assert_eq!(t.predict_one(&[5.0, 0.0]), -1.0);
         assert_eq!(t.predict_one(&[5.0, 1.0]), 1.0);
+    }
+
+    #[test]
+    fn degenerate_midpoints_still_separate_adjacent_values() {
+        let a = f64::from_bits(1.0f64.to_bits() + 1);
+        let b = f64::from_bits(a.to_bits() + 1);
+        // 0.5 * (a + b) rounds to b; the other two pairs overflow to ±∞.
+        for (a, b) in [
+            (a, b),
+            (f64::MAX / 2.0, f64::MAX),
+            (-f64::MAX, -f64::MAX / 2.0),
+        ] {
+            let mut t = DecisionTreeRegressor::new(4, 2, 1);
+            t.fit(&[vec![a], vec![b]], &[0.0, 1.0]);
+            assert_eq!(t.num_nodes(), 3, "one split, two leaves ({a}, {b})");
+            assert_eq!(t.predict(&[vec![a], vec![b]]), [0.0, 1.0]);
+            assert_eq!(t.predict_one(&[f64::MAX]), 1.0);
+            assert_eq!(t.predict_one(&[-f64::MAX]), 0.0);
+        }
     }
 
     #[test]
