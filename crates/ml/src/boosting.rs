@@ -2,7 +2,7 @@
 //! algorithms the paper's future-work section calls for.
 
 use crate::estimator::{check_training_set, Regressor};
-use crate::tree::DecisionTreeRegressor;
+use crate::tree::{DecisionTreeRegressor, Ranks};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -11,6 +11,15 @@ use rand_chacha::ChaCha8Rng;
 /// fits a shallow tree to the current residuals and is added with a
 /// shrinkage factor (`learning_rate`). Optional stochastic row subsampling
 /// gives the classic "stochastic gradient boosting" variant.
+///
+/// `fit` ranks every feature's values once and every stage presorts its
+/// rows from those ranks by a counting sort (see
+/// [`RandomForestRegressor`](crate::RandomForestRegressor)); without
+/// subsampling, a stage updates the running predictions from the leaf
+/// each training row fell into while the tree grew. Every stage is
+/// bit-identical to a [`DecisionTreeRegressor`] fitted on the stage's
+/// rows and residuals and then asked to predict each row, which
+/// `crates/ml/tests/tree_equivalence.rs` checks.
 #[derive(Debug, Clone)]
 pub struct GradientBoostingRegressor {
     n_estimators: usize,
@@ -70,25 +79,34 @@ impl Regressor for GradientBoostingRegressor {
         self.stages.clear();
         let mut current: Vec<f64> = vec![self.base; n];
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let ranks = Ranks::new(x);
+        let all: Vec<usize> = (0..n).collect();
+        let mut residual = vec![0.0; n];
         for _ in 0..self.n_estimators {
-            let residual: Vec<f64> = y.iter().zip(&current).map(|(t, p)| t - p).collect();
+            for ((r, t), p) in residual.iter_mut().zip(y).zip(&current) {
+                *r = t - p;
+            }
             let mut tree = DecisionTreeRegressor::new(self.max_depth, 2, 1);
             if self.subsample < 1.0 {
-                let keep = ((n as f64 * self.subsample).round() as usize).max(2);
-                let mut idx: Vec<usize> = (0..n).collect();
+                let keep = ((n as f64 * self.subsample).round() as usize).max(2).min(n);
+                let mut idx = all.clone();
                 for i in 0..keep {
                     let j = rng.gen_range(i..n);
                     idx.swap(i, j);
                 }
                 idx.truncate(keep);
-                let fit_x: Vec<Vec<f64>> = idx.iter().map(|&i| x[i].clone()).collect();
                 let fit_r: Vec<f64> = idx.iter().map(|&i| residual[i]).collect();
-                tree.fit(&fit_x, &fit_r);
+                tree.fit_sample(&ranks, &idx, &fit_r, None);
+                for (c, xi) in current.iter_mut().zip(x) {
+                    *c += self.learning_rate * tree.predict_one(xi);
+                }
             } else {
-                tree.fit(x, &residual);
-            }
-            for (c, xi) in current.iter_mut().zip(x) {
-                *c += self.learning_rate * tree.predict_one(xi);
+                // Every row is in the sample, so its leaf value is the
+                // tree's prediction for it.
+                let fitted = tree.fit_sample(&ranks, &all, &residual, None);
+                for (c, v) in current.iter_mut().zip(fitted) {
+                    *c += self.learning_rate * v;
+                }
             }
             self.stages.push(tree);
         }
@@ -140,6 +158,14 @@ mod tests {
         let r_tree = r2(&y, &tree.predict(&x));
         let r_gbm = r2(&y, &gbm.predict(&x));
         assert!(r_gbm > r_tree, "{r_gbm} vs {r_tree}");
+    }
+
+    #[test]
+    fn subsampling_a_single_row_keeps_it() {
+        let mut m = GradientBoostingRegressor::new(5, 0.5, 3).with_subsample(0.5, 1);
+        m.fit(&[vec![1.0]], &[0.25]);
+        assert_eq!(m.predict_one(&[1.0]), 0.25);
+        assert_eq!(m.num_stages(), 5);
     }
 
     #[test]

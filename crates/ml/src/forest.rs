@@ -2,13 +2,21 @@
 //! subsampling).
 
 use crate::estimator::{check_training_set, Regressor};
-use crate::tree::DecisionTreeRegressor;
+use crate::tree::{DecisionTreeRegressor, Ranks};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Random forest: an average of `n_trees` CART trees, each grown on a
 /// bootstrap sample with `max_features` features considered per split.
+///
+/// The trees share one presort: `fit` ranks every feature's values once,
+/// and each bootstrap's per-feature order is a counting sort of its
+/// positions by that rank, positions ascending within a rank. That is the
+/// order a stable sort of the gathered bootstrap rows gives, so every tree
+/// is bit-identical to a [`DecisionTreeRegressor`] fitted on a copy of its
+/// bootstrap rows, without the copy; `crates/ml/tests/tree_equivalence.rs`
+/// checks it.
 #[derive(Debug, Clone)]
 pub struct RandomForestRegressor {
     n_trees: usize,
@@ -74,19 +82,18 @@ impl Regressor for RandomForestRegressor {
             (d as f64).sqrt().round().max(1.0) as usize
         };
         self.trees.clear();
+        let ranks = Ranks::new(x);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let (mut sample, mut by) = (vec![0; n], vec![0.0; n]);
         for _ in 0..self.n_trees {
             // Bootstrap sample.
-            let mut bx = Vec::with_capacity(n);
-            let mut by = Vec::with_capacity(n);
-            for _ in 0..n {
-                let i = rng.gen_range(0..n);
-                bx.push(x[i].clone());
-                by.push(y[i]);
+            for (s, t) in sample.iter_mut().zip(&mut by) {
+                *s = rng.gen_range(0..n);
+                *t = y[*s];
             }
             let mut tree = DecisionTreeRegressor::new(self.max_depth, 2, self.min_samples_leaf)
                 .with_max_features(max_features);
-            tree.fit_with_rng(&bx, &by, Some(&mut rng));
+            tree.fit_sample(&ranks, &sample, &by, Some(&mut rng));
             self.trees.push(tree);
         }
     }

@@ -52,9 +52,17 @@ impl Activation {
 /// happens in the order of the textbook per-sample formulation: a
 /// pre-activation is `-0.0` plus the `w·a` terms in ascending input order
 /// plus the bias, gradients accumulate in sample order, and a hidden
-/// delta sums its terms in ascending neuron order. Fitted weights and
-/// predictions are therefore bit-identical to that formulation, which
-/// `crates/ml/tests/mlp_equivalence.rs` checks against a test-only copy.
+/// delta sums its terms in ascending neuron order. The backward pass
+/// skips every delta of exactly `0.0` (a dead ReLU unit): its terms
+/// `0 · a` and `0 · w` are ±0, and adding ±0 to an accumulator that
+/// started at `+0.0` changes nothing, because under round-to-nearest such
+/// an accumulator is never `-0.0`. That holds only for finite factors
+/// (`0 × ∞` is NaN): the inputs are checked finite by `fit`, and an
+/// epoch skips only after checking that the hidden activations and the
+/// weights are all finite too, and takes the full path otherwise. Fitted
+/// weights and predictions are therefore bit-identical to that
+/// formulation, which `crates/ml/tests/mlp_equivalence.rs` checks against
+/// a test-only copy.
 #[derive(Debug, Clone)]
 pub struct MlpRegressor {
     hidden: Vec<usize>,
@@ -227,6 +235,16 @@ impl Regressor for MlpRegressor {
         for epoch in 1..=self.epochs {
             self.forward(&xs, &mut pres, &mut acts);
             gw.iter_mut().chain(&mut gb).for_each(|g| g.fill(0.0));
+            // A zero delta adds only ±0 terms, which leave every gradient
+            // and back-propagated sum unchanged, unless it meets an
+            // infinite or NaN factor (`0 × ∞` is NaN). The inputs are
+            // finite (`check_training_set`); activations and weights are
+            // checked here.
+            let skip_zero_deltas = acts.iter().flatten().all(|v| v.is_finite())
+                && self
+                    .layers
+                    .iter()
+                    .all(|l| l.w.iter().all(|w| w.is_finite()));
 
             // Backpropagate and accumulate full-batch gradients, sample by
             // sample in sample order.
@@ -243,6 +261,9 @@ impl Regressor for MlpRegressor {
                         .zip(&mut gb[l])
                         .zip(gw[l].chunks_exact_mut(inputs))
                     {
+                        if skip_zero_deltas && dj == 0.0 {
+                            continue;
+                        }
                         *gbj += dj;
                         for (g, &ai) in gwj.iter_mut().zip(a) {
                             *g += dj * ai;
@@ -254,6 +275,9 @@ impl Regressor for MlpRegressor {
                     let nl = &mut next[..inputs];
                     nl.fill(0.0);
                     for (&dj, wj) in dl.iter().zip(layer.w.chunks_exact(inputs)) {
+                        if skip_zero_deltas && dj == 0.0 {
+                            continue;
+                        }
                         for (nd, &w) in nl.iter_mut().zip(wj) {
                             *nd += dj * w;
                         }

@@ -6,6 +6,18 @@ use rand_chacha::ChaCha8Rng;
 
 /// A binary regression tree grown by variance reduction (CART).
 ///
+/// Fitting presorts once instead of sorting at every node. Each feature
+/// keeps its training rows ordered by (`f64::total_cmp` value, row
+/// index), column-major with the values alongside, and each node owns
+/// the range `[lo, hi)` of every feature's order plus a row list in
+/// ascending index. A split partitions those ranges stably in O(d · node)
+/// time. The split scan and its totals run in the feature's sorted order,
+/// a node's mean sums its rows in ascending index, and rows go left on
+/// `x <= threshold`: the textbook per-node-sort CART does the same f64
+/// operations in the same order, so node counts and predictions are
+/// bit-identical to it, which `crates/ml/tests/tree_equivalence.rs`
+/// checks against a test-only copy.
+///
 /// # Example
 ///
 /// ```
@@ -74,55 +86,153 @@ impl DecisionTreeRegressor {
     /// Fit with an explicit RNG (needed when `max_features` is set).
     pub fn fit_with_rng(&mut self, x: &[Vec<f64>], y: &[f64], rng: Option<&mut ChaCha8Rng>) {
         check_training_set(x, y);
-        self.nodes.clear();
-        let idx: Vec<usize> = (0..x.len()).collect();
-        let mut rng = rng;
-        self.grow(x, y, idx, 0, &mut rng);
+        let rows: Vec<usize> = (0..x.len()).collect();
+        self.fit_sample(&Ranks::new(x), &rows, y, rng);
     }
 
-    fn grow(
+    /// Fit on the sample whose row `j` is row `sample[j]` of the ranked
+    /// set, with target `y[j]`; rows may repeat (a bootstrap). Returns
+    /// each sample row's leaf value, i.e. the tree's prediction for it.
+    pub(crate) fn fit_sample(
         &mut self,
-        x: &[Vec<f64>],
+        ranks: &Ranks,
+        sample: &[usize],
         y: &[f64],
-        idx: Vec<usize>,
-        depth: usize,
-        rng: &mut Option<&mut ChaCha8Rng>,
-    ) -> usize {
-        let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64;
-        let impure = idx.iter().any(|&i| (y[i] - mean).abs() > 1e-15);
-        if depth >= self.max_depth || idx.len() < self.min_samples_split || !impure {
-            self.nodes.push(Node::Leaf { value: mean });
-            return self.nodes.len() - 1;
-        }
-        let d = x[0].len();
-        let features: Vec<usize> = match (self.max_features, rng.as_deref_mut()) {
-            (Some(k), Some(rng)) if k < d => {
-                // Sample k distinct features.
-                let mut all: Vec<usize> = (0..d).collect();
-                for i in 0..k {
-                    let j = rng.gen_range(i..d);
-                    all.swap(i, j);
+        rng: Option<&mut ChaCha8Rng>,
+    ) -> Vec<f64> {
+        assert_eq!(sample.len(), y.len(), "sample/target length mismatch");
+        let m = sample.len();
+        let mut grower = Grower {
+            tree: self,
+            y,
+            m,
+            sorted: ranks.presort(sample),
+            rows: (0..m).collect(),
+            goes_left: vec![false; m],
+            features: Vec::new(),
+            rng,
+            spill: Vec::new(),
+            row_spill: Vec::new(),
+            fitted: vec![0.0; m],
+        };
+        grower.tree.nodes.clear();
+        grower.grow(0, m, 0);
+        grower.fitted
+    }
+}
+
+/// Dense per-feature ranks of a training set under `f64::total_cmp`: two
+/// rows share a rank in a feature exactly when their values there are
+/// `total_cmp`-equal (the same bits). Built once per fit and shared by
+/// every tree of a forest or boosting ensemble, it turns each tree's
+/// presort into one counting sort per feature.
+pub(crate) struct Ranks {
+    n: usize,
+    /// `rank[f * n + i]`: the rank of row `i`'s value in feature `f`.
+    rank: Vec<usize>,
+    /// `values[f][r]`: the value of rank `r` in feature `f`.
+    values: Vec<Vec<f64>>,
+}
+
+impl Ranks {
+    pub(crate) fn new(x: &[Vec<f64>]) -> Ranks {
+        let n = x.len();
+        let mut rank = vec![0; x[0].len() * n];
+        let mut order: Vec<usize> = (0..n).collect();
+        let values = rank
+            .chunks_exact_mut(n)
+            .enumerate()
+            .map(|(f, rank)| {
+                order.sort_unstable_by(|&a, &b| x[a][f].total_cmp(&x[b][f]));
+                let mut distinct: Vec<f64> = Vec::new();
+                for &i in &order {
+                    let v = x[i][f];
+                    if distinct
+                        .last()
+                        .is_none_or(|last| last.total_cmp(&v).is_ne())
+                    {
+                        distinct.push(v);
+                    }
+                    rank[i] = distinct.len() - 1;
                 }
-                all.truncate(k);
-                all
+                distinct
+            })
+            .collect();
+        Ranks { n, rank, values }
+    }
+
+    /// Column-major presort of `sample` (position `j` is row `sample[j]`):
+    /// each feature's `(position, value)` pairs ordered by (rank, `j`).
+    /// That is the order a stable `total_cmp` sort of the gathered rows
+    /// gives, here by a counting sort in O(n + sample) per feature.
+    fn presort(&self, sample: &[usize]) -> Vec<(usize, f64)> {
+        let m = sample.len();
+        let mut sorted = vec![(0, 0.0); self.values.len() * m];
+        let mut next = Vec::new();
+        for ((column, rank), distinct) in sorted
+            .chunks_exact_mut(m)
+            .zip(self.rank.chunks_exact(self.n))
+            .zip(&self.values)
+        {
+            // `next[r]`: the slot of the next position with rank `r`.
+            next.clear();
+            next.resize(distinct.len() + 1, 0);
+            for &i in sample {
+                next[rank[i] + 1] += 1;
             }
-            _ => (0..d).collect(),
-        };
+            for r in 1..next.len() {
+                next[r] += next[r - 1];
+            }
+            for (j, &i) in sample.iter().enumerate() {
+                let r = rank[i];
+                column[next[r]] = (j, distinct[r]);
+                next[r] += 1;
+            }
+        }
+        sorted
+    }
+}
 
-        let best = best_split(x, y, &idx, &features, self.min_samples_leaf);
-        let Some((feature, threshold)) = best else {
-            self.nodes.push(Node::Leaf { value: mean });
-            return self.nodes.len() - 1;
-        };
+/// The state of one fit: the tree being grown and the presorted sample
+/// its nodes partition in place.
+struct Grower<'a> {
+    tree: &'a mut DecisionTreeRegressor,
+    y: &'a [f64],
+    /// Sample size: the length of every feature's column in `sorted`.
+    m: usize,
+    /// `sorted[f * m + k]`: the `k`-th `(position, value)` of feature `f`;
+    /// a node `[lo, hi)` owns `[f * m + lo, f * m + hi)` of every feature.
+    sorted: Vec<(usize, f64)>,
+    /// A node's positions in ascending order, at `rows[lo..hi]`.
+    rows: Vec<usize>,
+    goes_left: Vec<bool>,
+    features: Vec<usize>,
+    rng: Option<&'a mut ChaCha8Rng>,
+    spill: Vec<(usize, f64)>,
+    row_spill: Vec<usize>,
+    fitted: Vec<f64>,
+}
 
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            idx.into_iter().partition(|&i| x[i][feature] <= threshold);
+impl Grower<'_> {
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let y = self.y;
+        let rows = &self.rows[lo..hi];
+        let mean = rows.iter().map(|&i| y[i]).sum::<f64>() / rows.len() as f64;
+        let impure = rows.iter().any(|&i| (y[i] - mean).abs() > 1e-15);
+        if depth >= self.tree.max_depth || rows.len() < self.tree.min_samples_split || !impure {
+            return self.leaf(lo, hi, mean);
+        }
+        self.sample_features();
+        let Some((feature, mid, threshold)) = self.find_split(lo, hi) else {
+            return self.leaf(lo, hi, mean);
+        };
+        self.partition(lo, hi, feature, mid);
         // Reserve the split node position before recursing.
-        let node_index = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: mean }); // placeholder
-        let left = self.grow(x, y, left_idx, depth + 1, rng);
-        let right = self.grow(x, y, right_idx, depth + 1, rng);
-        self.nodes[node_index] = Node::Split {
+        let node_index = self.tree.nodes.len();
+        self.tree.nodes.push(Node::Leaf { value: mean }); // placeholder
+        let left = self.grow(lo, mid, depth + 1);
+        let right = self.grow(mid, hi, depth + 1);
+        self.tree.nodes[node_index] = Node::Split {
             feature,
             threshold,
             left,
@@ -130,51 +240,111 @@ impl DecisionTreeRegressor {
         };
         node_index
     }
-}
 
-/// Best `(feature, threshold)` by weighted-variance (SSE) reduction, or
-/// `None` when no admissible split exists.
-fn best_split(
-    x: &[Vec<f64>],
-    y: &[f64],
-    idx: &[usize],
-    features: &[usize],
-    min_leaf: usize,
-) -> Option<(usize, f64)> {
-    let n = idx.len();
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-    for &f in features {
-        let mut order: Vec<usize> = idx.to_vec();
-        order.sort_by(|&a, &b| x[a][f].total_cmp(&x[b][f]));
-        // Prefix sums over the sorted order for O(1) SSE at each cut.
-        let mut sum_left = 0.0;
-        let mut sq_left = 0.0;
-        let total_sum: f64 = order.iter().map(|&i| y[i]).sum();
-        let total_sq: f64 = order.iter().map(|&i| y[i] * y[i]).sum();
-        for cut in 1..n {
-            let i = order[cut - 1];
-            sum_left += y[i];
-            sq_left += y[i] * y[i];
-            // Can't split between equal feature values.
-            if x[order[cut - 1]][f] == x[order[cut]][f] {
-                continue;
-            }
-            if cut < min_leaf || n - cut < min_leaf {
-                continue;
-            }
-            let nl = cut as f64;
-            let nr = (n - cut) as f64;
-            let sse_left = sq_left - sum_left * sum_left / nl;
-            let sum_right = total_sum - sum_left;
-            let sse_right = (total_sq - sq_left) - sum_right * sum_right / nr;
-            let sse = sse_left + sse_right;
-            let threshold = split_threshold(x[order[cut - 1]][f], x[order[cut]][f]);
-            if best.is_none_or(|(_, _, b)| sse < b) {
-                best = Some((f, threshold, sse));
+    fn leaf(&mut self, lo: usize, hi: usize, value: f64) -> usize {
+        for &i in &self.rows[lo..hi] {
+            self.fitted[i] = value;
+        }
+        self.tree.nodes.push(Node::Leaf { value });
+        self.tree.nodes.len() - 1
+    }
+
+    /// All features, or `max_features` distinct ones drawn from the RNG.
+    fn sample_features(&mut self) {
+        let d = self.sorted.len() / self.m;
+        self.features.clear();
+        self.features.extend(0..d);
+        if let (Some(k), Some(rng)) = (self.tree.max_features, self.rng.as_deref_mut()) {
+            if k < d {
+                for i in 0..k {
+                    let j = rng.gen_range(i..d);
+                    self.features.swap(i, j);
+                }
+                self.features.truncate(k);
             }
         }
     }
-    best.map(|(f, t, _)| (f, t))
+
+    /// Best `(feature, mid, threshold)` by weighted-variance (SSE)
+    /// reduction, where `[lo, mid)` goes left, or `None` when no
+    /// admissible split exists.
+    fn find_split(&self, lo: usize, hi: usize) -> Option<(usize, usize, f64)> {
+        let (y, n, min_leaf) = (self.y, hi - lo, self.tree.min_samples_leaf);
+        let mut best: Option<(usize, usize, f64)> = None; // (feature, cut, sse)
+        for &f in &self.features {
+            let column = &self.sorted[f * self.m + lo..f * self.m + hi];
+            // Prefix sums over the sorted order for O(1) SSE at each cut.
+            let mut sum_left = 0.0;
+            let mut sq_left = 0.0;
+            let total_sum: f64 = column.iter().map(|&(i, _)| y[i]).sum();
+            let total_sq: f64 = column.iter().map(|&(i, _)| y[i] * y[i]).sum();
+            for cut in 1..n {
+                let i = column[cut - 1].0;
+                sum_left += y[i];
+                sq_left += y[i] * y[i];
+                // Can't split between equal feature values.
+                if column[cut - 1].1 == column[cut].1 {
+                    continue;
+                }
+                if cut < min_leaf || n - cut < min_leaf {
+                    continue;
+                }
+                let nl = cut as f64;
+                let nr = (n - cut) as f64;
+                let sse_left = sq_left - sum_left * sum_left / nl;
+                let sum_right = total_sum - sum_left;
+                let sse_right = (total_sq - sq_left) - sum_right * sum_right / nr;
+                let sse = sse_left + sse_right;
+                if best.is_none_or(|(_, _, b)| sse < b) {
+                    best = Some((f, cut, sse));
+                }
+            }
+        }
+        best.map(|(f, cut, _)| {
+            let column = &self.sorted[f * self.m + lo..];
+            let threshold = split_threshold(column[cut - 1].1, column[cut].1);
+            (f, lo + cut, threshold)
+        })
+    }
+
+    /// Send `[lo, mid)` of `feature`'s order left: stably partition every
+    /// feature's range and the row list so that each child again owns a
+    /// sorted range and an ascending row list. These are exactly the rows
+    /// with `x <= threshold`, because the threshold lies in `[a, b)` for
+    /// the values `a`, `b` on either side of the cut.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, mid: usize) {
+        let m = self.m;
+        for (k, &(i, _)) in self.sorted[feature * m + lo..feature * m + hi]
+            .iter()
+            .enumerate()
+        {
+            self.goes_left[i] = lo + k < mid;
+        }
+        let goes_left = &self.goes_left;
+        for column in self.sorted.chunks_exact_mut(m) {
+            stable_partition(&mut column[lo..hi], &mut self.spill, |&(i, _)| goes_left[i]);
+        }
+        stable_partition(&mut self.rows[lo..hi], &mut self.row_spill, |&i| {
+            goes_left[i]
+        });
+    }
+}
+
+/// Move the items for which `left` holds to the front of `items`, keeping
+/// the relative order on both sides.
+fn stable_partition<T: Copy>(items: &mut [T], spill: &mut Vec<T>, left: impl Fn(&T) -> bool) {
+    spill.clear();
+    let mut kept = 0;
+    for k in 0..items.len() {
+        let item = items[k];
+        if left(&item) {
+            items[kept] = item;
+            kept += 1;
+        } else {
+            spill.push(item);
+        }
+    }
+    items[kept..].copy_from_slice(spill);
 }
 
 /// Threshold between adjacent sorted values `a < b`: their midpoint, or

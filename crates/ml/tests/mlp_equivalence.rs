@@ -176,6 +176,8 @@ struct Case {
     epochs: usize,
     seed: u64,
     lr: f64,
+    /// The first training row is scaled by this factor.
+    outlier_scale: f64,
 }
 
 fn rows(rng: &mut ChaCha8Rng, n: usize, d: usize) -> Vec<Vec<f64>> {
@@ -189,7 +191,8 @@ fn rows(rng: &mut ChaCha8Rng, n: usize, d: usize) -> Vec<Vec<f64>> {
 /// all-zero row.
 fn predictions(case: &Case, data_seed: u64) -> Vec<(f64, f64)> {
     let mut rng = ChaCha8Rng::seed_from_u64(data_seed);
-    let x = rows(&mut rng, case.n, case.d);
+    let mut x = rows(&mut rng, case.n, case.d);
+    x[0].iter_mut().for_each(|v| *v *= case.outlier_scale);
     let y: Vec<f64> = x
         .iter()
         .map(|r| r.iter().map(|v| v.sin()).sum::<f64>() + rng.gen_range(-0.1..0.1))
@@ -245,6 +248,7 @@ fn kernel_matches_textbook_bit_for_bit() {
                     epochs: rng.gen_range(1..=30),
                     seed: rng.gen(),
                     lr: lrs[rng.gen_range(0..lrs.len())],
+                    outlier_scale: 1.0,
                 };
                 for (i, (got, want)) in predictions(&case, rng.gen()).into_iter().enumerate() {
                     assert_eq!(
@@ -283,6 +287,7 @@ fn divergent_training_agrees_or_is_nan_on_both_sides() {
                     epochs: 30,
                     seed: 7,
                     lr,
+                    outlier_scale: 1.0,
                 };
                 for (got, want) in predictions(&case, 11) {
                     assert!(
@@ -290,6 +295,62 @@ fn divergent_training_agrees_or_is_nan_on_both_sides() {
                         "lr {lr}, {hidden:?}, {activation:?}: kernel {got} vs textbook {want}"
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn many_dead_relu_units_match_textbook() {
+    // A large step kills many ReLU units within a few epochs, so most
+    // hidden deltas are exactly zero and the backward pass skips them.
+    for hidden in [vec![64, 32], vec![32, 16], vec![16]] {
+        for seed in 0..4 {
+            let case = Case {
+                n: 40,
+                d: 6,
+                hidden: hidden.clone(),
+                activation: Activation::Relu,
+                epochs: 30,
+                seed,
+                lr: 0.3,
+                outlier_scale: 1.0,
+            };
+            for (i, (got, want)) in predictions(&case, 100 + seed).into_iter().enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{hidden:?}, seed {seed}, probe row {i}: kernel {got} vs textbook {want}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn overflowing_activations_take_the_full_backward_path() {
+    // One training row near ±f64::MAX drives some first-layer activations
+    // to +∞ while the weights are still finite. Where every second-layer
+    // unit is dead for that row, its output stays finite and the zero
+    // deltas meet those infinite activations: `0 × ∞ = NaN` poisons the
+    // second-layer weights in the textbook, and must in the kernel too.
+    for hidden in [vec![32, 3], vec![64, 4], vec![16, 2]] {
+        for seed in 0..8 {
+            let case = Case {
+                n: 16,
+                d: 8,
+                hidden: hidden.clone(),
+                activation: Activation::Relu,
+                epochs: 4,
+                seed,
+                lr: 0.01,
+                outlier_scale: f64::MAX / 2.0,
+            };
+            for (got, want) in predictions(&case, 200 + seed) {
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{hidden:?}, seed {seed}: kernel {got} vs textbook {want}"
+                );
             }
         }
     }
