@@ -48,7 +48,7 @@ fn bench_golden_capture(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_golden_capture");
     group.sample_size(20);
     group.bench_function("mac_small", |b| {
-        b.iter(|| std::hint::black_box(GoldenRun::capture(&cc, &tb, &watch).journal.cycles()));
+        b.iter(|| std::hint::black_box(GoldenRun::capture(&cc, &tb, &watch).trace.end()));
     });
     group.finish();
 }

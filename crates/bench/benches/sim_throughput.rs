@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ffr_circuits::{small, Mac10geConfig, MacTestbench, TrafficConfig};
-use ffr_sim::{run_testbench, CompiledCircuit, SimState};
+use ffr_sim::{CompiledCircuit, GoldenRun, SimState};
 
 fn bench_eval_cycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_eval_cycle");
@@ -32,7 +32,7 @@ fn bench_testbench_run(c: &mut Criterion) {
     group.sample_size(20);
     let (cc, tb, watch, _) = MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
     group.bench_function("mac_small_full_tb", |b| {
-        b.iter(|| std::hint::black_box(run_testbench(&cc, &tb, &watch).trace.end()));
+        b.iter(|| std::hint::black_box(GoldenRun::capture(&cc, &tb, &watch).trace.end()));
     });
     group.finish();
 }

@@ -23,7 +23,7 @@ pub mod policy_study;
 use ffr_campaign::{ArtifactKind, ArtifactStore, StoreKey};
 use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, PacketExtractor, TrafficConfig};
 use ffr_core::ReferenceDataset;
-use ffr_fault::CampaignConfig;
+use ffr_fault::{Campaign, CampaignConfig};
 use ffr_sim::{CompiledCircuit, GoldenRun, WatchList};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -137,7 +137,9 @@ pub fn mac_setup(scale: Scale) -> MacSetup {
 }
 
 /// The golden reference run for a setup, served from the artifact store
-/// when available (it is the most expensive part of experiment setup).
+/// when available (it is the most expensive part of experiment setup). A
+/// served run that does not [fit](GoldenRun::fits) the setup is
+/// recaptured and overwritten.
 pub fn golden_run(setup: &MacSetup) -> GoldenRun {
     let store = artifact_store();
     let scale = setup.scale;
@@ -150,7 +152,9 @@ pub fn golden_run(setup: &MacSetup) -> GoldenRun {
         ),
     );
     if let Ok(Some(golden)) = store.get::<GoldenRun>(ArtifactKind::GoldenRun, &key) {
-        return golden;
+        if golden.fits(&setup.cc, &setup.tb, &setup.watch) {
+            return golden;
+        }
     }
     let golden = GoldenRun::capture(&setup.cc, &setup.tb, &setup.watch);
     if let Err(e) = store.put(ArtifactKind::GoldenRun, &key, &golden) {
@@ -171,7 +175,9 @@ pub fn load_or_collect_dataset(setup: &MacSetup, force: bool) -> ReferenceDatase
             return ds;
         }
     }
-    let judge = MacJudge::new(setup.extractor.clone(), &golden_run(setup));
+    let golden = golden_run(setup);
+    let judge = MacJudge::new(setup.extractor.clone(), &golden);
+    let campaign = Campaign::with_golden(&setup.cc, &setup.tb, &setup.watch, &judge, golden);
     let config = CampaignConfig::new(setup.tb.injection_window())
         .with_injections(setup.scale.injections_per_ff())
         .with_seed(2019);
@@ -181,19 +187,12 @@ pub fn load_or_collect_dataset(setup: &MacSetup, force: bool) -> ReferenceDatase
         config.injections_per_ff
     );
     let t0 = Instant::now();
-    let ds = ReferenceDataset::collect(
-        &setup.cc,
-        &setup.tb,
-        &setup.watch,
-        &judge,
-        &config,
-        |done, total| {
-            if done % 100 == 0 || done == total {
-                eprint!("\r[ffr-bench] {done}/{total} flip-flops");
-                let _ = std::io::stderr().flush();
-            }
-        },
-    );
+    let ds = ReferenceDataset::collect(&campaign, &config, |done, total| {
+        if done % 100 == 0 || done == total {
+            eprint!("\r[ffr-bench] {done}/{total} flip-flops");
+            let _ = std::io::stderr().flush();
+        }
+    });
     eprintln!("\n[ffr-bench] campaign done in {:.1?}", t0.elapsed());
     if let Err(e) = store.put(ArtifactKind::Dataset, &key, &ds) {
         eprintln!("[ffr-bench] warning: failed to cache dataset: {e}");

@@ -285,20 +285,25 @@ impl CampaignTable for SetDeratingTable {
 /// The golden run for a prepared circuit: served from the store when
 /// cached — keyed by `(netlist, stimulus config)`, so SEU/SET campaigns,
 /// any policy/seed/budget and `ffr estimate` all share one artifact —
-/// otherwise captured and published back. Returns whether it was a cache
-/// hit. The single definition of the golden-run cache discipline, shared
-/// by the campaign driver and the estimation stage.
+/// otherwise captured and published back. A served run that does not
+/// [fit](GoldenRun::fits) the circuit is a miss: recaptured and
+/// overwritten. Returns whether it was a cache hit. The single definition
+/// of the golden-run cache discipline, shared by the campaign driver and
+/// the estimation stage.
 pub(crate) fn golden_for(
     prepared: &PreparedCircuit,
     store: Option<&ArtifactStore>,
 ) -> io::Result<(GoldenRun, bool)> {
-    let key = StoreKey::of(prepared.cc.netlist(), &prepared.config_desc);
+    let (cc, stimulus, watch) = (&prepared.cc, &prepared.stimulus, &prepared.watch);
+    let key = StoreKey::of(cc.netlist(), &prepared.config_desc);
     if let Some(store) = store {
         if let Some(golden) = store.get::<GoldenRun>(ArtifactKind::GoldenRun, &key)? {
-            return Ok((golden, true));
+            if golden.fits(cc, stimulus, watch) {
+                return Ok((golden, true));
+            }
         }
     }
-    let golden = GoldenRun::capture(&prepared.cc, &prepared.stimulus, &prepared.watch);
+    let golden = GoldenRun::capture(cc, stimulus, watch);
     if let Some(store) = store {
         store.put(ArtifactKind::GoldenRun, &key, &golden)?;
     }
@@ -1038,6 +1043,46 @@ mod tests {
         assert_eq!(summary2.total_injections, 0);
         let second = std::fs::read(out2.join("fdr.json")).unwrap();
         assert_eq!(first, second, "cache-served table must be byte-identical");
+    }
+
+    /// A cached golden run that does not fit its circuit — here its trace
+    /// data cut to half its length — is a miss: recaptured and
+    /// overwritten, and the table is byte-identical to a clean run.
+    #[test]
+    fn malformed_cached_golden_run_is_recaptured() {
+        use serde::Value;
+        fn field<'v>(v: &'v mut Value, name: &str) -> &'v mut Value {
+            match v {
+                Value::Object(fields) => &mut fields.iter_mut().find(|(n, _)| n == name).unwrap().1,
+                _ => panic!("{name}: parent is not an object"),
+            }
+        }
+
+        let store_dir = tmp_dir("tampered_store");
+        let mut request = quick_request(Some(store_dir.clone()));
+        let go = |request: &RunRequest, tag: &str| {
+            let out = tmp_dir(tag);
+            let options = RunnerOptions::default();
+            let summary = run(request, &out, &options, &CancelToken::new(), |_, _| {}).unwrap();
+            let table = std::fs::read(out.join("fdr.json")).unwrap();
+            (summary.golden_from_cache, table)
+        };
+        let (_, clean) = go(&request, "tampered_clean");
+
+        let prepared = request.circuit.prepare(request.stim_seed, request.cycles);
+        let key = StoreKey::of(prepared.cc.netlist(), &prepared.config_desc);
+        let store = ArtifactStore::open(&store_dir).unwrap();
+        let mut payload: Value = store.get(ArtifactKind::GoldenRun, &key).unwrap().unwrap();
+        let Value::Array(data) = field(field(&mut payload, "trace"), "data") else {
+            panic!("trace data is an array")
+        };
+        data.truncate(data.len() / 2);
+        store.put(ArtifactKind::GoldenRun, &key, &payload).unwrap();
+
+        request.force = true;
+        assert_eq!(go(&request, "tampered_rerun"), (false, clean.clone()));
+        // The recaptured run overwrote the malformed one.
+        assert_eq!(go(&request, "tampered_again"), (true, clean));
     }
 
     #[test]

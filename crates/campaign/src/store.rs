@@ -197,9 +197,6 @@ impl fmt::Display for StoreKey {
 pub enum ArtifactKind {
     /// A serialized [`ffr_sim::GoldenRun`].
     GoldenRun,
-    /// A serialized [`ffr_sim::NetJournal`] (golden boundary-net values
-    /// for cone-restricted fault simulation).
-    NetJournal,
     /// A serialized [`ffr_fault::FdrTable`].
     FdrTable,
     /// A serialized [`ffr_fault::SetDeratingTable`].
@@ -218,9 +215,8 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// All kinds, for directory scans.
-    pub const ALL: [ArtifactKind; 9] = [
+    pub const ALL: [ArtifactKind; 8] = [
         ArtifactKind::GoldenRun,
-        ArtifactKind::NetJournal,
         ArtifactKind::FdrTable,
         ArtifactKind::SetTable,
         ArtifactKind::Features,
@@ -232,20 +228,18 @@ impl ArtifactKind {
 
     /// `true` for kinds written with the deflate-compressed v2 envelope.
     ///
-    /// Golden runs dominate store size (the paper-scale MAC's output
-    /// trace + state journal serializes to multi-MB JSON) and compress
-    /// severalfold; the small metadata-heavy kinds stay as plain v1 JSON,
-    /// which is grep-able and diff-able. Net journals are denser still
-    /// (one word per net per cycle) and compress the same way.
+    /// Golden runs dominate store size: the paper-scale MAC's output
+    /// trace and activity (`ffr run --circuit mac`) serialize to 96 kB of
+    /// JSON and deflate to a 6.8 kB envelope. The small metadata-heavy
+    /// kinds stay as plain v1 JSON, which is grep-able and diff-able.
     pub fn compressed(self) -> bool {
-        matches!(self, ArtifactKind::GoldenRun | ArtifactKind::NetJournal)
+        matches!(self, ArtifactKind::GoldenRun)
     }
 
     /// Directory name of the kind.
     pub fn dir_name(self) -> &'static str {
         match self {
             ArtifactKind::GoldenRun => "golden-run",
-            ArtifactKind::NetJournal => "net-journal",
             ArtifactKind::FdrTable => "fdr-table",
             ArtifactKind::SetTable => "set-table",
             ArtifactKind::Features => "features",
@@ -779,48 +773,29 @@ mod tests {
         assert_eq!(loaded, Some(data));
     }
 
+    /// Golden runs written before `GoldenRun` dropped its flip-flop state
+    /// journal carry an extra `journal` object; they must keep serving as
+    /// hits, or every existing store recaptures after an upgrade.
     #[test]
-    fn net_journal_round_trips_compressed() {
-        use ffr_sim::{CompiledCircuit, InputFrame, NetJournal, Stimulus};
-
-        struct Count;
-        impl Stimulus for Count {
-            fn num_cycles(&self) -> u64 {
-                17
-            }
-            fn drive(&self, cycle: u64, frame: &mut InputFrame) {
-                frame.set(0, cycle & 1 == 1);
-                frame.set(1, cycle & 2 == 2);
-            }
-        }
-
-        let mut b = ffr_netlist::NetlistBuilder::new("journal_store");
-        let a = b.input("a", 2);
-        let r = b.reg("r", 2);
-        let x = b.xor(&r.q(), &a);
-        b.connect(&r, &x).unwrap();
-        b.output("q", &r.q());
-        let cc = CompiledCircuit::compile(b.finish().unwrap()).unwrap();
-
-        let journal = NetJournal::capture(&cc, &Count);
-        let store = tmp_store("net_journal");
-        let path = store
-            .put(ArtifactKind::NetJournal, &key(), &journal)
+    fn golden_run_with_the_old_state_journal_still_serves() {
+        use ffr_sim::GoldenRun;
+        let prepared = crate::spec::CircuitSpec::Counter { width: 2 }.prepare(1, 160);
+        let golden = GoldenRun::capture(&prepared.cc, &prepared.stimulus, &prepared.watch);
+        let Value::Object(mut fields) = golden.to_value() else {
+            panic!("a golden run serializes to an object");
+        };
+        let journal = vec![
+            ("words_per_cycle".to_string(), Value::U64(1)),
+            ("cycles".to_string(), Value::U64(160)),
+            ("data".to_string(), Value::Array(vec![Value::U64(3); 160])),
+        ];
+        fields.push(("journal".into(), Value::Object(journal)));
+        let store = tmp_store("old_golden");
+        store
+            .put(ArtifactKind::GoldenRun, &key(), &Value::Object(fields))
             .unwrap();
-        // Written with the deflate v2 envelope: the payload is compressed
-        // and base64-embedded, not inlined as plain JSON.
-        assert!(ArtifactKind::NetJournal.compressed());
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.contains(&format!("\"format_version\":{FORMAT_VERSION_COMPRESSED}")),
-            "expected a v2 envelope"
-        );
-        assert!(
-            !text.contains("words_per_cycle"),
-            "payload should not appear as plain JSON"
-        );
-        let loaded: Option<NetJournal> = store.get(ArtifactKind::NetJournal, &key()).unwrap();
-        assert_eq!(loaded, Some(journal));
+        let loaded: Option<GoldenRun> = store.get(ArtifactKind::GoldenRun, &key()).unwrap();
+        assert_eq!(loaded, Some(golden));
     }
 
     #[test]

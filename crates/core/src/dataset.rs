@@ -3,7 +3,7 @@
 
 use ffr_fault::{Campaign, CampaignConfig, FailureJudge, FdrTable};
 use ffr_features::{extract_features, FeatureMatrix};
-use ffr_sim::{CompiledCircuit, Stimulus, WatchList};
+use ffr_sim::Stimulus;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -21,15 +21,13 @@ pub struct ReferenceDataset {
 }
 
 impl ReferenceDataset {
-    /// Run the full flat statistical fault-injection campaign and extract
-    /// the features, producing the complete reference dataset.
+    /// Run the full flat statistical fault-injection campaign over every
+    /// flip-flop of a prepared campaign and extract the features from its
+    /// golden run, producing the complete reference dataset.
     ///
     /// `progress` receives `(flip-flops done, total)`.
     pub fn collect<S, J>(
-        cc: &CompiledCircuit,
-        stimulus: &S,
-        watch: &WatchList,
-        judge: &J,
+        campaign: &Campaign<'_, S, J>,
         config: &CampaignConfig,
         progress: impl Fn(usize, usize) + Sync,
     ) -> ReferenceDataset
@@ -37,7 +35,7 @@ impl ReferenceDataset {
         S: Stimulus + Sync,
         J: FailureJudge,
     {
-        let campaign = Campaign::new(cc, stimulus, watch, judge);
+        let cc = campaign.circuit();
         let features = extract_features(cc, &campaign.golden().activity);
         let all: Vec<ffr_netlist::FfId> = (0..cc.num_ffs())
             .map(ffr_netlist::FfId::from_index)
@@ -112,10 +110,11 @@ mod tests {
             MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
         let golden = GoldenRun::capture(&cc, &tb, &watch);
         let judge = MacJudge::new(extractor, &golden);
+        let campaign = Campaign::with_golden(&cc, &tb, &watch, &judge, golden);
         let config = CampaignConfig::new(tb.injection_window())
             .with_injections(6)
             .with_seed(1);
-        let ds = ReferenceDataset::collect(&cc, &tb, &watch, &judge, &config, |_, _| {});
+        let ds = ReferenceDataset::collect(&campaign, &config, |_, _| {});
         assert_eq!(ds.len(), cc.num_ffs());
         assert!(!ds.is_empty());
         assert!(ds.y().iter().all(|&v| (0.0..=1.0).contains(&v)));

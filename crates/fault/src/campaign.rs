@@ -194,9 +194,13 @@ where
     /// Prepare the campaign around an already-captured golden run (e.g. one
     /// served from an artifact store instead of re-simulated).
     ///
-    /// The golden run must have been captured for exactly this circuit,
-    /// stimulus and watch list; the constructor checks the cheap structural
-    /// invariants (cycle count, trace width).
+    /// # Panics
+    ///
+    /// Panics unless the golden run [fits](GoldenRun::fits) this circuit,
+    /// stimulus and watch list: a trace over every testbench cycle and
+    /// watched output, activity over every flip-flop. A caller serving it
+    /// from a store checks the same predicate first and recaptures on a
+    /// mismatch.
     pub fn with_golden(
         cc: &'a CompiledCircuit,
         stimulus: &'a S,
@@ -204,15 +208,9 @@ where
         judge: &'a J,
         golden: GoldenRun,
     ) -> Campaign<'a, S, J> {
-        assert_eq!(
-            golden.journal.cycles(),
-            stimulus.num_cycles(),
-            "golden run was captured for a different testbench length"
-        );
-        assert_eq!(
-            golden.trace.width(),
-            watch.len(),
-            "golden run was captured for a different watch list"
+        assert!(
+            golden.fits(cc, stimulus, watch),
+            "golden run was captured for a different circuit, testbench or watch list"
         );
         let golden_view = LaneView::golden(&golden.trace);
         assert_eq!(
@@ -698,7 +696,6 @@ mod tests {
                 &cc,
                 &AlwaysOn,
                 &watch,
-                campaign.golden(),
                 ffr_sim::reference::Target::Seu(ff),
                 &times,
             );

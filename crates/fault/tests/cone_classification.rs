@@ -133,7 +133,7 @@ fn oracle_tallies<S: Stimulus + Sync, J: FailureJudge>(
     let golden_view = LaneView::golden(&golden.trace);
     let mut counts = [0usize; FailureClass::ALL.len()];
     for chunk in times.chunks(64) {
-        let run = reference::simulate(campaign.circuit(), stimulus, watch, golden, target, chunk);
+        let run = reference::simulate(campaign.circuit(), stimulus, watch, target, chunk);
         for (lane, &t) in chunk.iter().enumerate() {
             let view = LaneView::faulty(&golden.trace, &run.trace, lane, None);
             counts[judge.classify(&golden_view, &view, t).tally_index()] += 1;
@@ -442,7 +442,7 @@ proptest! {
         let mut oracle = [0usize; FailureClass::ALL.len()];
         let mut oracle_diffs = Vec::new();
         for chunk in times.chunks(64) {
-            let run = reference::simulate(&cc, &stim, &watch, golden, target, chunk);
+            let run = reference::simulate(&cc, &stim, &watch, target, chunk);
             for (lane, &t) in chunk.iter().enumerate() {
                 let view = LaneView::faulty(&golden.trace, &run.trace, lane, None);
                 let last_diff = scan_last_diff(&golden_view, &view);

@@ -248,7 +248,7 @@ mod tests {
     use super::*;
     use ffr_circuits::small;
     use ffr_netlist::NetlistBuilder;
-    use ffr_sim::{run_testbench, InputFrame, Stimulus, WatchList};
+    use ffr_sim::{GoldenRun, InputFrame, Stimulus, WatchList};
 
     struct En;
 
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn counter_features_make_sense() {
         let cc = ffr_sim::CompiledCircuit::compile(small::counter_circuit(4)).unwrap();
-        let run = run_testbench(&cc, &En, &WatchList::all(&cc));
+        let run = GoldenRun::capture(&cc, &En, &WatchList::all(&cc));
         let m = extract_features(&cc, &run.activity);
         assert_eq!(m.num_rows(), 4);
         assert_eq!(m.num_cols(), 25);
@@ -368,7 +368,7 @@ mod tests {
         use ffr_circuits::{Mac10geConfig, MacTestbench, TrafficConfig};
         let (cc, tb, watch, _) =
             MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
-        let run = run_testbench(&cc, &tb, &watch);
+        let run = GoldenRun::capture(&cc, &tb, &watch);
         let m = extract_features(&cc, &run.activity);
         assert_eq!(m.num_rows(), cc.num_ffs());
         // FIFO memory rows are wide buses.

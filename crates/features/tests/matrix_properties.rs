@@ -6,7 +6,7 @@
 use ffr_circuits::{components, small};
 use ffr_features::{extract_features, extract_structural, FeatureMatrix, FEATURE_NAMES};
 use ffr_netlist::{Netlist, NetlistBuilder};
-use ffr_sim::{run_testbench, CompiledCircuit, InputFrame, Stimulus, WatchList};
+use ffr_sim::{CompiledCircuit, GoldenRun, InputFrame, Stimulus, WatchList};
 use proptest::prelude::*;
 
 /// Deterministic stimulus: input `i` follows a fixed bit pattern keyed by
@@ -34,7 +34,7 @@ fn full_matrix(netlist: Netlist) -> (CompiledCircuit, FeatureMatrix) {
         num_inputs: cc.num_inputs(),
         cycles: 64,
     };
-    let run = run_testbench(&cc, &stim, &WatchList::all(&cc));
+    let run = GoldenRun::capture(&cc, &stim, &WatchList::all(&cc));
     let m = extract_features(&cc, &run.activity);
     (cc, m)
 }

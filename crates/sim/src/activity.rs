@@ -58,6 +58,13 @@ impl ActivityTrace {
         self.ones.len()
     }
 
+    /// `true` when the trace counts `cycles` cycles of `num_ffs`
+    /// flip-flops.
+    pub(crate) fn covers(&self, num_ffs: usize, cycles: u64) -> bool {
+        self.cycles == cycles
+            && [self.ones.len(), self.transitions.len(), self.last.len()] == [num_ffs; 3]
+    }
+
     /// Fraction of cycles the flip-flop output was 0 (the paper's `@0`).
     pub fn at0(&self, ff: FfId) -> f64 {
         if self.cycles == 0 {

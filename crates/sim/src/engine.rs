@@ -105,7 +105,7 @@ impl SimState {
     /// Pack the lane-`lane` value of **every net** into `out` (one bit
     /// per net). This is the capture primitive of
     /// [`NetJournal`](crate::NetJournal).
-    pub fn pack_net_state(&self, lane: usize, out: &mut Vec<u64>) {
+    pub(crate) fn pack_net_state(&self, lane: usize, out: &mut Vec<u64>) {
         debug_assert!(lane < LANES);
         out.clear();
         out.resize(self.values.len().div_ceil(64), 0);

@@ -1,68 +1,15 @@
 //! Golden (fault-free) reference run artifacts.
 //!
-//! Fault injection needs three things from the reference run:
-//!
-//! 1. the **output trace** of the watched ports (to classify failures),
-//! 2. a **per-cycle journal of the packed flip-flop state** — what the
-//!    [`reference`](crate::reference) oracle compares a faulty lane with
-//!    to tell whether it has re-converged to the fault-free state,
-//! 3. the **activity trace** (reused as the dynamic feature source).
+//! Fault injection needs two things from the reference run: the
+//! **output trace** of the watched ports (to classify failures) and the
+//! **activity trace** (the dynamic feature source). [`GoldenRun::capture`]
+//! records both in one replay of the stimulus.
 
 use crate::activity::ActivityTrace;
 use crate::compile::CompiledCircuit;
 use crate::engine::SimState;
 use crate::testbench::{InputFrame, OutputTrace, Stimulus, WatchList};
 use serde::{Deserialize, Serialize};
-
-/// Packed lane-0 flip-flop state for every cycle of a run.
-///
-/// Entry `c` is the state *entering* cycle `c` (i.e. before the inputs of
-/// cycle `c` are applied).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StateJournal {
-    words_per_cycle: usize,
-    cycles: u64,
-    data: Vec<u64>,
-}
-
-impl StateJournal {
-    fn new(words_per_cycle: usize, cycles: u64) -> StateJournal {
-        StateJournal {
-            words_per_cycle,
-            cycles,
-            data: vec![0; words_per_cycle * cycles as usize],
-        }
-    }
-
-    /// Number of journalled cycles.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Packed flip-flop state entering `cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle` is out of range.
-    pub fn state_at(&self, cycle: u64) -> &[u64] {
-        assert!(cycle < self.cycles, "cycle {cycle} beyond journal");
-        let row = cycle as usize * self.words_per_cycle;
-        &self.data[row..row + self.words_per_cycle]
-    }
-
-    /// Value of one flip-flop at `cycle`.
-    pub fn ff_bit(&self, cycle: u64, ff: ffr_netlist::FfId) -> bool {
-        let s = self.state_at(cycle);
-        (s[ff.index() / 64] >> (ff.index() % 64)) & 1 == 1
-    }
-
-    fn record(&mut self, cc: &CompiledCircuit, state: &SimState, scratch: &mut Vec<u64>) {
-        let cycle = state.cycle();
-        state.pack_ff_state(cc, 0, scratch);
-        let row = cycle as usize * self.words_per_cycle;
-        self.data[row..row + self.words_per_cycle].copy_from_slice(scratch);
-    }
-}
 
 /// Packed lane-0 value of **every net** for every cycle of the golden
 /// run — the boundary-net journal of cone-restricted fault simulation.
@@ -142,22 +89,18 @@ pub struct GoldenRun {
     pub trace: OutputTrace,
     /// Per-flip-flop activity statistics (dynamic features).
     pub activity: ActivityTrace,
-    /// Per-cycle packed flip-flop state.
-    pub journal: StateJournal,
 }
 
 impl GoldenRun {
-    /// Execute the stimulus from reset and collect all reference artifacts.
+    /// Execute the stimulus from reset, recording the watched outputs and
+    /// the flip-flop activity of lane 0.
     pub fn capture(cc: &CompiledCircuit, stimulus: &dyn Stimulus, watch: &WatchList) -> GoldenRun {
         let cycles = stimulus.num_cycles();
         let mut state = SimState::new(cc);
         let mut frame = InputFrame::new(cc.num_inputs());
         let mut trace = OutputTrace::new(0, cycles, watch.len());
         let mut activity = ActivityTrace::new(cc.num_ffs());
-        let mut journal = StateJournal::new(cc.ff_words(), cycles);
-        let mut scratch = Vec::new();
         for cycle in 0..cycles {
-            journal.record(cc, &state, &mut scratch);
             frame.clear();
             stimulus.drive(cycle, &mut frame);
             frame.apply(cc, &mut state);
@@ -166,11 +109,18 @@ impl GoldenRun {
             activity.record(cc, &state);
             state.tick(cc);
         }
-        GoldenRun {
-            trace,
-            activity,
-            journal,
-        }
+        GoldenRun { trace, activity }
+    }
+
+    /// `true` when the run has the shape [`GoldenRun::capture`] gives for
+    /// `cc`, `stimulus` and `watch`: a trace over every testbench cycle
+    /// with one column per watched output, and activity over every
+    /// flip-flop and cycle. Deserialising checks none of this, so a run
+    /// served from an artifact store must pass it before anything indexes
+    /// into it.
+    pub fn fits(&self, cc: &CompiledCircuit, stimulus: &dyn Stimulus, watch: &WatchList) -> bool {
+        let cycles = stimulus.num_cycles();
+        self.trace.covers(0, cycles, watch.len()) && self.activity.covers(cc.num_ffs(), cycles)
     }
 }
 
@@ -202,15 +152,35 @@ mod tests {
     }
 
     #[test]
-    fn journal_state_entering_cycle_zero_is_reset() {
+    fn net_journal_row_zero_holds_reset_state() {
+        let mut b = NetlistBuilder::new("r");
+        let en = b.input("en", 1);
+        let r = b.reg_init("r", 6, 0b10_1101);
+        let next = b.inc(&r.q());
+        b.connect_en(&r, &en, &next).unwrap();
+        b.output("value", &r.q());
+        let cc = CompiledCircuit::compile(b.finish().unwrap()).unwrap();
+        let journal = NetJournal::capture(&cc, &CountEnable);
+        for (ff, _) in cc.netlist().ffs() {
+            let q = cc.netlist().ff_q_net(ff);
+            assert_eq!(journal.net_bit(0, q), cc.netlist().ff_init(ff), "{ff}");
+        }
+    }
+
+    #[test]
+    fn captured_run_fits_and_reshaped_ones_do_not() {
         let cc = counter();
         let watch = WatchList::all(&cc);
         let golden = GoldenRun::capture(&cc, &CountEnable, &watch);
-        let s0 = golden.journal.state_at(0);
-        assert!(s0.iter().all(|&w| w == 0), "reset state all zeros");
-        for ff in 0..cc.num_ffs() {
-            assert!(!golden.journal.ff_bit(0, ffr_netlist::FfId::from_index(ff)));
-        }
+        assert!(golden.fits(&cc, &CountEnable, &watch));
+        assert!(!golden.fits(&cc, &CountEnable, &WatchList::empty()));
+
+        let mut short = golden.clone();
+        short.trace = OutputTrace::new(0, 39, watch.len());
+        assert!(!short.fits(&cc, &CountEnable, &watch));
+        let mut narrow = golden;
+        narrow.activity = ActivityTrace::new(cc.num_ffs() - 1);
+        assert!(!narrow.fits(&cc, &CountEnable, &watch));
     }
 
     #[test]

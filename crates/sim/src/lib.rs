@@ -12,10 +12,10 @@
 //!
 //! * [`CompiledCircuit::compile`] — levelize and compile a netlist,
 //! * [`SimState`] — per-run state: net values, flip-flop contents, cycle,
-//! * [`run_testbench`] — drive a [`Stimulus`] against a circuit while
-//!   recording an [`OutputTrace`] and per-flip-flop [`ActivityTrace`],
-//! * [`GoldenRun`] — reference run artifacts consumed by `ffr-fault`:
-//!   per-cycle flip-flop state journal, output trace, activity,
+//! * [`GoldenRun::capture`] — drive a [`Stimulus`] against a circuit from
+//!   reset, recording the fault-free [`OutputTrace`] that `ffr-fault`
+//!   classifies against and the per-flip-flop [`ActivityTrace`] that
+//!   `ffr-features` reads,
 //! * [`FaultEngine`] over a [`Cone`] and the [`NetJournal`] — the one
 //!   fault-evaluation engine: differential simulation of an injection
 //!   point's fan-out cone against the golden all-nets journal, as a
@@ -40,7 +40,5 @@ pub use activity::ActivityTrace;
 pub use compile::{CompiledCircuit, Cone, SimError};
 pub use engine::SimState;
 pub use fault_engine::{EngineState, FaultEngine};
-pub use golden::{GoldenRun, NetJournal, StateJournal};
-pub use testbench::{
-    run_testbench, InputFrame, LaneView, OutputTrace, Stimulus, TestbenchRun, WatchList,
-};
+pub use golden::{GoldenRun, NetJournal};
+pub use testbench::{InputFrame, LaneView, OutputTrace, Stimulus, WatchList};

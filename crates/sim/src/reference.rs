@@ -5,14 +5,14 @@
 //! Independent validation means sharing nothing with what is validated:
 //! [`simulate`] starts from [`SimState::new`] at cycle 0, drives the real
 //! [`Stimulus`] every cycle, flips or forces the lanes whose time has
-//! come, evaluates the **whole circuit**, records, ticks. It allocates
-//! per call and knows no cone, no net journal, no injection schedule and
-//! no early exit. Only tests and benches may call it; it is far too slow
-//! for a campaign.
+//! come, evaluates the **whole circuit**, records, ticks. It steps its own
+//! fault-free [`SimState`] in lockstep as the golden reference, allocates
+//! per call and knows no golden run, no cone, no net journal, no injection
+//! schedule and no early exit. Only tests and benches may call it; it is
+//! far too slow for a campaign.
 
 use crate::compile::CompiledCircuit;
 use crate::engine::{SimState, LANES};
-use crate::golden::GoldenRun;
 use crate::testbench::{InputFrame, OutputTrace, Stimulus, WatchList};
 use ffr_netlist::{FfId, NetId};
 
@@ -46,7 +46,7 @@ impl ReferenceRun {
     }
 
     /// Lanes whose flip-flop state *entering* `cycle` differs from the
-    /// golden run's.
+    /// fault-free run's.
     pub fn lane_diff(&self, cycle: u64) -> u64 {
         self.lane_diff[cycle as usize]
     }
@@ -63,7 +63,6 @@ pub fn simulate(
     cc: &CompiledCircuit,
     stimulus: &dyn Stimulus,
     watch: &WatchList,
-    golden: &GoldenRun,
     target: Target,
     times: &[u64],
 ) -> ReferenceRun {
@@ -75,6 +74,7 @@ pub fn simulate(
     );
     let ffs = || (0..cc.num_ffs()).map(FfId::from_index);
     let mut state = SimState::new(cc);
+    let mut golden = SimState::new(cc);
     let mut frame = InputFrame::new(cc.num_inputs());
     let mut run = ReferenceRun {
         trace: OutputTrace::new(0, cycles, watch.len()),
@@ -84,11 +84,14 @@ pub fn simulate(
     };
     for cycle in 0..cycles {
         run.lane_diff.push(ffs().fold(0, |diff, ff| {
-            let golden_word = (golden.journal.ff_bit(cycle, ff) as u64).wrapping_neg();
-            diff | (state.ff_word(cc, ff) ^ golden_word)
+            diff | (state.ff_word(cc, ff) ^ golden.ff_word(cc, ff))
         }));
         frame.clear();
         stimulus.drive(cycle, &mut frame);
+        // The fault-free reference steps in lockstep on the same frame.
+        frame.apply(cc, &mut golden);
+        golden.eval(cc);
+        golden.tick(cc);
         frame.apply(cc, &mut state);
         let mask = (0..times.len())
             .filter(|&lane| times[lane] == cycle)

@@ -1,7 +1,6 @@
 //! Open-loop testbench infrastructure: stimulus, output recording, lane
 //! views.
 
-use crate::activity::ActivityTrace;
 use crate::compile::CompiledCircuit;
 use crate::engine::SimState;
 use serde::{Deserialize, Serialize};
@@ -258,6 +257,13 @@ impl OutputTrace {
         self.width
     }
 
+    /// `true` when the trace records `start..end` for `width` outputs and
+    /// holds exactly that many words.
+    pub(crate) fn covers(&self, start: u64, end: u64, width: usize) -> bool {
+        (self.start, self.end, self.width) == (start, end, width)
+            && (end - start).checked_mul(width as u64) == Some(self.data.len() as u64)
+    }
+
     /// Record the watched outputs of `state` at its current cycle.
     ///
     /// # Panics
@@ -415,48 +421,10 @@ impl<'a> LaneView<'a> {
     }
 }
 
-/// Everything produced by a plain (fault-free) testbench run.
-#[derive(Debug, Clone)]
-pub struct TestbenchRun {
-    /// Watched-output recording.
-    pub trace: OutputTrace,
-    /// Per-flip-flop signal activity of lane 0.
-    pub activity: ActivityTrace,
-    /// State at the end of the run.
-    pub final_state: SimState,
-}
-
-/// Run `stimulus` against the circuit from reset, recording the watched
-/// outputs and the flip-flop activity.
-pub fn run_testbench(
-    cc: &CompiledCircuit,
-    stimulus: &dyn Stimulus,
-    watch: &WatchList,
-) -> TestbenchRun {
-    let cycles = stimulus.num_cycles();
-    let mut state = SimState::new(cc);
-    let mut frame = InputFrame::new(cc.num_inputs());
-    let mut trace = OutputTrace::new(0, cycles, watch.len());
-    let mut activity = ActivityTrace::new(cc.num_ffs());
-    for cycle in 0..cycles {
-        frame.clear();
-        stimulus.drive(cycle, &mut frame);
-        frame.apply(cc, &mut state);
-        state.eval(cc);
-        trace.record(cc, watch, &state);
-        activity.record(cc, &state);
-        state.tick(cc);
-    }
-    TestbenchRun {
-        trace,
-        activity,
-        final_state: state,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GoldenRun;
     use ffr_netlist::NetlistBuilder;
 
     struct PulseEvery4;
@@ -485,7 +453,7 @@ mod tests {
     fn trace_records_expected_waveform() {
         let cc = toggler();
         let watch = WatchList::all(&cc);
-        let run = run_testbench(&cc, &PulseEvery4, &watch);
+        let run = GoldenRun::capture(&cc, &PulseEvery4, &watch);
         // q toggles on cycles where en=1 (0,4,8,...): value changes at
         // cycles 1, 5, 9, ... and holds in between.
         let mut expected = false;
@@ -501,7 +469,7 @@ mod tests {
     fn activity_counts_toggles() {
         let cc = toggler();
         let watch = WatchList::all(&cc);
-        let run = run_testbench(&cc, &PulseEvery4, &watch);
+        let run = GoldenRun::capture(&cc, &PulseEvery4, &watch);
         let ff = ffr_netlist::FfId::from_index(0);
         // 8 enables in 32 cycles -> 8 transitions (first at cycle 1).
         assert_eq!(run.activity.state_changes(ff), 8);
@@ -513,7 +481,7 @@ mod tests {
     fn lane_view_golden_delegation() {
         let cc = toggler();
         let watch = WatchList::all(&cc);
-        let run = run_testbench(&cc, &PulseEvery4, &watch);
+        let run = GoldenRun::capture(&cc, &PulseEvery4, &watch);
         // A faulty trace that recorded only cycles 8..16 and re-converged
         // at cycle 12 on lane 3.
         let mut faulty = OutputTrace::new(8, 16, 1);

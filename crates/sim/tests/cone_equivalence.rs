@@ -117,7 +117,7 @@ fn assert_engine_equals_oracle(
     let watch = WatchList::all(cc);
     let golden = GoldenRun::capture(cc, &stim, &watch);
     let netj = NetJournal::capture(cc, &stim);
-    let oracle = reference::simulate(cc, &stim, &watch, &golden, target, times);
+    let oracle = reference::simulate(cc, &stim, &watch, target, times);
 
     let cone = match target {
         Target::Seu(ff) => cc.ff_cone(ff),
@@ -153,9 +153,10 @@ fn assert_engine_equals_oracle(
             );
         }
         for (ff, _) in cc.netlist().ffs() {
-            let golden_word = (golden.journal.ff_bit(cycle, ff) as u64).wrapping_neg();
+            let q = cc.netlist().ff_q_net(ff);
+            let golden_word = (netj.net_bit(cycle, q) as u64).wrapping_neg();
             assert_eq!(
-                claimed(cc.netlist().ff_q_net(ff), golden_word),
+                claimed(q, golden_word),
                 oracle.ff_word(cycle, ff),
                 "flip-flop {ff} at cycle {cycle}"
             );

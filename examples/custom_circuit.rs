@@ -9,7 +9,7 @@ use ffr_fault::{Campaign, CampaignConfig, OutputMismatchJudge};
 use ffr_features::extract_features;
 use ffr_ml::model_selection::{train_test_split, StratifiedKFold};
 use ffr_netlist::{verilog, FfId, NetlistBuilder};
-use ffr_sim::{run_testbench, CompiledCircuit, InputFrame, Stimulus, WatchList};
+use ffr_sim::{CompiledCircuit, InputFrame, Stimulus, WatchList};
 
 /// A small packet-checksum engine: data flows through a pipeline into an
 /// accumulator; a stuck status register and a wide ID register provide
@@ -76,9 +76,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cc = CompiledCircuit::compile(netlist)?;
     let watch = WatchList::all(&cc);
 
+    // The campaign's golden run is the one fault-free simulation: the
+    // reference its faults are judged against and the activity source of
+    // the dynamic features.
+    let judge = OutputMismatchJudge::new();
+    let campaign = Campaign::new(&cc, &Feed, &watch, &judge);
+
     // Feature extraction (the paper's 25 columns) as CSV.
-    let run = run_testbench(&cc, &Feed, &watch);
-    let features = extract_features(&cc, &run.activity);
+    let features = extract_features(&cc, &campaign.golden().activity);
     println!(
         "\nfeature matrix: {} x {}; CSV head:",
         features.num_rows(),
@@ -90,8 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Full estimation pipeline: inject a random 40% of the FFs, then
     // select / fit k-NN on the measured rows and predict the rest.
-    let judge = OutputMismatchJudge::new();
-    let campaign = Campaign::new(&cc, &Feed, &watch, &judge);
     let (subset, _) = train_test_split(cc.num_ffs(), 0.4, 21);
     let subset: Vec<FfId> = subset.into_iter().map(FfId::from_index).collect();
     let config = CampaignConfig::new(10..280)

@@ -14,10 +14,11 @@ fn small_dataset(injections: usize, seed: u64) -> (ReferenceDataset, std::ops::R
         MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
     let golden = GoldenRun::capture(&cc, &tb, &watch);
     let judge = MacJudge::new(extractor, &golden);
+    let campaign = Campaign::with_golden(&cc, &tb, &watch, &judge, golden);
     let config = CampaignConfig::new(tb.injection_window())
         .with_injections(injections)
         .with_seed(seed);
-    let ds = ReferenceDataset::collect(&cc, &tb, &watch, &judge, &config, |_, _| {});
+    let ds = ReferenceDataset::collect(&campaign, &config, |_, _| {});
     (ds, tb.injection_window())
 }
 
@@ -66,18 +67,15 @@ fn estimate_from_fraction(
         MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
     let golden = GoldenRun::capture(&cc, &tb, &watch);
     let judge = MacJudge::new(extractor, &golden);
+    let campaign = Campaign::with_golden(&cc, &tb, &watch, &judge, golden);
     let config = CampaignConfig::new(tb.injection_window())
         .with_injections(injections)
         .with_seed(seed);
-    let reference = ReferenceDataset::collect(&cc, &tb, &watch, &judge, &config, |_, _| {});
+    let reference = ReferenceDataset::collect(&campaign, &config, |_, _| {});
 
     let (subset, _) = train_test_split(cc.num_ffs(), fraction, seed);
     let subset: Vec<FfId> = subset.into_iter().map(FfId::from_index).collect();
-    let table = Campaign::with_golden(&cc, &tb, &watch, &judge, golden).run_parallel_subset(
-        &subset,
-        &config,
-        |_, _| {},
-    );
+    let table = campaign.run_parallel_subset(&subset, &config, |_, _| {});
 
     let rows = reference.features.to_rows();
     let (tx, ty) = measured_rows(&table, &rows);

@@ -84,7 +84,7 @@ proptest! {
         // Naive reference: the shared oracle, one lane per injection time.
         let times = ffr_fault::sample_injection_times(seed, ff_index as u64, 5..55, 20);
         let golden = GoldenRun::capture(&cc, &stim, &watch);
-        let oracle = reference::simulate(&cc, &stim, &watch, &golden, Target::Seu(ff), &times);
+        let oracle = reference::simulate(&cc, &stim, &watch, Target::Seu(ff), &times);
         let g = LaneView::golden(&golden.trace);
         let naive_failures = times
             .iter()
