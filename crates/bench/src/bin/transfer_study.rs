@@ -18,11 +18,10 @@
 //! ```
 
 use ffr_bench::drift::{CommittedDoc, DocArgs};
-use ffr_campaign::estimate::EstimateOptions;
-use ffr_campaign::runner::{CancelToken, RunnerOptions};
-use ffr_campaign::session::{self, RunRequest};
-use ffr_campaign::spec::CircuitSpec;
-use ffr_campaign::transfer::{transfer_from_store, TransferReport};
+use ffr_campaign::{
+    run_session, transfer_from_store, CancelToken, CircuitSpec, EstimateOptions, RunRequest,
+    RunnerOptions, TransferReport,
+};
 use ffr_core::ModelKind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -112,7 +111,7 @@ fn main() -> ExitCode {
     for id in CIRCUITS {
         let req = request(id, &store);
         let out = study_dir().join(format!("run-{id}"));
-        if let Err(e) = session::run(&req, &out, &options, &CancelToken::new(), |_, _| {}) {
+        if let Err(e) = run_session(&req, &out, &options, &CancelToken::new(), |_, _| {}) {
             eprintln!("campaign for corpus:{id} failed: {e}");
             return ExitCode::from(1);
         }

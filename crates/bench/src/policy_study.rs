@@ -14,8 +14,8 @@
 //! * and — for budgeted cells — the accuracy of the full ML flow
 //!   (`ffr estimate`) when that policy's partial table feeds it.
 //!
-//! Every campaign runs through [`ffr_campaign::session`], so tables are
-//! served from the shared artifact store on reruns, and the finished
+//! Every campaign runs through [`ffr_campaign::run_session`], so tables
+//! are served from the shared artifact store on reruns, and the finished
 //! study is itself a versioned store artifact
 //! ([`ArtifactKind::PolicyStudy`]): rerunning the study bin reproduces
 //! `policy-study.json` **byte-identically** (wall-clock timings are
@@ -28,8 +28,8 @@
 
 use crate::{artifact_store, cache_dir};
 use ffr_campaign::{
-    estimate_session, ArtifactKind, CancelToken, CircuitSpec, EstimateOptions, RunRequest,
-    RunnerOptions, StoreKey,
+    campaign_table_key, estimate_session, run_session, ArtifactKind, CancelToken, CircuitSpec,
+    EstimateOptions, RunRequest, RunnerOptions, StoreKey,
 };
 use ffr_fault::{FaultKind, FdrTable};
 use serde::{Deserialize, Serialize};
@@ -217,10 +217,10 @@ fn cell_request(config: &StudyConfig, policy: &str, budget: f64) -> io::Result<R
 /// table, fingerprint and wall time.
 fn run_cell(request: &RunRequest) -> io::Result<(FdrTable, String, u64)> {
     let prepared = request.circuit.prepare(request.stim_seed, request.cycles);
-    let fingerprint = ffr_campaign::session::campaign_table_key(request, &prepared).to_string();
+    let fingerprint = campaign_table_key(request, &prepared).to_string();
     let out_dir = sessions_dir().join(format!("{}-{fingerprint}", request.circuit));
     let t0 = Instant::now();
-    let summary = ffr_campaign::session::run(
+    let summary = run_session(
         request,
         &out_dir,
         &RunnerOptions::default(),

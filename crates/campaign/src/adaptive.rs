@@ -13,35 +13,6 @@
 //! The decision is a pure function of the accumulated tallies, so it is
 //! checkpoint-safe: a resumed campaign retires exactly the same flip-flops
 //! after exactly the same injections as an uninterrupted one.
-//!
-//! # Policy specs
-//!
-//! Every stopping rule has a canonical, round-trippable **policy spec**
-//! — the single notation used by the `--policy` CLI flag, the campaign
-//! manifest, `ffr status` and the campaign fingerprint (so two campaigns
-//! with different policies never share a cache entry):
-//!
-//! | spec                        | meaning                                            |
-//! |-----------------------------|----------------------------------------------------|
-//! | `fixed:170`                 | always 170 injections per point (paper-faithful)   |
-//! | `wilson:0.05@95`            | retire once the 95 % Wilson CI half-width ≤ 0.05   |
-//! | `wilson:0.02@99:64..340`    | same, 99 % confidence, explicit min/max bounds     |
-//!
-//! [`AdaptivePolicy`] implements [`FromStr`] and
-//! [`Display`](std::fmt::Display) for this
-//! grammar, and `parse(display(p)) == p` for every representable policy:
-//!
-//! ```
-//! use ffr_campaign::AdaptivePolicy;
-//!
-//! let p: AdaptivePolicy = "wilson:0.05@95:64..170".parse().unwrap();
-//! assert_eq!(p.ci_half_width, Some(0.05));
-//! assert_eq!(p.z, 1.96);
-//! assert_eq!((p.min_injections, p.max_injections), (64, 170));
-//! assert_eq!(p.to_string().parse::<AdaptivePolicy>().unwrap(), p);
-//!
-//! assert_eq!(AdaptivePolicy::fixed(170).to_string(), "fixed:170");
-//! ```
 
 use ffr_fault::{confidence_for_z, wilson_interval, z_for_confidence};
 use serde::{Deserialize, Serialize};
@@ -49,16 +20,45 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Injections simulated per decision step (one bit-parallel batch).
-pub const CHUNK_INJECTIONS: usize = 64;
+pub(crate) const CHUNK_INJECTIONS: usize = 64;
 
 /// Default `min_injections` of a `wilson:` spec without explicit bounds:
 /// one decision chunk, so the first stopping decision has real evidence.
-pub const DEFAULT_WILSON_MIN: usize = CHUNK_INJECTIONS;
+pub(crate) const DEFAULT_WILSON_MIN: usize = CHUNK_INJECTIONS;
 
 /// Default `max_injections` of a `wilson:` spec without explicit bounds.
-pub const DEFAULT_WILSON_MAX: usize = 1024;
+pub(crate) const DEFAULT_WILSON_MAX: usize = 1024;
 
 /// When to stop injecting into a flip-flop.
+///
+/// # Policy specs
+///
+/// Every stopping rule has a canonical, round-trippable **policy spec**
+/// — the single notation used by the `--policy` CLI flag, the campaign
+/// manifest, `ffr status` and the campaign fingerprint (so two campaigns
+/// with different policies never share a cache entry):
+///
+/// | spec                        | meaning                                            |
+/// |-----------------------------|----------------------------------------------------|
+/// | `fixed:170`                 | always 170 injections per point (paper-faithful)   |
+/// | `wilson:0.05@95`            | retire once the 95 % Wilson CI half-width ≤ 0.05   |
+/// | `wilson:0.02@99:64..340`    | same, 99 % confidence, explicit min/max bounds     |
+///
+/// The type implements [`FromStr`] and [`Display`](std::fmt::Display)
+/// for this grammar, and `parse(display(p)) == p` for every representable
+/// policy:
+///
+/// ```
+/// use ffr_campaign::AdaptivePolicy;
+///
+/// let p: AdaptivePolicy = "wilson:0.05@95:64..170".parse().unwrap();
+/// assert_eq!(p.ci_half_width, Some(0.05));
+/// assert_eq!(p.z, 1.96);
+/// assert_eq!((p.min_injections, p.max_injections), (64, 170));
+/// assert_eq!(p.to_string().parse::<AdaptivePolicy>().unwrap(), p);
+///
+/// assert_eq!(AdaptivePolicy::fixed(170).to_string(), "fixed:170");
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptivePolicy {
     /// Never stop before this many injections (0 disables the floor).
@@ -102,7 +102,7 @@ impl AdaptivePolicy {
 
     /// `true` once a flip-flop with `failures` out of `injections` should
     /// be retired.
-    pub fn is_settled(&self, failures: usize, injections: usize) -> bool {
+    pub(crate) fn is_settled(&self, failures: usize, injections: usize) -> bool {
         if injections >= self.max_injections {
             return true;
         }
@@ -128,7 +128,7 @@ impl AdaptivePolicy {
 }
 
 impl fmt::Display for AdaptivePolicy {
-    /// The canonical policy spec (see the [module docs](self)): the one
+    /// The canonical policy spec (see [`AdaptivePolicy`]): the one
     /// rendering used by `ffr status`, the manifest and the campaign
     /// fingerprint. `Display` and [`FromStr`] round-trip exactly; a
     /// policy with `ci_half_width: None` always runs to the cap, so it
@@ -156,7 +156,7 @@ impl FromStr for AdaptivePolicy {
     ///
     /// `<confidence>` is a percentage (90, 95, 98 or 99) or `z<quantile>`
     /// for an explicit normal quantile; omitted bounds default to
-    /// [`DEFAULT_WILSON_MIN`]`..`[`DEFAULT_WILSON_MAX`].
+    /// `64..1024` (one decision chunk up to 1024 injections).
     fn from_str(s: &str) -> Result<AdaptivePolicy, String> {
         let bad = |why: &str| {
             Err(format!(

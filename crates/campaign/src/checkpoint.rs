@@ -25,10 +25,10 @@ use std::ops::Range;
 use std::path::Path;
 
 /// Checkpoint file format version (2: fault-model-generic point records).
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub(crate) const CHECKPOINT_VERSION: u32 = 2;
 
 /// Shard checkpoint file format version.
-pub const SHARD_VERSION: u32 = 1;
+pub(crate) const SHARD_VERSION: u32 = 1;
 
 /// Progress of one injection point's plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,7 +48,7 @@ pub struct PointProgress {
 
 impl PointProgress {
     /// Fresh, empty progress for an injection point.
-    pub fn new(point: u32) -> PointProgress {
+    pub(crate) fn new(point: u32) -> PointProgress {
         PointProgress {
             point,
             injections_done: 0,
@@ -58,16 +58,38 @@ impl PointProgress {
     }
 
     /// Failures observed so far.
-    pub fn failures(&self) -> usize {
+    pub(crate) fn failures(&self) -> usize {
         ffr_fault::failures_in(&self.counts)
     }
 
     /// Fold one chunk's tallies into this progress record.
-    pub fn absorb(&mut self, chunk_counts: &[usize; FailureClass::ALL.len()], injections: usize) {
+    pub(crate) fn absorb(
+        &mut self,
+        chunk_counts: &[usize; FailureClass::ALL.len()],
+        injections: usize,
+    ) {
         for (total, &n) in self.counts.iter_mut().zip(chunk_counts.iter()) {
             *total += n;
         }
         self.injections_done += injections;
+    }
+
+    /// Reject a record the runner could not have written: it needs one
+    /// tally per failure class. A record read from disk passes this
+    /// before anything indexes its tallies.
+    fn check(&self) -> io::Result<()> {
+        if self.counts.len() == FailureClass::ALL.len() {
+            return Ok(());
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "progress record of point {} has {} class tallies, expected {}",
+                self.point,
+                self.counts.len(),
+                FailureClass::ALL.len()
+            ),
+        ))
     }
 }
 
@@ -94,7 +116,7 @@ pub struct CheckpointParams {
 /// A resumable snapshot of campaign progress.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]).
+    /// Format version; [`CampaignCheckpoint::load`] rejects any other.
     pub version: u32,
     /// Store key of the netlist + campaign config this checkpoint belongs
     /// to (rendered like [`crate::StoreKey`]).
@@ -110,7 +132,7 @@ pub struct CampaignCheckpoint {
 impl CampaignCheckpoint {
     /// Fresh checkpoint covering the given raw point ids (see
     /// [`InjectionPoint::raw_index`]).
-    pub fn fresh(
+    pub(crate) fn fresh(
         fingerprint: String,
         params: CheckpointParams,
         point_ids: impl IntoIterator<Item = u32>,
@@ -135,19 +157,8 @@ impl CampaignCheckpoint {
         CampaignCheckpoint::fresh(fingerprint, params, 0..num_ffs as u32)
     }
 
-    /// Fresh SET checkpoint covering the given nets (typically
-    /// [`ffr_sim::CompiledCircuit::comb_output_nets`]).
-    pub fn fresh_set(
-        fingerprint: String,
-        params: CheckpointParams,
-        nets: &[NetId],
-    ) -> CampaignCheckpoint {
-        assert_eq!(params.fault, FaultKind::Set);
-        CampaignCheckpoint::fresh(fingerprint, params, nets.iter().map(|n| n.index() as u32))
-    }
-
     /// The injection point of one progress record.
-    pub fn point(&self, index: usize) -> InjectionPoint {
+    pub(crate) fn point(&self, index: usize) -> InjectionPoint {
         InjectionPoint::from_raw(self.params.fault, self.points[index].point as usize)
     }
 
@@ -162,7 +173,7 @@ impl CampaignCheckpoint {
     }
 
     /// `true` once every point is retired.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.points.iter().all(|p| p.complete)
     }
 
@@ -187,7 +198,7 @@ impl CampaignCheckpoint {
     ///
     /// Panics if the campaign is not complete, not an SEU campaign, or a
     /// point id is out of range for `num_ffs`.
-    pub fn to_fdr_table_for(&self, num_ffs: usize) -> FdrTable {
+    pub(crate) fn to_fdr_table_for(&self, num_ffs: usize) -> FdrTable {
         assert_eq!(
             self.params.fault,
             FaultKind::Seu,
@@ -214,7 +225,7 @@ impl CampaignCheckpoint {
     /// # Panics
     ///
     /// Panics if the campaign is not complete or not a SET campaign.
-    pub fn to_set_table(&self) -> SetDeratingTable {
+    pub(crate) fn to_set_table(&self) -> SetDeratingTable {
         assert_eq!(
             self.params.fault,
             FaultKind::Set,
@@ -236,6 +247,44 @@ impl CampaignCheckpoint {
         SetDeratingTable::from_results(results, self.params.policy.max_injections)
     }
 
+    /// Check that this checkpoint, read back from disk, continues the
+    /// campaign whose fresh checkpoint is `fresh`: same parameters and the
+    /// same point ids in the same order. A matching fingerprint does not
+    /// vouch for the point list — a truncated or edited file keeps it.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] naming the first mismatch.
+    pub(crate) fn check_resumes(&self, fresh: &CampaignCheckpoint) -> io::Result<()> {
+        let mismatch = |what: String| {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("checkpoint does not fit its campaign: {what}"),
+            ))
+        };
+        if self.params != fresh.params {
+            return mismatch("different campaign parameters".into());
+        }
+        if self.num_points != fresh.num_points || self.points.len() != fresh.num_points {
+            return mismatch(format!(
+                "{} points ({} records) where the campaign has {}",
+                self.num_points,
+                self.points.len(),
+                fresh.num_points
+            ));
+        }
+        let point = |p: &PointProgress| p.point;
+        if !self
+            .points
+            .iter()
+            .map(point)
+            .eq(fresh.points.iter().map(point))
+        {
+            return mismatch("different point ids".into());
+        }
+        Ok(())
+    }
+
     /// Serialize to pretty JSON at `path` via a temp file + atomic rename,
     /// so a kill mid-save leaves the previous checkpoint intact.
     ///
@@ -255,7 +304,11 @@ impl CampaignCheckpoint {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save_recorded(&self, path: &Path, recorder: &ffr_obs::Recorder) -> io::Result<()> {
+    pub(crate) fn save_recorded(
+        &self,
+        path: &Path,
+        recorder: &ffr_obs::Recorder,
+    ) -> io::Result<()> {
         if !recorder.enabled() {
             return self.save(path);
         }
@@ -270,12 +323,16 @@ impl CampaignCheckpoint {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, undecodable files, or a version mismatch.
-    /// The version is probed before full deserialization, so a v1
-    /// checkpoint reports "version 1 unsupported" rather than a
-    /// missing-field decode error.
+    /// Fails on I/O errors, undecodable files, a version mismatch, or a
+    /// malformed progress record. The version is probed before full
+    /// deserialization, so a v1 checkpoint reports "version 1
+    /// unsupported" rather than a missing-field decode error.
     pub fn load(path: &Path) -> io::Result<CampaignCheckpoint> {
-        crate::store::load_versioned(path, "checkpoint", CHECKPOINT_VERSION)
+        let checkpoint: CampaignCheckpoint =
+            crate::store::load_versioned(path, "checkpoint", CHECKPOINT_VERSION)?;
+        let records = checkpoint.points.iter().try_for_each(PointProgress::check);
+        records.map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        Ok(checkpoint)
     }
 
     /// Extract the shard covering point indices `range` (a snapshot of
@@ -284,7 +341,7 @@ impl CampaignCheckpoint {
     /// # Panics
     ///
     /// Panics if `range` exceeds the point list.
-    pub fn shard(&self, worker: &str, range: Range<usize>) -> ShardCheckpoint {
+    pub(crate) fn shard(&self, worker: &str, range: Range<usize>) -> ShardCheckpoint {
         ShardCheckpoint {
             version: SHARD_VERSION,
             fingerprint: self.fingerprint.clone(),
@@ -312,9 +369,9 @@ impl CampaignCheckpoint {
     /// # Errors
     ///
     /// Fails if the shard belongs to a different campaign (fingerprint),
-    /// covers points outside this checkpoint, or its point ids do not
-    /// match the checkpoint's at the same indices.
-    pub fn merge_shard(&mut self, shard: &ShardCheckpoint) -> io::Result<usize> {
+    /// covers points outside this checkpoint, its point ids do not match
+    /// the checkpoint's at the same indices, or a record is malformed.
+    pub(crate) fn merge_shard(&mut self, shard: &ShardCheckpoint) -> io::Result<usize> {
         if shard.fingerprint != self.fingerprint {
             return Err(io::Error::other(format!(
                 "shard fingerprint {} does not match campaign {}",
@@ -332,6 +389,11 @@ impl CampaignCheckpoint {
                 shard.points.len(),
                 self.points.len()
             )));
+        }
+        if let Err(e) = shard.points.iter().try_for_each(PointProgress::check) {
+            let (start, end) = (shard.range_start, shard.range_end);
+            let context = format!("shard {start}..{end} of worker {}", shard.worker);
+            return Err(io::Error::new(e.kind(), format!("{context}: {e}")));
         }
         let mut advanced = 0;
         for (offset, record) in shard.points.iter().enumerate() {
@@ -363,7 +425,7 @@ impl CampaignCheckpoint {
 /// contend on one file; [`CampaignCheckpoint::merge_shard`] folds shards
 /// back into the full picture.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardCheckpoint {
+pub(crate) struct ShardCheckpoint {
     /// Format version ([`SHARD_VERSION`]).
     pub version: u32,
     /// Campaign fingerprint this shard belongs to (must match the
@@ -381,18 +443,13 @@ pub struct ShardCheckpoint {
 }
 
 impl ShardCheckpoint {
-    /// The covered point-index range.
-    pub fn range(&self) -> Range<usize> {
-        self.range_start..self.range_end
-    }
-
     /// `true` once every point in the shard is retired.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.points.iter().all(|p| p.complete)
     }
 
     /// Number of retired points in the shard.
-    pub fn completed_points(&self) -> usize {
+    pub(crate) fn completed_points(&self) -> usize {
         self.points.iter().filter(|p| p.complete).count()
     }
 
@@ -401,7 +458,7 @@ impl ShardCheckpoint {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
         crate::store::atomic_write(path, &json)
     }
@@ -411,7 +468,7 @@ impl ShardCheckpoint {
     /// # Errors
     ///
     /// Fails on I/O errors, undecodable files, or a version mismatch.
-    pub fn load(path: &Path) -> io::Result<ShardCheckpoint> {
+    pub(crate) fn load(path: &Path) -> io::Result<ShardCheckpoint> {
         crate::store::load_versioned(path, "shard", SHARD_VERSION)
     }
 }
@@ -442,8 +499,7 @@ mod tests {
 
     #[test]
     fn fresh_set_checkpoint_records_net_ids() {
-        let nets = [NetId::from_index(9), NetId::from_index(4)];
-        let cp = CampaignCheckpoint::fresh_set("k".into(), params(FaultKind::Set), &nets);
+        let cp = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Set), [9u32, 4]);
         assert_eq!(cp.num_points, 2);
         assert_eq!(cp.point(0), InjectionPoint::Set(NetId::from_index(9)));
         assert_eq!(cp.point(1), InjectionPoint::Set(NetId::from_index(4)));
@@ -473,6 +529,11 @@ mod tests {
         cp.save(&path).unwrap();
         let loaded = CampaignCheckpoint::load(&path).unwrap();
         assert_eq!(loaded, cp);
+
+        cp.points[2].counts.truncate(2);
+        cp.save(&path).unwrap();
+        let err = CampaignCheckpoint::load(&path).unwrap_err();
+        assert!(err.to_string().contains("2 class tallies"), "{err}");
     }
 
     #[test]
@@ -510,8 +571,7 @@ mod tests {
 
     #[test]
     fn to_set_table_from_completed_set_campaign() {
-        let nets = [NetId::from_index(7), NetId::from_index(3)];
-        let mut cp = CampaignCheckpoint::fresh_set("k".into(), params(FaultKind::Set), &nets);
+        let mut cp = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Set), [7u32, 3]);
         for p in &mut cp.points {
             p.counts[FailureClass::Benign.tally_index()] = 32;
             p.counts[FailureClass::OutputMismatch.tally_index()] = 32;
@@ -556,7 +616,7 @@ mod tests {
         let worked = progressed(&progressed(&base, 2, 128), 3, 64);
         let shard = worked.shard("w1", 2..4);
         assert_eq!(shard.worker, "w1");
-        assert_eq!(shard.range(), 2..4);
+        assert_eq!((shard.range_start, shard.range_end), (2, 4));
         assert_eq!(shard.completed_points(), 1);
         assert!(!shard.is_complete());
 
@@ -605,6 +665,22 @@ mod tests {
                 .shard("w", 0..2);
         wrong_ids.fingerprint = "k".into();
         assert!(cp.merge_shard(&wrong_ids).is_err(), "point-id mismatch");
+
+        let mut short = progressed(&cp, 1, 128).shard("w", 0..2);
+        short.points[1].counts.truncate(2);
+        assert!(cp.merge_shard(&short).is_err(), "short tallies");
+    }
+
+    #[test]
+    fn resumed_checkpoint_must_fit_the_fresh_one() {
+        let fresh = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Seu), [1u32, 4, 5]);
+        assert!(progressed(&fresh, 1, 64).check_resumes(&fresh).is_ok());
+
+        let other_ids = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Seu), [1u32, 3, 5]);
+        assert!(other_ids.check_resumes(&fresh).is_err(), "point ids");
+        let mut other_params = fresh.clone();
+        other_params.params.seed += 1;
+        assert!(other_params.check_resumes(&fresh).is_err(), "params");
     }
 
     #[test]
@@ -625,11 +701,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "SEU campaigns")]
     fn fdr_table_from_set_campaign_panics() {
-        let mut cp = CampaignCheckpoint::fresh_set(
-            "k".into(),
-            params(FaultKind::Set),
-            &[NetId::from_index(0)],
-        );
+        let mut cp = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Set), [0u32]);
         cp.points[0].complete = true;
         let _ = cp.to_fdr_table();
     }

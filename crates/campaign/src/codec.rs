@@ -406,7 +406,7 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, String> {
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 /// Encode bytes as standard base64 with padding.
-pub fn base64_encode(data: &[u8]) -> String {
+pub(crate) fn base64_encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
     for chunk in data.chunks(3) {
         let b = [
@@ -436,7 +436,7 @@ pub fn base64_encode(data: &[u8]) -> String {
 /// # Errors
 ///
 /// Fails on characters outside the alphabet or a malformed length.
-pub fn base64_decode(text: &str) -> Result<Vec<u8>, String> {
+pub(crate) fn base64_decode(text: &str) -> Result<Vec<u8>, String> {
     fn val(c: u8) -> Result<u32, String> {
         match c {
             b'A'..=b'Z' => Ok((c - b'A') as u32),

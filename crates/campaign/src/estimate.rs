@@ -38,13 +38,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Estimate report format version; bump on breaking shape changes.
-pub const REPORT_VERSION: u32 = 1;
+pub(crate) const REPORT_VERSION: u32 = 1;
 
 /// The model kinds `ffr estimate` evaluates by default: the paper's
 /// linear + k-NN models plus the strongest future-work ensemble/neural
 /// models. SVR is excluded by default only because its fit cost dwarfs
 /// the others on large circuits; add it with `--models`.
-pub const DEFAULT_MODELS: [ModelKind; 5] = [
+pub(crate) const DEFAULT_MODELS: [ModelKind; 5] = [
     ModelKind::LinearLeastSquares,
     ModelKind::Knn,
     ModelKind::RandomForest,
@@ -160,7 +160,8 @@ pub struct FfEstimateRow {
 /// The complete output of one `ffr estimate` run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstimateReport {
-    /// Report format version ([`REPORT_VERSION`]).
+    /// Report format version; [`EstimateReport::load_json`] rejects any
+    /// other.
     pub version: u32,
     /// Circuit spec string of the campaign.
     pub circuit: String,
@@ -199,7 +200,7 @@ pub struct EstimateReport {
 impl EstimateReport {
     /// Render the per-flip-flop table as CSV
     /// (`ff,index,fdr,source`).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("ff,index,fdr,source\n");
         for row in &self.per_ff {
@@ -224,12 +225,12 @@ impl EstimateReport {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save_json(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn save_json(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
         crate::store::atomic_write(path, &json)
     }
 
-    /// Load a report written by [`EstimateReport::save_json`].
+    /// Load a report written by `ffr estimate`.
     ///
     /// # Errors
     ///
@@ -345,7 +346,7 @@ pub fn estimate_session(out_dir: &Path, options: &EstimateOptions) -> io::Result
 ///
 /// Fails on I/O errors, a non-SEU request, or when the store holds no
 /// final table for the fingerprint.
-pub fn estimate_from_store(
+pub(crate) fn estimate_from_store(
     request: &RunRequest,
     options: &EstimateOptions,
 ) -> io::Result<EstimateSummary> {

@@ -47,12 +47,12 @@ impl CancelToken {
     }
 
     /// Request cancellation; workers stop at the next batch boundary.
-    pub fn cancel(&self) {
+    pub(crate) fn cancel(&self) {
         self.0.store(true, Ordering::Relaxed);
     }
 
     /// `true` once cancellation was requested.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -83,7 +83,8 @@ impl Default for RunnerOptions {
     }
 }
 
-/// How a [`run_resumable`] / [`run_with_source`] invocation ended.
+/// How a runner invocation ([`run_resumable`], or one worker of a
+/// distributed campaign) ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
     /// Every injection point is retired; the checkpoint holds the full
@@ -176,7 +177,7 @@ where
 ///
 /// Panics if the checkpoint's injection points do not fit the campaign's
 /// circuit.
-pub fn run_with_source<S, J, W>(
+pub(crate) fn run_with_source<S, J, W>(
     campaign: &Campaign<'_, S, J>,
     checkpoint: &mut CampaignCheckpoint,
     source: &W,
@@ -478,7 +479,7 @@ mod tests {
     }
 
     fn set_checkpoint_for(cc: &CompiledCircuit, policy: AdaptivePolicy) -> CampaignCheckpoint {
-        CampaignCheckpoint::fresh_set(
+        CampaignCheckpoint::fresh(
             "test".into(),
             CheckpointParams {
                 fault: FaultKind::Set,
@@ -487,7 +488,7 @@ mod tests {
                 window_end: 120,
                 policy,
             },
-            &cc.comb_output_nets(),
+            cc.comb_output_nets().iter().map(|n| n.index() as u32),
         )
     }
 

@@ -7,8 +7,8 @@
 //! root (through `session::bootstrap`, the same primitive `ffr run` and
 //! `ffr worker --circuit …` bootstrap with), and lets `ffr
 //! worker` fleets pointed at those directories drain the work through
-//! the existing [`crate::work::LeaseQueue`] — which hands out the most
-//! expensive remaining ranges first (see `LeaseQueue::claim`). The
+//! the existing lease queue — which hands out the most expensive
+//! remaining ranges first (see `LeaseQueue::claim`). The
 //! service itself never simulates a cycle; it is a control plane over
 //! durable on-disk state, so killing and restarting it loses nothing.
 //!

@@ -39,15 +39,15 @@ use std::time::Duration;
 
 /// Manifest format version (3: budgeted sessions — v2 manifests lack the
 /// `budget` field).
-pub const MANIFEST_VERSION: u32 = 3;
+pub(crate) const MANIFEST_VERSION: u32 = 3;
 
 /// Shortest testbench that still leaves a non-empty injection window
 /// with settling margins (see [`CircuitSpec::prepare`]).
-pub const MIN_CYCLES: u64 = 32;
+pub(crate) const MIN_CYCLES: u64 = 32;
 
 /// Everything needed to reproduce (and resume) a campaign run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignManifest {
+pub(crate) struct CampaignManifest {
     /// Format version ([`MANIFEST_VERSION`]).
     pub version: u32,
     /// Circuit name (parsed by [`CircuitSpec`]).
@@ -83,7 +83,7 @@ impl CampaignManifest {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
         crate::store::atomic_write(path, &json)
     }
@@ -96,7 +96,7 @@ impl CampaignManifest {
     /// version is probed before full deserialization, so a v1 manifest
     /// reports "version 1 unsupported" rather than a missing-field
     /// decode error.
-    pub fn load(path: &Path) -> io::Result<CampaignManifest> {
+    pub(crate) fn load(path: &Path) -> io::Result<CampaignManifest> {
         crate::store::load_versioned(path, "manifest", MANIFEST_VERSION)
     }
 }
@@ -117,7 +117,7 @@ impl SessionPaths {
     }
 
     /// The manifest file.
-    pub fn manifest(&self) -> PathBuf {
+    pub(crate) fn manifest(&self) -> PathBuf {
         self.out_dir.join("campaign.json")
     }
 
@@ -142,13 +142,13 @@ impl SessionPaths {
     }
 
     /// The per-flip-flop estimate table (CSV), written by `ffr estimate`.
-    pub fn estimate_csv(&self) -> PathBuf {
+    pub(crate) fn estimate_csv(&self) -> PathBuf {
         self.out_dir.join("estimate.csv")
     }
 
     /// The final result table (JSON) of a campaign with the given fault
     /// model.
-    pub fn table_json(&self, fault: FaultKind) -> PathBuf {
+    pub(crate) fn table_json(&self, fault: FaultKind) -> PathBuf {
         match fault {
             FaultKind::Seu => self.fdr_json(),
             FaultKind::Set => self.set_json(),
@@ -157,24 +157,24 @@ impl SessionPaths {
 
     /// The final result table (CSV) of a campaign with the given fault
     /// model: next to [`SessionPaths::table_json`].
-    pub fn table_csv(&self, fault: FaultKind) -> PathBuf {
+    pub(crate) fn table_csv(&self, fault: FaultKind) -> PathBuf {
         self.table_json(fault).with_extension("csv")
     }
 
     /// The lease directory of distributed (`ffr worker`) draining.
-    pub fn leases_dir(&self) -> PathBuf {
+    pub(crate) fn leases_dir(&self) -> PathBuf {
         self.out_dir.join("leases")
     }
 
     /// The shard-checkpoint directory of distributed draining.
-    pub fn shards_dir(&self) -> PathBuf {
+    pub(crate) fn shards_dir(&self) -> PathBuf {
         self.out_dir.join("shards")
     }
 
     /// The telemetry directory (per-worker JSONL event logs). Explicitly
     /// outside the artifact store and the campaign fingerprint: telemetry
     /// never participates in resume/merge determinism or cache keys.
-    pub fn telemetry_dir(&self) -> PathBuf {
+    pub(crate) fn telemetry_dir(&self) -> PathBuf {
         ffr_obs::telemetry_dir(&self.out_dir)
     }
 }
@@ -507,7 +507,7 @@ fn await_manifest(paths: &SessionPaths, poll: Duration, cancel: &CancelToken) ->
 
 /// Parameters of one `ffr worker` invocation.
 #[derive(Debug, Clone)]
-pub struct WorkerRequest {
+pub(crate) struct WorkerRequest {
     /// Stable identity of this worker (lease ownership, shard
     /// provenance). Reusing an id after a crash lets the new incarnation
     /// reclaim its own stale leases immediately.
@@ -530,7 +530,7 @@ pub struct WorkerRequest {
 
 impl WorkerRequest {
     /// Defaults: 16-point leases, 30 s TTL, 200 ms poll.
-    pub fn new(worker_id: impl Into<String>) -> WorkerRequest {
+    pub(crate) fn new(worker_id: impl Into<String>) -> WorkerRequest {
         WorkerRequest {
             worker_id: worker_id.into(),
             lease_points: 16,
@@ -697,20 +697,33 @@ impl Session {
     /// (e.g. an interrupted `ffr run`), else the deterministic fresh one —
     /// every process derives the same base, so no coordination is needed
     /// to create it. Other workers' progress arrives through shards.
-    fn base_checkpoint(&mut self) -> CampaignCheckpoint {
-        self.resumed.take().unwrap_or_else(|| {
-            CampaignCheckpoint::fresh(
-                self.manifest.fingerprint.clone(),
-                CheckpointParams {
-                    fault: self.manifest.fault,
-                    seed: self.manifest.seed,
-                    window_start: self.prepared.window.start,
-                    window_end: self.prepared.window.end,
-                    policy: self.manifest.policy.clone(),
-                },
-                self.point_ids(),
+    ///
+    /// # Errors
+    ///
+    /// The directory's checkpoint does not fit the fresh one
+    /// ([`CampaignCheckpoint::check_resumes`]).
+    fn base_checkpoint(&mut self) -> io::Result<CampaignCheckpoint> {
+        let fresh = CampaignCheckpoint::fresh(
+            self.manifest.fingerprint.clone(),
+            CheckpointParams {
+                fault: self.manifest.fault,
+                seed: self.manifest.seed,
+                window_start: self.prepared.window.start,
+                window_end: self.prepared.window.end,
+                policy: self.manifest.policy.clone(),
+            },
+            self.point_ids(),
+        );
+        let Some(resumed) = self.resumed.take() else {
+            return Ok(fresh);
+        };
+        resumed.check_resumes(&fresh).map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!("{}: {e}", self.paths.checkpoint().display()),
             )
-        })
+        })?;
+        Ok(resumed)
     }
 
     /// Discover the session's shard checkpoints and merge them into
@@ -754,7 +767,7 @@ impl Session {
         cancel: &CancelToken,
         progress: impl Fn(usize, usize) + Sync,
     ) -> io::Result<RunSummary> {
-        let mut checkpoint = self.base_checkpoint();
+        let mut checkpoint = self.base_checkpoint()?;
         let mut merged_shards = self.merge_shards(&mut checkpoint)?;
         let (prepared, recorder) = (&self.prepared, &self.recorder);
 
@@ -927,7 +940,7 @@ pub fn run(
 ///
 /// Fails on I/O errors or if the directory holds no session (no manifest,
 /// or a manifest with neither a checkpoint nor any shards).
-pub fn resume(
+pub(crate) fn resume(
     out_dir: &Path,
     options: &RunnerOptions,
     cancel: &CancelToken,
@@ -957,7 +970,7 @@ pub fn resume(
 /// Fails on I/O errors, an uninitialized campaign directory without
 /// `init` parameters, or parameters conflicting with the existing
 /// manifest.
-pub fn worker(
+pub(crate) fn worker(
     out_dir: &Path,
     request: &WorkerRequest,
     options: &RunnerOptions,
@@ -1864,6 +1877,81 @@ mod tests {
             log.contains("\"kind\":\"counter\",\"name\":\"store.puts\""),
             "aggregates of a failed run must reach the log: {log}"
         );
+    }
+
+    /// An interrupted run of `quick_request(store)` in `out`: its
+    /// checkpoint holds two retired points.
+    fn interrupted(out: &Path, store: Option<PathBuf>) -> RunRequest {
+        let request = quick_request(store);
+        let options = RunnerOptions {
+            stop_after_points: Some(2),
+            ..RunnerOptions::default()
+        };
+        let summary = run(&request, out, &options, &CancelToken::new(), |_, _| {}).unwrap();
+        assert_eq!(summary.outcome, RunOutcome::Cancelled);
+        request
+    }
+
+    /// A checkpoint cut to its first records keeps its fingerprint, but
+    /// no longer covers the campaign: resuming it is refused, and no
+    /// partial table reaches the session directory or the store.
+    #[test]
+    fn truncated_checkpoint_is_refused_not_published() {
+        let out = tmp_dir("truncated");
+        let store_dir = tmp_dir("truncated_store");
+        let request = interrupted(&out, Some(store_dir.clone()));
+        let paths = SessionPaths::new(&out);
+        let mut cp = CampaignCheckpoint::load(&paths.checkpoint()).unwrap();
+        cp.points.truncate(3);
+        cp.num_points = 3;
+        cp.save(&paths.checkpoint()).unwrap();
+
+        let options = RunnerOptions::default();
+        let err = resume(&out, &options, &CancelToken::new(), |_, _| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("3 points"), "{err}");
+        let err = run(&request, &out, &options, &CancelToken::new(), |_, _| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(!paths.fdr_json().exists());
+        let store = ArtifactStore::open(&store_dir).unwrap();
+        assert!(store
+            .list()
+            .unwrap()
+            .iter()
+            .all(|a| a.kind == ArtifactKind::GoldenRun));
+    }
+
+    /// A record with too few class tallies is an error wherever it is
+    /// read from — the directory's checkpoint or a worker's shard — not
+    /// a panic when the table is assembled.
+    #[test]
+    fn short_tally_record_is_an_error_not_a_panic() {
+        let out = tmp_dir("short_counts_checkpoint");
+        interrupted(&out, None);
+        let paths = SessionPaths::new(&out);
+        let mut cp = CampaignCheckpoint::load(&paths.checkpoint()).unwrap();
+        cp.points[0].counts.truncate(2);
+        cp.save(&paths.checkpoint()).unwrap();
+        let options = RunnerOptions::default();
+        let err = resume(&out, &options, &CancelToken::new(), |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("2 class tallies"), "{err}");
+
+        // In a shard, with more injections than the checkpoint's record
+        // so that the merge would prefer it.
+        let out = tmp_dir("short_counts_shard");
+        let request = interrupted(&out, None);
+        let paths = SessionPaths::new(&out);
+        let cp = CampaignCheckpoint::load(&paths.checkpoint()).unwrap();
+        let mut shard = cp.shard("forged", 0..1);
+        shard.points[0].counts.truncate(2);
+        shard.points[0].injections_done = 1 << 20;
+        shard.points[0].complete = true;
+        std::fs::create_dir_all(paths.shards_dir()).unwrap();
+        let shard_path = paths.shards_dir().join(work::shard_file_name(&(0..1)));
+        shard.save(&shard_path).unwrap();
+        let err = run(&request, &out, &options, &CancelToken::new(), |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("2 class tallies"), "{err}");
+        assert!(!paths.fdr_json().exists());
     }
 
     #[test]

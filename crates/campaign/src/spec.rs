@@ -61,7 +61,7 @@ pub enum CircuitSpec {
 
 impl CircuitSpec {
     /// Every recognised circuit name, for help output.
-    pub const NAMES: [&'static str; 8] = [
+    pub(crate) const NAMES: [&'static str; 8] = [
         "counter",
         "lfsr",
         "alu",
@@ -73,7 +73,7 @@ impl CircuitSpec {
     ];
 
     /// Canonical name of the spec (without parameters).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             CircuitSpec::Counter { .. } => "counter",
             CircuitSpec::Lfsr { .. } => "lfsr",
@@ -88,7 +88,7 @@ impl CircuitSpec {
 
     /// Full round-trippable form including parameters (what the session
     /// manifest persists): `counter:6`, `lfsr:8:4`, …
-    pub fn spec_string(&self) -> String {
+    pub(crate) fn spec_string(&self) -> String {
         match self {
             CircuitSpec::Counter { width } => format!("counter:{width}"),
             CircuitSpec::Lfsr { width, depth } => format!("lfsr:{width}:{depth}"),
@@ -176,7 +176,7 @@ impl CircuitSpec {
     /// # Errors
     ///
     /// Returns a description of the missing/invalid source.
-    pub fn validate_sources(&self) -> Result<(), String> {
+    pub(crate) fn validate_sources(&self) -> Result<(), String> {
         if let CircuitSpec::Verilog { path } = self {
             let source = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read Verilog source `{}`: {e}", path.display()))?;

@@ -31,7 +31,7 @@ use serde::{Serialize, Value};
 
 /// Schema version of the `ffr stats --json` output (bumped on any
 /// backwards-incompatible change to the report shape).
-pub const STATS_SCHEMA_VERSION: u64 = 1;
+pub(crate) const STATS_SCHEMA_VERSION: u64 = 1;
 
 /// Merged timing of all spans sharing one name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -84,7 +84,7 @@ pub struct WorkerStats {
 impl WorkerStats {
     /// Injections per wall-clock second of measurement, when both are
     /// known.
-    pub fn injections_per_sec(&self) -> Option<f64> {
+    pub(crate) fn injections_per_sec(&self) -> Option<f64> {
         if self.injections == 0 || self.measure_us == 0 {
             return None;
         }
@@ -136,7 +136,7 @@ impl CampaignStats {
     /// # Errors
     ///
     /// Propagates I/O errors other than a missing directory.
-    pub fn from_dir(dir: &Path) -> io::Result<CampaignStats> {
+    pub(crate) fn from_dir(dir: &Path) -> io::Result<CampaignStats> {
         let mut logs = Vec::new();
         match std::fs::read_dir(dir) {
             Ok(entries) => {
@@ -280,7 +280,7 @@ impl CampaignStats {
     }
 
     /// `true` when no telemetry was found at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.workers.is_empty()
     }
 
@@ -290,19 +290,19 @@ impl CampaignStats {
     }
 
     /// Injections across all workers.
-    pub fn total_injections(&self) -> u64 {
+    pub(crate) fn total_injections(&self) -> u64 {
         self.workers.iter().map(|w| w.injections).sum()
     }
 
     /// Total measuring time across workers (µs; wall-clock per worker,
     /// so parallel workers contribute in parallel).
-    pub fn total_measure_us(&self) -> u64 {
+    pub(crate) fn total_measure_us(&self) -> u64 {
         self.workers.iter().map(|w| w.measure_us).sum()
     }
 
     /// Aggregate injection throughput (injections per worker-second of
     /// measurement), when known.
-    pub fn injections_per_sec(&self) -> Option<f64> {
+    pub(crate) fn injections_per_sec(&self) -> Option<f64> {
         let injections = self.total_injections();
         let us = self.total_measure_us();
         if injections == 0 || us == 0 {
@@ -312,7 +312,7 @@ impl CampaignStats {
     }
 
     /// The report as a JSON value tree (used by `ffr stats --json`).
-    pub fn to_json_value(&self) -> Value {
+    pub(crate) fn to_json_value(&self) -> Value {
         let span_obj = |s: &SpanStats| {
             Value::Object(vec![
                 ("count".to_string(), Value::U64(s.count)),
@@ -404,7 +404,7 @@ impl CampaignStats {
     }
 
     /// The report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         struct Raw(Value);
         impl Serialize for Raw {
             fn to_value(&self) -> Value {
@@ -415,7 +415,7 @@ impl CampaignStats {
     }
 
     /// The human-facing text report.
-    pub fn render_text(&self) -> String {
+    pub(crate) fn render_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         if self.is_empty() {
@@ -563,7 +563,7 @@ impl CampaignStats {
 /// # Errors
 ///
 /// Propagates I/O errors other than a missing directory.
-pub fn sweep_telemetry(dir: &Path) -> io::Result<usize> {
+pub(crate) fn sweep_telemetry(dir: &Path) -> io::Result<usize> {
     let mut removed = 0;
     match std::fs::read_dir(dir) {
         Ok(entries) => {

@@ -6,28 +6,6 @@
 //! telemetry logs — into a [`StatusReport`], which serializes to the
 //! `ffr status --json` document. The CLI renders the same report as
 //! text; the service serves it verbatim, so the two can never drift.
-//!
-//! # JSON schema notes (version [`STATUS_SCHEMA_VERSION`])
-//!
-//! * `telemetry.injections_per_sec` is a number or **null** — never
-//!   `NaN`/`inf` (which are not JSON). It is null while the rate is
-//!   unknown: no telemetry record has both a positive injection count
-//!   and a positive measure duration yet (e.g. a worker SIGKILLed
-//!   before its first span flush, or a campaign served entirely from
-//!   cache in zero measured time).
-//! * `telemetry.eta_secs` is a number or null: null once complete,
-//!   before any point has been retired, or while the rate is unknown.
-//! * `telemetry` itself is present whenever the session has telemetry
-//!   logs, even if both rates are still null; it is absent only when
-//!   telemetry is disabled or the logs are empty.
-//! * `leases[].expired` reflects **observed file age** (mtime vs. the
-//!   local clock, the same signal reclaim uses); `expires_in_secs` is
-//!   the raw stamp difference, a diagnostic that can disagree under
-//!   clock skew.
-//!
-//! Version history: v2 made `injections_per_sec` nullable and switched
-//! `expired` to observed age; v1 omitted `telemetry` whenever the rate
-//! was unknown and emitted `expired` from unix-stamp comparison.
 
 use crate::checkpoint::CampaignCheckpoint;
 use crate::session::{CampaignManifest, SessionPaths};
@@ -38,7 +16,7 @@ use std::path::Path;
 
 /// Schema version of the `ffr status --json` document (bumped on any
 /// backwards-incompatible change; adding fields is compatible).
-pub const STATUS_SCHEMA_VERSION: u64 = 2;
+pub(crate) const STATUS_SCHEMA_VERSION: u64 = 2;
 
 /// One lease as reported by `ffr status`.
 #[derive(Debug, Clone, Serialize)]
@@ -101,9 +79,31 @@ pub struct TelemetryStatus {
 }
 
 /// The full `ffr status` report (also the `--json` document).
+///
+/// # JSON schema notes (schema version 2)
+///
+/// * `telemetry.injections_per_sec` is a number or **null** — never
+///   `NaN`/`inf` (which are not JSON). It is null while the rate is
+///   unknown: no telemetry record has both a positive injection count
+///   and a positive measure duration yet (e.g. a worker SIGKILLed
+///   before its first span flush, or a campaign served entirely from
+///   cache in zero measured time).
+/// * `telemetry.eta_secs` is a number or null: null once complete,
+///   before any point has been retired, or while the rate is unknown.
+/// * `telemetry` itself is present whenever the session has telemetry
+///   logs, even if both rates are still null; it is absent only when
+///   telemetry is disabled or the logs are empty.
+/// * `leases[].expired` reflects **observed file age** (mtime vs. the
+///   local clock, the same signal reclaim uses); `expires_in_secs` is
+///   the raw stamp difference, a diagnostic that can disagree under
+///   clock skew.
+///
+/// Version history: v2 made `injections_per_sec` nullable and switched
+/// `expired` to observed age; v1 omitted `telemetry` whenever the rate
+/// was unknown and emitted `expired` from unix-stamp comparison.
 #[derive(Debug, Serialize)]
 pub struct StatusReport {
-    /// [`STATUS_SCHEMA_VERSION`].
+    /// Schema version of this document (see the notes above).
     pub schema_version: u64,
     /// Session directory the report describes.
     pub session: String,
@@ -132,8 +132,8 @@ pub struct StatusReport {
     /// Path of the finished table, once published.
     pub table: Option<String>,
     /// Live rate / ETA estimates from the telemetry logs (absent when
-    /// telemetry is disabled or empty; see the schema notes in the
-    /// [module docs](self)).
+    /// telemetry is disabled or empty; see the schema notes on
+    /// [`StatusReport`]).
     pub telemetry: Option<TelemetryStatus>,
 }
 

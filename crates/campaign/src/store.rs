@@ -17,10 +17,9 @@
 //!   ...
 //! ```
 //!
-//! Every file is a versioned, self-describing JSON envelope
-//! ([`FORMAT_VERSION`]): readers verify the version, kind and key before
-//! trusting the payload, so stale or foreign files degrade to cache
-//! misses, never to corrupt results. Writes go through a temp file plus
+//! Every file is a versioned, self-describing JSON envelope: readers
+//! verify the version, kind and key before trusting the payload, so stale
+//! or foreign files degrade to cache misses, never to corrupt results. Writes go through a temp file plus
 //! atomic rename, so a killed writer leaves either the old artifact or
 //! none — readers never see a torn file.
 
@@ -33,13 +32,13 @@ use std::sync::Arc;
 use std::time::SystemTime;
 
 /// Version-1 envelope: plain JSON payload.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Version-2 envelope: deflate-compressed, base64-embedded payload (see
 /// [`crate::codec`]). Written for bulky artifact kinds
 /// ([`ArtifactKind::compressed`]); readers accept v1 and v2 for every
 /// kind, so stores written by older code keep working unchanged.
-pub const FORMAT_VERSION_COMPRESSED: u32 = 2;
+pub(crate) const FORMAT_VERSION_COMPRESSED: u32 = 2;
 
 /// Encoding tag stored in v2 envelopes.
 const COMPRESSED_ENCODING: &str = "deflate+base64";
@@ -59,7 +58,7 @@ const TMP_GRACE: std::time::Duration = std::time::Duration::from_secs(3600);
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
+pub(crate) fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     let tmp = unique_tmp_path(path);
     std::fs::write(&tmp, contents)?;
     let renamed = std::fs::rename(&tmp, path);
@@ -99,7 +98,7 @@ fn unique_tmp_path(path: &Path) -> PathBuf {
 /// # Errors
 ///
 /// Propagates I/O failures other than "already exists".
-pub fn create_exclusive(path: &Path, contents: &str) -> io::Result<bool> {
+pub(crate) fn create_exclusive(path: &Path, contents: &str) -> io::Result<bool> {
     let tmp = unique_tmp_path(path);
     std::fs::write(&tmp, contents)?;
     let linked = std::fs::hard_link(&tmp, path);
@@ -215,7 +214,7 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// All kinds, for directory scans.
-    pub const ALL: [ArtifactKind; 8] = [
+    pub(crate) const ALL: [ArtifactKind; 8] = [
         ArtifactKind::GoldenRun,
         ArtifactKind::FdrTable,
         ArtifactKind::SetTable,
@@ -262,7 +261,7 @@ impl fmt::Display for ArtifactKind {
 /// Includes temp files (`.tmp` in the name): [`ArtifactStore::gc`] needs
 /// to see them to sweep crashed writers' leftovers.
 #[derive(Debug, Clone)]
-pub struct BackendEntry {
+pub(crate) struct BackendEntry {
     /// File name within the kind directory.
     pub file_name: String,
     /// Size in bytes.
@@ -275,7 +274,7 @@ pub struct BackendEntry {
 /// [`ArtifactStore`].
 ///
 /// The store owns everything content-addressed — envelope format, keys,
-/// compression, cache-miss semantics — and reduces it to six flat-file
+/// compression, cache-miss semantics — and reduces it to four flat-file
 /// operations on `(dir, file)` pairs (`dir` is an
 /// [`ArtifactKind::dir_name`]). A backend only moves strings, so an
 /// object store or database backend can land behind this trait without
@@ -283,10 +282,7 @@ pub struct BackendEntry {
 ///
 /// Implementations must be thread-safe ([`Send`] + [`Sync`]): one store
 /// handle is shared across runner threads.
-pub trait StoreBackend: Send + Sync + fmt::Debug {
-    /// Human-readable identity of the backend (shown in diagnostics).
-    fn describe(&self) -> String;
-
+pub(crate) trait StoreBackend: Send + Sync + fmt::Debug {
     /// Read a file's contents, or `None` if it does not exist.
     ///
     /// # Errors
@@ -297,15 +293,12 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// Durably write a file (atomically replacing any previous version),
     /// creating the directory as needed. Returns the path the artifact is
     /// addressable under (a real filesystem path for the local backend, a
-    /// synthetic `<describe>/<dir>/<file>` path otherwise).
+    /// synthetic `<dir>/<file>` path otherwise).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     fn write(&self, dir: &str, file: &str, contents: &str) -> io::Result<PathBuf>;
-
-    /// `true` if the file exists.
-    fn exists(&self, dir: &str, file: &str) -> bool;
 
     /// Enumerate a directory (missing directories are empty, temp files
     /// included — see [`BackendEntry`]).
@@ -328,7 +321,7 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
 /// artifacts. This is byte-for-byte the store layout that predates the
 /// backend trait — existing stores read back unchanged.
 #[derive(Debug)]
-pub struct LocalDirBackend {
+pub(crate) struct LocalDirBackend {
     root: PathBuf,
 }
 
@@ -338,15 +331,10 @@ impl LocalDirBackend {
     /// # Errors
     ///
     /// Propagates directory-creation failures.
-    pub fn create(root: impl Into<PathBuf>) -> io::Result<LocalDirBackend> {
+    pub(crate) fn create(root: impl Into<PathBuf>) -> io::Result<LocalDirBackend> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         Ok(LocalDirBackend { root })
-    }
-
-    /// The backend's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn path(&self, dir: &str, file: &str) -> PathBuf {
@@ -355,10 +343,6 @@ impl LocalDirBackend {
 }
 
 impl StoreBackend for LocalDirBackend {
-    fn describe(&self) -> String {
-        format!("dir:{}", self.root.display())
-    }
-
     fn read(&self, dir: &str, file: &str) -> io::Result<Option<String>> {
         match std::fs::read_to_string(self.path(dir, file)) {
             Ok(text) => Ok(Some(text)),
@@ -372,10 +356,6 @@ impl StoreBackend for LocalDirBackend {
         std::fs::create_dir_all(path.parent().expect("artifact path has a parent"))?;
         atomic_write(&path, contents)?;
         Ok(path)
-    }
-
-    fn exists(&self, dir: &str, file: &str) -> bool {
-        self.path(dir, file).is_file()
     }
 
     fn list_dir(&self, dir: &str) -> io::Result<Vec<BackendEntry>> {
@@ -426,7 +406,7 @@ pub struct ArtifactInfo {
 
 /// Result summary of a [`ArtifactStore::gc`] sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GcReport {
+pub(crate) struct GcReport {
     /// Number of files removed.
     pub removed: usize,
     /// Bytes reclaimed.
@@ -467,7 +447,7 @@ pub struct ArtifactStore {
 
 impl ArtifactStore {
     /// Open (creating if needed) a store rooted at `root`, backed by the
-    /// local filesystem ([`LocalDirBackend`]).
+    /// local filesystem.
     ///
     /// # Errors
     ///
@@ -475,11 +455,7 @@ impl ArtifactStore {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<ArtifactStore> {
         let root = root.into();
         let backend = LocalDirBackend::create(&root)?;
-        Ok(ArtifactStore {
-            backend: Arc::new(backend),
-            root,
-            recorder: ffr_obs::Recorder::disabled(),
-        })
+        Ok(ArtifactStore::with_backend(Arc::new(backend), root))
     }
 
     /// Open a store over an arbitrary [`StoreBackend`]. Everything above
@@ -488,7 +464,7 @@ impl ArtifactStore {
     /// are *reported* under ([`ArtifactStore::root`],
     /// [`ArtifactInfo::path`]) for backends with no real filesystem
     /// location.
-    pub fn with_backend(
+    pub(crate) fn with_backend(
         backend: Arc<dyn StoreBackend>,
         nominal_root: impl Into<PathBuf>,
     ) -> ArtifactStore {
@@ -503,28 +479,18 @@ impl ArtifactStore {
     /// [`ArtifactStore::get`] calls record latency histograms and byte
     /// counters. Telemetry lives outside the store directory, so
     /// recording never perturbs artifact contents or keys.
-    pub fn with_recorder(mut self, recorder: ffr_obs::Recorder) -> ArtifactStore {
+    pub(crate) fn with_recorder(mut self, recorder: ffr_obs::Recorder) -> ArtifactStore {
         self.recorder = recorder;
         self
     }
 
     /// The store's root directory (nominal for non-filesystem backends).
-    pub fn root(&self) -> &Path {
+    pub(crate) fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// The backend artifact bytes are stored in.
-    pub fn backend(&self) -> &Arc<dyn StoreBackend> {
-        &self.backend
     }
 
     fn file_of(key: &StoreKey) -> String {
         format!("{key}.json")
-    }
-
-    /// `true` if an artifact exists for `(kind, key)`.
-    pub fn contains(&self, kind: ArtifactKind, key: &StoreKey) -> bool {
-        self.backend.exists(kind.dir_name(), &Self::file_of(key))
     }
 
     /// Store an artifact, atomically replacing any previous version.
@@ -699,7 +665,7 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn gc(&self, max_age: Option<std::time::Duration>) -> io::Result<GcReport> {
+    pub(crate) fn gc(&self, max_age: Option<std::time::Duration>) -> io::Result<GcReport> {
         let now = SystemTime::now();
         let mut report = GcReport::default();
         for kind in ArtifactKind::ALL {
@@ -766,9 +732,13 @@ mod tests {
     fn put_get_round_trip() {
         let store = tmp_store("roundtrip");
         let data: Vec<u64> = vec![1, 2, 3, u64::MAX];
-        assert!(!store.contains(ArtifactKind::FdrTable, &key()));
+        assert_eq!(
+            store
+                .get::<Vec<u64>>(ArtifactKind::FdrTable, &key())
+                .unwrap(),
+            None
+        );
         store.put(ArtifactKind::FdrTable, &key(), &data).unwrap();
-        assert!(store.contains(ArtifactKind::FdrTable, &key()));
         let loaded: Option<Vec<u64>> = store.get(ArtifactKind::FdrTable, &key()).unwrap();
         assert_eq!(loaded, Some(data));
     }
@@ -988,9 +958,6 @@ mod tests {
     }
 
     impl StoreBackend for MemBackend {
-        fn describe(&self) -> String {
-            "mem".into()
-        }
         fn read(&self, dir: &str, file: &str) -> io::Result<Option<String>> {
             Ok(self
                 .files
@@ -1005,12 +972,6 @@ mod tests {
                 .unwrap()
                 .insert((dir.into(), file.into()), contents.into());
             Ok(PathBuf::from(format!("mem/{dir}/{file}")))
-        }
-        fn exists(&self, dir: &str, file: &str) -> bool {
-            self.files
-                .lock()
-                .unwrap()
-                .contains_key(&(dir.into(), file.into()))
         }
         fn list_dir(&self, dir: &str) -> io::Result<Vec<BackendEntry>> {
             Ok(self
@@ -1041,10 +1002,14 @@ mod tests {
         let data: Vec<u64> = (0..512).map(|i| i * 3).collect();
 
         // Plain v1 kind and compressed v2 kind both round-trip.
-        assert!(!store.contains(ArtifactKind::FdrTable, &key()));
+        assert_eq!(
+            store
+                .get::<Vec<u64>>(ArtifactKind::FdrTable, &key())
+                .unwrap(),
+            None
+        );
         store.put(ArtifactKind::FdrTable, &key(), &data).unwrap();
         store.put(ArtifactKind::GoldenRun, &key(), &data).unwrap();
-        assert!(store.contains(ArtifactKind::FdrTable, &key()));
         let fdr: Option<Vec<u64>> = store.get(ArtifactKind::FdrTable, &key()).unwrap();
         let golden: Option<Vec<u64>> = store.get(ArtifactKind::GoldenRun, &key()).unwrap();
         assert_eq!(fdr, Some(data.clone()));
@@ -1056,7 +1021,7 @@ mod tests {
         let local_path = local.put(ArtifactKind::GoldenRun, &key(), &data).unwrap();
         let local_bytes = std::fs::read_to_string(local_path).unwrap();
         let mem_bytes = store
-            .backend()
+            .backend
             .read(
                 ArtifactKind::GoldenRun.dir_name(),
                 &format!("{}.json", key()),

@@ -45,7 +45,7 @@ use std::io;
 use std::path::Path;
 
 /// Transfer report format version; bump on breaking shape changes.
-pub const TRANSFER_VERSION: u32 = 1;
+pub(crate) const TRANSFER_VERSION: u32 = 1;
 
 /// One training circuit's contribution and holdout quality.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,7 +108,8 @@ pub struct TransferFfRow {
 /// The complete output of one `ffr transfer` run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransferReport {
-    /// Report format version ([`TRANSFER_VERSION`]).
+    /// Report format version; [`TransferReport::load_json`] rejects any
+    /// other.
     pub version: u32,
     /// Feature schema the matrices were aligned under.
     pub schema: String,
@@ -147,7 +148,7 @@ pub struct TransferReport {
 
 impl TransferReport {
     /// Render the per-flip-flop predictions as CSV (`ff,index,fdr`).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("ff,index,fdr\n");
         for row in &self.per_ff {
@@ -161,12 +162,12 @@ impl TransferReport {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save_json(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn save_json(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
         crate::store::atomic_write(path, &json)
     }
 
-    /// Load a report written by [`TransferReport::save_json`].
+    /// Load a report written by `ffr transfer`.
     ///
     /// # Errors
     ///

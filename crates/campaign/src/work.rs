@@ -54,14 +54,14 @@ use std::sync::Mutex;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Lease record file format version.
-pub const LEASE_VERSION: u32 = 1;
+pub(crate) const LEASE_VERSION: u32 = 1;
 
 /// How the runner obtains work: chunks of indices into the campaign
 /// checkpoint's point list.
 ///
 /// Implementations must be safe to call from several runner threads at
 /// once; a chunk is handed to exactly one thread of this process.
-pub trait WorkSource: Sync {
+pub(crate) trait WorkSource: Sync {
     /// Claim the next chunk of point indices. An empty chunk means the
     /// source is drained for this invocation (all work complete, or
     /// cancellation observed). A source may block/poll while work is
@@ -113,14 +113,14 @@ const STEAL_CHUNK: usize = 4;
 /// varies wildly under adaptive stopping, so small dynamic chunks beat a
 /// static split.
 #[derive(Debug)]
-pub struct CursorSource {
+pub(crate) struct CursorSource {
     pending: Vec<usize>,
     cursor: AtomicUsize,
 }
 
 impl CursorSource {
     /// A source over every incomplete point of `checkpoint`.
-    pub fn new(checkpoint: &CampaignCheckpoint) -> CursorSource {
+    pub(crate) fn new(checkpoint: &CampaignCheckpoint) -> CursorSource {
         CursorSource {
             pending: checkpoint
                 .points
@@ -150,7 +150,7 @@ impl WorkSource for CursorSource {
 
 /// One worker's claim on a contiguous range of injection points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LeaseRecord {
+pub(crate) struct LeaseRecord {
     /// Format version ([`LEASE_VERSION`]).
     pub version: u32,
     /// Campaign fingerprint the lease belongs to.
@@ -173,7 +173,7 @@ impl LeaseRecord {
     /// Both stamps come from the *holder's* clock, so their difference is
     /// meaningful even when that clock disagrees with ours — unlike
     /// either stamp on its own.
-    pub fn ttl(&self) -> Duration {
+    pub(crate) fn ttl(&self) -> Duration {
         Duration::from_secs(self.expires_unix.saturating_sub(self.acquired_unix).max(1))
     }
 
@@ -187,7 +187,7 @@ impl LeaseRecord {
     /// wall clock says. An un-computable age (mtime in the future after a
     /// clock step) counts as *not* expired: waiting out a dead lease is
     /// cheap, stealing a live one costs duplicated work.
-    pub fn expired_by_age(&self, modified: SystemTime) -> bool {
+    pub(crate) fn expired_by_age(&self, modified: SystemTime) -> bool {
         observed_age(modified).is_some_and(|age| age > self.ttl())
     }
 }
@@ -208,12 +208,12 @@ pub(crate) fn unix_now() -> u64 {
 }
 
 /// File name of the lease over point indices `range`.
-pub fn lease_file_name(range: &Range<usize>) -> String {
+pub(crate) fn lease_file_name(range: &Range<usize>) -> String {
     format!("lease-{:08}-{:08}.json", range.start, range.end)
 }
 
 /// File name of the shard over point indices `range`.
-pub fn shard_file_name(range: &Range<usize>) -> String {
+pub(crate) fn shard_file_name(range: &Range<usize>) -> String {
     format!("shard-{:08}-{:08}.json", range.start, range.end)
 }
 
@@ -224,7 +224,7 @@ pub fn shard_file_name(range: &Range<usize>) -> String {
 /// *different* `lease_points` produce misaligned ranges — wasteful
 /// (overlapping ranges get computed twice) but still correct, because
 /// the shard merge is point-indexed and duplicates are identical.
-pub fn lease_ranges(num_points: usize, lease_points: usize) -> Vec<Range<usize>> {
+pub(crate) fn lease_ranges(num_points: usize, lease_points: usize) -> Vec<Range<usize>> {
     let step = lease_points.max(1);
     (0..num_points.div_ceil(step))
         .map(|k| k * step..((k + 1) * step).min(num_points))
@@ -233,7 +233,7 @@ pub fn lease_ranges(num_points: usize, lease_points: usize) -> Vec<Range<usize>>
 
 /// A stored lease file as found on disk (for `ffr status` / `ffr gc`).
 #[derive(Debug, Clone)]
-pub struct LeaseInfo {
+pub(crate) struct LeaseInfo {
     /// Full path of the lease file.
     pub path: PathBuf,
     /// The decoded record, or `None` for an unreadable file.
@@ -249,7 +249,7 @@ pub struct LeaseInfo {
 ///
 /// Propagates directory-read failures (a missing directory is an empty
 /// list).
-pub fn list_leases(leases_dir: &Path) -> io::Result<Vec<LeaseInfo>> {
+pub(crate) fn list_leases(leases_dir: &Path) -> io::Result<Vec<LeaseInfo>> {
     let mut out = Vec::new();
     let entries = match std::fs::read_dir(leases_dir) {
         Ok(e) => e,
@@ -290,7 +290,7 @@ pub fn list_leases(leases_dir: &Path) -> io::Result<Vec<LeaseInfo>> {
 ///
 /// Propagates directory-read failures (a missing directory is an empty
 /// list).
-pub fn list_shards(shards_dir: &Path) -> io::Result<Vec<ShardCheckpoint>> {
+pub(crate) fn list_shards(shards_dir: &Path) -> io::Result<Vec<ShardCheckpoint>> {
     let mut out = Vec::new();
     let entries = match std::fs::read_dir(shards_dir) {
         Ok(e) => e,
@@ -325,7 +325,7 @@ pub fn list_shards(shards_dir: &Path) -> io::Result<Vec<ShardCheckpoint>> {
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn sweep_expired_leases(leases_dir: &Path) -> io::Result<(usize, usize)> {
+pub(crate) fn sweep_expired_leases(leases_dir: &Path) -> io::Result<(usize, usize)> {
     let mut removed = 0;
     let mut kept = 0;
     for info in list_leases(leases_dir)? {
@@ -355,7 +355,7 @@ pub fn sweep_expired_leases(leases_dir: &Path) -> io::Result<(usize, usize)> {
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn sweep_shards(shards_dir: &Path) -> io::Result<usize> {
+pub(crate) fn sweep_shards(shards_dir: &Path) -> io::Result<usize> {
     let mut removed = 0;
     let entries = match std::fs::read_dir(shards_dir) {
         Ok(e) => e,
@@ -382,7 +382,7 @@ pub fn sweep_shards(shards_dir: &Path) -> io::Result<usize> {
 ///
 /// See the [module docs](self) for the lease lifecycle and why races
 /// degrade to harmless duplicated work rather than corruption.
-pub struct LeaseQueue {
+pub(crate) struct LeaseQueue {
     leases_dir: PathBuf,
     shards_dir: PathBuf,
     fingerprint: String,
@@ -422,7 +422,7 @@ impl LeaseQueue {
     ///
     /// Propagates directory-creation failures.
     #[allow(clippy::too_many_arguments)]
-    pub fn open(
+    pub(crate) fn open(
         session_dir: &Path,
         fingerprint: String,
         worker: String,
@@ -453,7 +453,7 @@ impl LeaseQueue {
     /// Attach a telemetry recorder: lease claims, reclaims, heartbeats,
     /// releases and shard-flush latencies are recorded as events.
     /// Telemetry never affects lease contents or claiming decisions.
-    pub fn with_recorder(mut self, recorder: ffr_obs::Recorder) -> LeaseQueue {
+    pub(crate) fn with_recorder(mut self, recorder: ffr_obs::Recorder) -> LeaseQueue {
         self.recorder = recorder;
         self
     }
@@ -669,7 +669,7 @@ impl LeaseQueue {
     /// # Errors
     ///
     /// Propagates the first I/O failure.
-    pub fn refresh_held(&self) -> io::Result<()> {
+    pub(crate) fn refresh_held(&self) -> io::Result<()> {
         let state = self.state.lock().expect("queue lock");
         for &index in &state.held {
             let record = self.fresh_record(index);
@@ -708,7 +708,7 @@ impl LeaseQueue {
     /// it (graceful shutdown or error unwind): the partial shard stays on
     /// disk, so the next claimer resumes mid-plan instead of waiting out
     /// the TTL.
-    pub fn release_held(&self) {
+    pub(crate) fn release_held(&self) {
         let mut state = self.state.lock().expect("queue lock");
         for index in std::mem::take(&mut state.held) {
             let _ = std::fs::remove_file(self.lease_path(index));
@@ -727,7 +727,7 @@ impl LeaseQueue {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn flush_held(&self, checkpoint: &CampaignCheckpoint) -> io::Result<()> {
+    pub(crate) fn flush_held(&self, checkpoint: &CampaignCheckpoint) -> io::Result<()> {
         let state = self.state.lock().expect("queue lock");
         for &index in &state.held {
             if !state.hydrated.contains(&index) {

@@ -271,22 +271,6 @@ where
         self.run_point_times(point, &times, config)
     }
 
-    /// Inject exactly the given fault times into one flip-flop and return
-    /// the per-class tallies (indexed like [`FailureClass::ALL`]).
-    ///
-    /// Equivalent to [`Campaign::run_point_times`] with
-    /// [`InjectionPoint::Seu`]; kept as the stable SEU entry point.
-    ///
-    /// [`sample_injection_times`]: crate::sample_injection_times
-    pub fn run_ff_times(
-        &self,
-        ff: FfId,
-        times: &[u64],
-        config: &CampaignConfig,
-    ) -> [usize; FailureClass::ALL.len()] {
-        self.run_point_times(InjectionPoint::Seu(ff), times, config)
-    }
-
     /// Inject exactly the given fault times into one injection point and
     /// return the per-class tallies (indexed like [`FailureClass::ALL`]).
     ///
@@ -705,7 +689,7 @@ mod tests {
                 expected[judge.classify(&golden_view, &view, t).tally_index()] += 1;
             }
             assert_eq!(
-                campaign.run_ff_times(ff, &times, &config),
+                campaign.run_point_times(InjectionPoint::Seu(ff), &times, &config),
                 expected,
                 "{}",
                 cc.netlist().ff_name(ff)
@@ -724,7 +708,11 @@ mod tests {
         let judge = OutputMismatchJudge::new();
         let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
         let config = CampaignConfig::new(10..100);
-        campaign.run_ff_times(FfId::from_index(0), &[5, 120 + 100], &config);
+        campaign.run_point_times(
+            InjectionPoint::Seu(FfId::from_index(0)),
+            &[5, 120 + 100],
+            &config,
+        );
     }
 
     /// Skipping the judge for lanes that never left golden is only sound
