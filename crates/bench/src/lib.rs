@@ -1,5 +1,4 @@
-//! Shared experiment harness for the experiment binaries and the
-//! Criterion microbenchmarks.
+//! Shared experiment harness for the experiment binaries.
 //!
 //! Campaign artifacts (golden runs, the **reference dataset** of MAC
 //! features + flat-campaign FDR, SET tables) are the expensive step, so
@@ -16,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod drift;
 pub mod policy_study;
@@ -56,7 +56,7 @@ impl Scale {
     }
 
     /// MAC configuration at this scale.
-    pub fn mac_config(self) -> Mac10geConfig {
+    pub(crate) fn mac_config(self) -> Mac10geConfig {
         match self {
             Scale::Paper => Mac10geConfig::default(),
             Scale::Quick => Mac10geConfig::small(),
@@ -86,14 +86,14 @@ impl Scale {
 /// pile of ad-hoc JSON files: artifacts are keyed by the netlist and the
 /// full experiment configuration, so changing the MAC or campaign knobs
 /// misses cleanly instead of serving stale data.
-pub fn cache_dir() -> PathBuf {
+pub(crate) fn cache_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/ffr-cache");
     std::fs::create_dir_all(&dir).expect("create cache dir");
     dir
 }
 
 /// The experiment artifact store rooted at [`cache_dir`].
-pub fn artifact_store() -> ArtifactStore {
+pub(crate) fn artifact_store() -> ArtifactStore {
     ArtifactStore::open(cache_dir()).expect("open artifact store")
 }
 
@@ -204,7 +204,7 @@ pub fn load_or_collect_dataset(setup: &MacSetup, force: bool) -> ReferenceDatase
 /// at paper scale, a deterministic 1-in-8 stratified subsample at quick
 /// scale (the SET universe is several times larger than the flip-flop
 /// one, and smoke runs only need the shape of the distribution).
-pub fn set_target_nets(scale: Scale, cc: &CompiledCircuit) -> Vec<ffr_netlist::NetId> {
+pub(crate) fn set_target_nets(scale: Scale, cc: &CompiledCircuit) -> Vec<ffr_netlist::NetId> {
     let nets = cc.comb_output_nets();
     match scale {
         Scale::Paper => nets,
@@ -213,7 +213,7 @@ pub fn set_target_nets(scale: Scale, cc: &CompiledCircuit) -> Vec<ffr_netlist::N
 }
 
 /// Load the cached SET de-rating table for `scale`, or run the
-/// combinational-net transient campaign over [`set_target_nets`] and
+/// combinational-net transient campaign over `set_target_nets` and
 /// cache it in the artifact store.
 pub fn load_or_run_set_table(scale: Scale) -> ffr_fault::SetDeratingTable {
     let store = artifact_store();

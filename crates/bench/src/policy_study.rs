@@ -38,13 +38,13 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Study format version; bump on breaking shape changes.
-pub const STUDY_VERSION: u32 = 1;
+pub(crate) const STUDY_VERSION: u32 = 1;
 
 /// The default policy grid, in canonical spec notation. The first entry
 /// is the reference (the paper's fixed-170 rule); `fixed:64` shows what
 /// naive budget cutting costs, and the Wilson rows trade confidence
 /// against cost in both directions.
-pub const STUDY_POLICIES: [&str; 5] = [
+pub(crate) const STUDY_POLICIES: [&str; 5] = [
     "fixed:170",
     "fixed:64",
     "wilson:0.1@95:64..170",
@@ -54,7 +54,7 @@ pub const STUDY_POLICIES: [&str; 5] = [
 
 /// The default measurement-budget grid: the full campaign, and the
 /// README's 40 % ML-assisted flow.
-pub const STUDY_BUDGETS: [f64; 2] = [1.0, 0.4];
+pub(crate) const STUDY_BUDGETS: [f64; 2] = [1.0, 0.4];
 
 /// |ΔFFR| tolerance of the advertised headline cell. Deliberately tight:
 /// the headline is the policy the README recommends, so it must land
@@ -82,8 +82,8 @@ pub struct StudyConfig {
 }
 
 impl StudyConfig {
-    /// The default sweep for a circuit: [`STUDY_POLICIES`] ×
-    /// [`STUDY_BUDGETS`], the workspace-wide 2019 seed.
+    /// The default sweep for a circuit: `STUDY_POLICIES` ×
+    /// `STUDY_BUDGETS`, the workspace-wide 2019 seed.
     pub fn new(circuit: impl Into<String>) -> StudyConfig {
         StudyConfig {
             circuit: circuit.into(),
@@ -149,7 +149,7 @@ pub struct StudyRow {
 /// A finished policy study (the `policy-study.json` document).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyStudy {
-    /// Format version ([`STUDY_VERSION`]).
+    /// Format version (`STUDY_VERSION`).
     pub version: u32,
     /// Circuit spec string.
     pub circuit: String,
@@ -168,13 +168,6 @@ pub struct PolicyStudy {
 }
 
 impl PolicyStudy {
-    /// The full-budget row of the given policy, if the grid has one.
-    pub fn full_budget_row(&self, policy: &str) -> Option<&StudyRow> {
-        self.rows
-            .iter()
-            .find(|r| r.policy == policy && r.budget >= 1.0)
-    }
-
     /// The headline cell: among full-budget **Wilson-CI** rows that save
     /// injections and stay within `ffr_tolerance` of the reference FFR,
     /// the one saving the most. Restricted to the Wilson family because
@@ -531,13 +524,20 @@ mod tests {
         assert_eq!(first.version, STUDY_VERSION);
         assert_eq!(first.rows.len(), 4);
         assert_eq!(first.reference_policy, "fixed:192");
+        let full_budget_row = |policy: &str| {
+            first
+                .rows
+                .iter()
+                .find(|r| r.policy == policy && r.budget >= 1.0)
+                .unwrap()
+        };
         // The reference cell is exact: zero error against itself.
-        let ref_row = first.full_budget_row("fixed:192").unwrap();
+        let ref_row = full_budget_row("fixed:192");
         assert_eq!(ref_row.injections, first.reference_injections);
         assert_eq!(ref_row.mean_abs_fdr_error, 0.0);
         assert_eq!(ref_row.ffr_delta, 0.0);
         // The Wilson cell saves injections at full budget.
-        let wilson = first.full_budget_row("wilson:0.1@95:64..192").unwrap();
+        let wilson = full_budget_row("wilson:0.1@95:64..192");
         assert!(wilson.saved_vs_reference > 0.0, "{wilson:?}");
         // Budgeted cells carry ML-flow results.
         for row in first.rows.iter().filter(|r| r.budget < 1.0) {

@@ -324,14 +324,16 @@ impl CampaignCheckpoint {
     /// # Errors
     ///
     /// Fails on I/O errors, undecodable files, a version mismatch, or a
-    /// malformed progress record. The version is probed before full
-    /// deserialization, so a v1 checkpoint reports "version 1
-    /// unsupported" rather than a missing-field decode error.
+    /// malformed progress record; every message names the file, and a
+    /// missing file keeps [`io::ErrorKind::NotFound`]. The version is
+    /// probed before full deserialization, so a v1 checkpoint reports
+    /// "version 1 unsupported" rather than a missing-field decode error.
     pub fn load(path: &Path) -> io::Result<CampaignCheckpoint> {
+        let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
         let checkpoint: CampaignCheckpoint =
-            crate::store::load_versioned(path, "checkpoint", CHECKPOINT_VERSION)?;
+            crate::store::load_versioned(path, "checkpoint", CHECKPOINT_VERSION).map_err(named)?;
         let records = checkpoint.points.iter().try_for_each(PointProgress::check);
-        records.map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        records.map_err(named)?;
         Ok(checkpoint)
     }
 

@@ -51,8 +51,8 @@ pub enum CircuitSpec {
         /// Corpus id (see [`ffr_circuits::corpus`]).
         id: String,
     },
-    /// A structural-Verilog design imported from a file
-    /// (`verilog:<path>`), routed through the corpus import path.
+    /// A structural-Verilog design read from a file (`verilog:<path>`),
+    /// parsed directly and keyed in the store by its content hash.
     Verilog {
         /// Path to the Verilog source.
         path: PathBuf,

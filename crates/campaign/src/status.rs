@@ -12,6 +12,7 @@ use crate::session::{CampaignManifest, SessionPaths};
 use crate::work;
 use ffr_fault::FaultKind;
 use serde::Serialize;
+use std::io;
 use std::path::Path;
 
 /// Schema version of the `ffr status --json` document (bumped on any
@@ -170,8 +171,10 @@ fn telemetry_status(
 ///
 /// # Errors
 ///
-/// Returns a rendered message when the session has no readable manifest
-/// or a directory scan fails.
+/// Returns a rendered message when the session has no readable manifest,
+/// a directory scan fails, `checkpoint.json` exists but cannot be read,
+/// or a worker shard does not merge into it (the message `ffr run` would
+/// fail with).
 pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
     let paths = SessionPaths::new(out);
     let manifest = CampaignManifest::load(&paths.manifest()).map_err(|e| e.to_string())?;
@@ -185,9 +188,7 @@ pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
     let progress = match CampaignCheckpoint::load(&paths.checkpoint()) {
         Ok(mut cp) => {
             for shard in &shards {
-                // Foreign/stale shards are a display concern here, not a
-                // hard error — skip them.
-                let _ = cp.merge_shard(shard);
+                cp.merge_shard(shard).map_err(|e| e.to_string())?;
             }
             Some(ProgressStatus {
                 completed_points: cp.completed_points(),
@@ -196,6 +197,7 @@ pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
                 complete: cp.is_complete(),
             })
         }
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.to_string()),
         Err(_) if !shards.is_empty() => {
             // Deduplicate by point index: workers launched with different
             // --lease-points leave overlapping shards (same progress,
@@ -303,6 +305,7 @@ pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
 mod tests {
     use super::*;
     use crate::stats::{CampaignStats, WorkerStats};
+    use crate::{AdaptivePolicy, CancelToken, CircuitSpec, RunRequest, RunnerOptions};
 
     fn progress(completed: usize, total: usize, injections: usize) -> ProgressStatus {
         ProgressStatus {
@@ -360,5 +363,41 @@ mod tests {
         let t = telemetry_status(&stats_with(640, 2_000_000), Some(&progress(4, 8, 640)));
         assert_eq!(t.injections_per_sec, Some(320.0));
         assert_eq!(t.eta_secs, Some(2));
+    }
+
+    /// A checkpoint `ffr resume` refuses, or a shard `ffr run` cannot
+    /// merge, is an error here too: not "not started", not a shard
+    /// silently left out of the progress view.
+    #[test]
+    fn unreadable_checkpoint_and_foreign_shard_are_errors() {
+        let out = std::env::temp_dir().join(format!("ffr_status_bad_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let mut request = RunRequest::new(CircuitSpec::Counter { width: 6 });
+        request.policy = AdaptivePolicy::fixed(16);
+        let options = RunnerOptions {
+            stop_after_points: Some(3),
+            ..RunnerOptions::default()
+        };
+        crate::run_session(&request, &out, &options, &CancelToken::new(), |_, _| {}).unwrap();
+        let paths = SessionPaths::new(&out);
+        let good = CampaignCheckpoint::load(&paths.checkpoint()).unwrap();
+        assert!(gather_status(&out).unwrap().0.progress.is_some());
+
+        let mut short = good.clone();
+        short.points[0].counts.truncate(2);
+        short.save(&paths.checkpoint()).unwrap();
+        let err = gather_status(&out).unwrap_err();
+        assert!(err.contains("checkpoint.json: "), "{err}");
+        assert!(err.contains("2 class tallies"), "{err}");
+
+        good.save(&paths.checkpoint()).unwrap();
+        let mut foreign = good;
+        foreign.fingerprint = "0-0".to_string();
+        std::fs::create_dir_all(paths.shards_dir()).unwrap();
+        let shard_path = paths.shards_dir().join(work::shard_file_name(&(0..1)));
+        foreign.shard("w", 0..1).save(&shard_path).unwrap();
+        let err = gather_status(&out).unwrap_err();
+        assert!(err.contains("does not match campaign"), "{err}");
+        std::fs::remove_dir_all(&out).unwrap();
     }
 }

@@ -81,7 +81,7 @@ pub fn sync_fifo(
 
 /// The CRC-32 polynomial used by IEEE 802.3 (`x^32 + x^26 + … + 1`),
 /// MSB-first representation.
-pub const CRC32_POLY: u32 = 0x04C1_1DB7;
+pub(crate) const CRC32_POLY: u32 = 0x04C1_1DB7;
 
 /// Software model of [`crc32_update`]: fold `width` bits of `data`
 /// (MSB first) into a running CRC-32.
@@ -191,7 +191,7 @@ pub fn lfsr(b: &mut NetlistBuilder, name: &str, width: usize, en: &Bus) -> RegHa
 /// `depth`-stage shift register (pipeline) over a `width`-bit bus; returns
 /// the output of every stage, index 0 being the first register after the
 /// input.
-pub fn shift_register(
+pub(crate) fn shift_register(
     b: &mut NetlistBuilder,
     name: &str,
     depth: usize,
@@ -209,16 +209,6 @@ pub fn shift_register(
         stages.push(current.clone());
     }
     stages
-}
-
-/// Rising-edge detector: output pulses for one cycle when `sig` goes
-/// 0 → 1.
-pub fn rising_edge(b: &mut NetlistBuilder, name: &str, sig: &Bus) -> Bus {
-    assert_eq!(sig.width(), 1);
-    let r = b.reg(name, 1);
-    b.connect(&r, sig).expect("edge reg connected once");
-    let n = b.not(&r.q());
-    b.and(sig, &n)
 }
 
 #[cfg(test)]
@@ -397,24 +387,5 @@ mod tests {
         }
         // After 3 stages, input appears with 3-cycle latency.
         assert_eq!(&outs[3..], &seq[..5]);
-    }
-
-    #[test]
-    fn rising_edge_pulses_once() {
-        let mut b = NetlistBuilder::new("re");
-        let sig = b.input("sig", 1);
-        let e = rising_edge(&mut b, "ed", &sig);
-        b.output("pulse", &e);
-        let cc = CompiledCircuit::compile(b.finish().unwrap()).unwrap();
-        let mut s = SimState::new(&cc);
-        let pattern = [false, true, true, true, false, true, false];
-        let mut pulses = Vec::new();
-        for &v in &pattern {
-            s.set_input(&cc, 0, v);
-            s.eval(&cc);
-            pulses.push(s.output_word(&cc, 0) & 1 == 1);
-            s.tick(&cc);
-        }
-        assert_eq!(pulses, [false, true, false, false, false, true, false]);
     }
 }

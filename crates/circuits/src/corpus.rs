@@ -6,14 +6,14 @@
 //! **corpus**: every generator is parametric (size) and — where the
 //! structure admits it — seeded, each concrete instance has a stable
 //! string id (`fifo2x8`, `mix3s7`, …), and the [`Corpus`] catalog
-//! registers both generated instances and Verilog-imported designs under
-//! the same namespace. The campaign CLI resolves `--circuit corpus:<id>`
-//! through [`resolve`]; the conformance suites (`cone_equivalence`,
-//! `cone_classification`, `verilog_roundtrip`) use [`CorpusSpec::sampled`]
-//! as a property-test generator of arbitrary valid circuits.
+//! registers the instances under those ids. The campaign CLI resolves
+//! `--circuit corpus:<id>` through [`resolve`]; the conformance suites
+//! (`cone_equivalence`, `cone_classification`, `verilog_roundtrip`) use
+//! [`CorpusSpec::sampled`] as a property-test generator of arbitrary
+//! valid circuits.
 
 use crate::{components, small};
-use ffr_netlist::{verilog, Bus, Netlist, NetlistBuilder};
+use ffr_netlist::{Bus, Netlist, NetlistBuilder};
 
 /// A parametric, seeded corpus generator instance.
 ///
@@ -246,7 +246,7 @@ impl CorpusSpec {
 /// The storage rows give the design an occupancy-dependent FDR
 /// population: a flipped entry is benign unless it is read out while
 /// valid.
-pub fn fifo_circuit(addr_bits: usize, width: usize) -> Netlist {
+pub(crate) fn fifo_circuit(addr_bits: usize, width: usize) -> Netlist {
     let mut b = NetlistBuilder::new("fifo_circuit");
     let wr_en = b.input("wr_en", 1);
     let wr_data = b.input("wr_data", width);
@@ -264,7 +264,7 @@ pub fn fifo_circuit(addr_bits: usize, width: usize) -> Netlist {
 /// Ports: inputs `en`, `clear`, `data[width]`; outputs `crc[32]`,
 /// `nonzero`. `clear` synchronously reloads the IEEE 802.3 preset
 /// (all-ones); `en` folds one data word per cycle.
-pub fn crc_circuit(width: usize) -> Netlist {
+pub(crate) fn crc_circuit(width: usize) -> Netlist {
     let mut b = NetlistBuilder::new("crc_circuit");
     let en = b.input("en", 1);
     let clear = b.input("clear", 1);
@@ -289,7 +289,7 @@ pub fn crc_circuit(width: usize) -> Netlist {
 /// Rows that are rarely addressed are nearly benign while the read
 /// register is critical — the skewed FDR population the estimator has to
 /// capture on storage-heavy designs.
-pub fn register_file(addr_bits: usize, width: usize) -> Netlist {
+pub(crate) fn register_file(addr_bits: usize, width: usize) -> Netlist {
     let mut b = NetlistBuilder::new("register_file");
     let wen = b.input("wen", 1);
     let waddr = b.input("waddr", addr_bits);
@@ -328,7 +328,7 @@ pub fn register_file(addr_bits: usize, width: usize) -> Netlist {
 ///
 /// Ports: inputs `en`, `din[width]`; outputs `dout[width]`, `parity`,
 /// `beat[4]`. The width (4 or 8) also comes from the seed.
-pub fn mix_circuit(stages: usize, seed: u64) -> Netlist {
+pub(crate) fn mix_circuit(stages: usize, seed: u64) -> Netlist {
     assert!(stages >= 1, "mix circuit needs at least one stage");
     let mut b = NetlistBuilder::new("mix_circuit");
     // Deterministic structural choices from a tiny LCG over the seed.
@@ -406,18 +406,11 @@ pub fn mix_circuit(stages: usize, seed: u64) -> Netlist {
     b.finish().expect("mix circuit is well formed")
 }
 
-/// One catalog entry: a stable id bound to a generated or imported
-/// design.
+/// One catalog entry: a stable id bound to a generated design.
 #[derive(Debug, Clone)]
 pub struct CorpusEntry {
     id: String,
-    source: CorpusSource,
-}
-
-#[derive(Debug, Clone)]
-enum CorpusSource {
-    Generated(CorpusSpec),
-    Imported(Box<Netlist>),
+    spec: CorpusSpec,
 }
 
 impl CorpusEntry {
@@ -426,33 +419,21 @@ impl CorpusEntry {
         &self.id
     }
 
-    /// The generator spec, for generated entries.
-    pub fn spec(&self) -> Option<&CorpusSpec> {
-        match &self.source {
-            CorpusSource::Generated(spec) => Some(spec),
-            CorpusSource::Imported(_) => None,
-        }
+    /// The generator spec.
+    pub fn spec(&self) -> &CorpusSpec {
+        &self.spec
     }
 
-    /// `true` for Verilog-imported entries.
-    pub fn is_imported(&self) -> bool {
-        matches!(self.source, CorpusSource::Imported(_))
-    }
-
-    /// Build (or clone) the entry's netlist.
+    /// Build the entry's netlist.
     pub fn build(&self) -> Netlist {
-        match &self.source {
-            CorpusSource::Generated(spec) => spec.build(),
-            CorpusSource::Imported(netlist) => (**netlist).clone(),
-        }
+        self.spec.build()
     }
 }
 
 /// The circuit-corpus catalog: stable ids → buildable designs.
 ///
 /// [`Corpus::standard`] is the committed catalog the conformance suites,
-/// the transfer study and CI iterate over; [`Corpus::register_verilog`]
-/// routes imported designs through the same namespace.
+/// the transfer study and CI iterate over.
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
     entries: Vec<CorpusEntry>,
@@ -520,36 +501,10 @@ impl Corpus {
     pub fn register(&mut self, spec: CorpusSpec) -> Result<(), String> {
         spec.validate()?;
         let id = spec.id();
-        self.check_fresh(&id)?;
-        self.entries.push(CorpusEntry {
-            id,
-            source: CorpusSource::Generated(spec),
-        });
-        Ok(())
-    }
-
-    /// Parse structural Verilog and register the design under `id` —
-    /// imported designs live in the same catalog namespace as generated
-    /// ones, so everything downstream (campaigns, features, transfer)
-    /// treats them identically.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a duplicate id, a parse error, or an invalid netlist.
-    pub fn register_verilog(&mut self, id: &str, source: &str) -> Result<(), String> {
-        self.check_fresh(id)?;
-        let netlist = verilog::parse(source).map_err(|e| format!("import `{id}`: {e}"))?;
-        self.entries.push(CorpusEntry {
-            id: id.to_string(),
-            source: CorpusSource::Imported(Box::new(netlist)),
-        });
-        Ok(())
-    }
-
-    fn check_fresh(&self, id: &str) -> Result<(), String> {
         if self.entries.iter().any(|e| e.id == id) {
             return Err(format!("corpus id `{id}` is already registered"));
         }
+        self.entries.push(CorpusEntry { id, spec });
         Ok(())
     }
 
@@ -627,7 +582,7 @@ mod tests {
     #[test]
     fn ids_round_trip_through_parse() {
         for entry in Corpus::standard().entries() {
-            let spec = entry.spec().expect("standard catalog is generated");
+            let spec = entry.spec();
             let parsed = CorpusSpec::parse(entry.id()).unwrap();
             assert_eq!(&parsed, spec, "{}", entry.id());
             assert_eq!(parsed.id(), entry.id());
@@ -707,21 +662,9 @@ mod tests {
     }
 
     #[test]
-    fn imported_verilog_shares_the_catalog() {
-        let netlist = small::counter_circuit(6);
-        let text = verilog::emit(&netlist);
+    fn duplicate_ids_are_rejected() {
         let mut corpus = Corpus::new();
-        corpus.register_verilog("imported-cnt6", &text).unwrap();
-        let entry = corpus.get("imported-cnt6").unwrap();
-        assert!(entry.is_imported());
-        assert_eq!(
-            entry.build().content_hash(),
-            netlist.content_hash(),
-            "imported design is structurally identical to its source"
-        );
-        // Duplicate ids are rejected across source kinds.
         assert!(corpus.register(CorpusSpec::Counter { width: 8 }).is_ok());
         assert!(corpus.register(CorpusSpec::Counter { width: 8 }).is_err());
-        assert!(corpus.register_verilog("cnt8", &text).is_err());
     }
 }

@@ -70,28 +70,28 @@ impl Mac10geConfig {
     }
 
     /// Number of CRC words per frame (`32 / data_width`).
-    pub fn crc_words(&self) -> usize {
+    pub(crate) fn crc_words(&self) -> usize {
         32 / self.data_width
     }
 
     /// Idle control word (`0x07` in every byte lane).
-    pub fn idle_word(&self) -> u64 {
+    pub(crate) fn idle_word(&self) -> u64 {
         byte_repeat(0x07, self.data_width)
     }
 
     /// Start-of-frame control word (`0xFB` then preamble bytes `0x55`).
-    pub fn start_word(&self) -> u64 {
+    pub(crate) fn start_word(&self) -> u64 {
         0xFB | (byte_repeat(0x55, self.data_width) & !0xFFu64)
     }
 
     /// End-of-frame control word (`0xFD` then idle bytes).
-    pub fn term_word(&self) -> u64 {
+    pub(crate) fn term_word(&self) -> u64 {
         0xFD | (byte_repeat(0x07, self.data_width) & !0xFFu64)
     }
 
     /// First payload word that (if it started a frame) would load the
     /// pause timer. The testbench never generates it.
-    pub fn pause_magic(&self) -> u64 {
+    pub(crate) fn pause_magic(&self) -> u64 {
         0x0808
     }
 

@@ -65,25 +65,13 @@ impl SoftErrorEstimate {
     /// measured table's [`FdrTable::dense_fdr`](ffr_fault::FdrTable::dense_fdr)
     /// (the paper's flat-campaign baseline). The resumable SET campaign
     /// (`ffr run --fault set`) supplies the per-net side.
-    pub fn from_estimation(
-        per_ff_fdr: &[f64],
-        set: &SetDeratingTable,
-        rates: &RawEventRates,
-    ) -> SoftErrorEstimate {
-        SoftErrorEstimate {
-            seu_failure_rate: rates.seu_per_ff * per_ff_fdr.iter().sum::<f64>(),
-            set_failure_rate: rates.set_per_net * set.covered().map(|r| r.derating()).sum::<f64>(),
-        }
-    }
-
-    /// Like [`SoftErrorEstimate::from_estimation`], but for a SET table
-    /// that covers only a *sample* of the circuit's combinational nets:
-    /// the mean de-rating over covered nets is extrapolated to
-    /// `set_population` sites, so a 1-in-N subsampled campaign still
-    /// yields an unbiased SET contribution instead of an N× undercount.
     ///
-    /// With `set_population == set.num_nets()` this equals
-    /// [`SoftErrorEstimate::from_estimation`] exactly.
+    /// The SET table may cover only a *sample* of the circuit's
+    /// combinational nets: the mean de-rating over covered nets is
+    /// extrapolated to `set_population` sites, so a 1-in-N subsampled
+    /// campaign still yields an unbiased SET contribution instead of an
+    /// N× undercount. With `set_population == set.num_nets()` this is the
+    /// plain sum over sites, `λ_SET · Σ_net D(net)`.
     pub fn from_estimation_sampled(
         per_ff_fdr: &[f64],
         set: &SetDeratingTable,
@@ -132,7 +120,12 @@ mod tests {
             seu_per_ff: 10.0,
             set_per_net: 2.0,
         };
-        let est = SoftErrorEstimate::from_estimation(&fdr.dense_fdr(), &set, &rates);
+        let est = SoftErrorEstimate::from_estimation_sampled(
+            &fdr.dense_fdr(),
+            &set,
+            &rates,
+            set.num_nets(),
+        );
         assert!((est.seu_failure_rate - 15.0).abs() < 1e-12);
         assert!((est.set_failure_rate - 0.5).abs() < 1e-12);
         assert!((est.total() - 15.5).abs() < 1e-12);
@@ -158,10 +151,9 @@ mod tests {
         // de-rating × 16 sites × rate 2.0 = 4.0 (8× the covered-only sum).
         let est = SoftErrorEstimate::from_estimation_sampled(&estimation, &set, &rates, 16);
         assert!((est.set_failure_rate - 4.0).abs() < 1e-12);
-        // Population == covered count reproduces the exact constructor.
-        let exact = SoftErrorEstimate::from_estimation(&estimation, &set, &rates);
+        // Population == covered count is the plain sum over sites: 0.25 × 2.0.
         let same = SoftErrorEstimate::from_estimation_sampled(&estimation, &set, &rates, 2);
-        assert!((exact.set_failure_rate - same.set_failure_rate).abs() < 1e-12);
+        assert!((same.set_failure_rate - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -172,7 +164,12 @@ mod tests {
             seu_per_ff: 10.0,
             set_per_net: 2.0,
         };
-        let est = SoftErrorEstimate::from_estimation(&fdr.dense_fdr(), &set, &rates);
+        let est = SoftErrorEstimate::from_estimation_sampled(
+            &fdr.dense_fdr(),
+            &set,
+            &rates,
+            set.num_nets(),
+        );
         assert_eq!(est.total(), 0.0);
         assert_eq!(est.set_share(), 0.0);
     }

@@ -252,7 +252,7 @@ where
 
     /// Inject the planned faults for one combinational net and classify
     /// every run (the SET fault model).
-    pub fn run_net(&self, net: NetId, config: &CampaignConfig) -> NetSetResult {
+    pub(crate) fn run_net(&self, net: NetId, config: &CampaignConfig) -> NetSetResult {
         NetSetResult::new(net, self.run_planned(InjectionPoint::Set(net), config))
     }
 

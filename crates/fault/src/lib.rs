@@ -50,20 +50,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod campaign;
 mod judge;
 mod model;
 mod result;
 mod sampling;
-pub mod set;
+mod set;
 
 pub use campaign::{Campaign, CampaignConfig, PointRunner, PointScratch};
 pub use judge::{FailureJudge, OutputMismatchJudge};
 pub use model::{FailureClass, Fault, FaultKind, InjectionPoint};
-pub use result::{failure_fraction, failures_in, FdrHistogram, FdrTable, FfCampaignResult};
+pub use result::{failures_in, FdrHistogram, FdrTable, FfCampaignResult};
 pub use sampling::{
     confidence_for_z, required_sample_size, sample_injection_times, wilson_interval,
-    z_for_confidence, CONFIDENCE_QUANTILES,
+    z_for_confidence,
 };
 pub use set::{NetSetResult, SetDeratingTable};

@@ -120,7 +120,7 @@ pub struct Fault {
 /// The paper's criterion (§IV-A) declares a run a functional failure "when
 /// the final received packages contained payload corruption or the circuit
 /// stopped sending or receiving data"; the variants below preserve the
-/// distinction for diagnostics while [`FailureClass::is_failure`] collapses
+/// distinction for diagnostics while `FailureClass::is_failure` collapses
 /// it back to the paper's binary decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FailureClass {
@@ -148,7 +148,7 @@ impl FailureClass {
     ];
 
     /// `true` for every class except [`FailureClass::Benign`].
-    pub fn is_failure(self) -> bool {
+    pub(crate) fn is_failure(self) -> bool {
         !matches!(self, FailureClass::Benign)
     }
 

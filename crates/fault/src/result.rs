@@ -57,7 +57,7 @@ impl FfCampaignResult {
 /// per-flip-flop FDR ([`FfCampaignResult::fdr`]) and the SET per-net
 /// de-rating factor ([`crate::NetSetResult::derating`]) are both this
 /// fraction, and both need the same division-by-zero guard.
-pub fn failure_fraction(failures: usize, injections: usize) -> f64 {
+pub(crate) fn failure_fraction(failures: usize, injections: usize) -> f64 {
     if injections == 0 {
         0.0
     } else {

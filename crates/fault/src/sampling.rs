@@ -70,11 +70,11 @@ pub fn required_sample_size(population: u64, margin: f64, confidence_t: f64, p: 
 
 /// The supported confidence levels of [`z_for_confidence`], as
 /// `(percent, normal quantile)` pairs.
-pub const CONFIDENCE_QUANTILES: [(u32, f64); 4] =
+pub(crate) const CONFIDENCE_QUANTILES: [(u32, f64); 4] =
     [(90, 1.645), (95, 1.96), (98, 2.326), (99, 2.576)];
 
 /// The two-sided normal quantile for a confidence level given in percent
-/// (`None` for levels outside [`CONFIDENCE_QUANTILES`]).
+/// (`None` for levels other than 90, 95, 98 and 99).
 ///
 /// This is the single source of the `@95`-style confidence notation used
 /// by campaign policy specs (`wilson:0.05@95`), so the spec parser, the

@@ -11,7 +11,7 @@ use ffr_sim::{ActivityTrace, CompiledCircuit};
 /// campaign artifact store are keyed by `(circuit hash, stimulus config,
 /// schema version)`, so a bump cleanly invalidates stale caches instead of
 /// silently feeding old columns to the models.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// The cache-key fragment describing this extractor: schema version plus
 /// column count. Campaign store keys embed it so a schema change misses.
@@ -250,6 +250,10 @@ mod tests {
     use ffr_netlist::NetlistBuilder;
     use ffr_sim::{GoldenRun, InputFrame, Stimulus, WatchList};
 
+    fn col(name: &str) -> usize {
+        FEATURE_NAMES.iter().position(|n| *n == name).unwrap()
+    }
+
     struct En;
 
     impl Stimulus for En {
@@ -283,7 +287,6 @@ mod tests {
         assert_eq!(m.num_rows(), 4);
         assert_eq!(m.num_cols(), 25);
 
-        let col = |name: &str| m.column_index(name).unwrap();
         for i in 0..4 {
             // A counter bit feeds back onto itself through the increment.
             assert_eq!(m.get(i, col("has_feedback")), 1.0, "bit {i}");
@@ -313,7 +316,6 @@ mod tests {
         let cc = ffr_sim::CompiledCircuit::compile(small::lfsr_pipeline(8, 2)).unwrap();
         let m = extract_structural(&cc);
         let nl = cc.netlist();
-        let col = |name: &str| m.column_index(name).unwrap();
         // A middle pipeline stage bit: fan-in 2 (previous stage bit plus
         // itself through the clock-enable hold mux), fan-out 2 (next stage
         // bit plus its own hold mux).
@@ -329,7 +331,6 @@ mod tests {
     fn structural_only_leaves_dynamic_zero() {
         let cc = ffr_sim::CompiledCircuit::compile(small::counter_circuit(3)).unwrap();
         let m = extract_structural(&cc);
-        let col = |name: &str| m.column_index(name).unwrap();
         for i in 0..3 {
             assert_eq!(m.get(i, col("at0")), 0.0);
             assert_eq!(m.get(i, col("at1")), 0.0);
@@ -353,7 +354,7 @@ mod tests {
         let n = b.finish().unwrap();
         let cc = ffr_sim::CompiledCircuit::compile(n).unwrap();
         let m = extract_structural(&cc);
-        let col = m.column_index("comb_path_depth").unwrap();
+        let col = col("comb_path_depth");
         let deep0 = cc.netlist().find_ff("deep_reg[0]").unwrap();
         let shallow0 = cc.netlist().find_ff("shallow_reg[0]").unwrap();
         assert!(
@@ -372,7 +373,7 @@ mod tests {
         let m = extract_features(&cc, &run.activity);
         assert_eq!(m.num_rows(), cc.num_ffs());
         // FIFO memory rows are wide buses.
-        let col = m.column_index("bus_length").unwrap();
+        let col = col("bus_length");
         let ff = cc.netlist().find_ff("tx_fifo_mem0_reg[0]").unwrap();
         assert_eq!(m.get(ff.index(), col), 18.0, "W+2 bits per TX FIFO row");
     }

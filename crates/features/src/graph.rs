@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 /// Result of tracing one flip-flop's combinational input cone.
 #[derive(Debug, Clone, Default)]
-pub struct InputCone {
+pub(crate) struct InputCone {
     /// Distinct source flip-flops feeding the cone.
     pub source_ffs: Vec<FfId>,
     /// Distinct primary inputs feeding the cone.
@@ -23,7 +23,7 @@ pub struct InputCone {
 
 /// Result of tracing one flip-flop's combinational output cone.
 #[derive(Debug, Clone, Default)]
-pub struct OutputCone {
+pub(crate) struct OutputCone {
     /// Distinct flip-flops whose data input the cone reaches.
     pub sink_ffs: Vec<FfId>,
     /// Distinct primary outputs (port indices) the cone reaches.
@@ -34,7 +34,7 @@ pub struct OutputCone {
 
 /// The flip-flop-level condensation of a netlist.
 #[derive(Debug, Clone)]
-pub struct FfGraph {
+pub(crate) struct FfGraph {
     num_ffs: usize,
     /// `fwd[i]` = flip-flops reachable from FF `i` through combinational
     /// logic only (one sequential stage).
@@ -57,7 +57,7 @@ pub struct FfGraph {
 
 impl FfGraph {
     /// Build the condensation of `netlist`.
-    pub fn build(netlist: &Netlist) -> FfGraph {
+    pub(crate) fn build(netlist: &Netlist) -> FfGraph {
         let num_ffs = netlist.num_ffs();
         let num_pis = netlist.primary_inputs().len();
         let num_pos = netlist.primary_outputs().len();
@@ -115,45 +115,30 @@ impl FfGraph {
         }
     }
 
-    /// Number of flip-flops.
-    pub fn num_ffs(&self) -> usize {
-        self.num_ffs
-    }
-
     /// Number of primary inputs / outputs.
-    pub fn num_ios(&self) -> (usize, usize) {
+    pub(crate) fn num_ios(&self) -> (usize, usize) {
         (self.num_pis, self.num_pos)
     }
 
     /// Input-cone summary of a flip-flop.
-    pub fn input_cone(&self, ff: FfId) -> &InputCone {
+    pub(crate) fn input_cone(&self, ff: FfId) -> &InputCone {
         &self.input_cones[ff.index()]
     }
 
     /// Output-cone summary of a flip-flop.
-    pub fn output_cone(&self, ff: FfId) -> &OutputCone {
+    pub(crate) fn output_cone(&self, ff: FfId) -> &OutputCone {
         &self.output_cones[ff.index()]
-    }
-
-    /// Direct successors (one sequential stage ahead).
-    pub fn successors(&self, ff: FfId) -> &[u32] {
-        &self.fwd[ff.index()]
-    }
-
-    /// Direct predecessors (one sequential stage back).
-    pub fn predecessors(&self, ff: FfId) -> &[u32] {
-        &self.bwd[ff.index()]
     }
 
     /// Number of distinct flip-flops transitively influencing `ff`
     /// (the paper's *Total Flip-Flops from FFi*).
-    pub fn total_ffs_from(&self, ff: FfId) -> usize {
+    pub(crate) fn total_ffs_from(&self, ff: FfId) -> usize {
         self.reach_count(ff, &self.bwd)
     }
 
     /// Number of distinct flip-flops transitively influenced by `ff`
     /// (the paper's *Total Flip-Flops to FFi*).
-    pub fn total_ffs_to(&self, ff: FfId) -> usize {
+    pub(crate) fn total_ffs_to(&self, ff: FfId) -> usize {
         self.reach_count(ff, &self.fwd)
     }
 
@@ -185,7 +170,7 @@ impl FfGraph {
     /// `ff`, or `None` if its output never influences its own input.
     /// A length of 1 means Q feeds back to D through combinational logic
     /// alone.
-    pub fn feedback_depth(&self, ff: FfId) -> Option<usize> {
+    pub(crate) fn feedback_depth(&self, ff: FfId) -> Option<usize> {
         // BFS from ff over fwd; first time we return to ff gives the
         // shortest cycle length.
         let mut dist = vec![u32::MAX; self.num_ffs];
@@ -218,7 +203,7 @@ impl FfGraph {
     /// Per-FF distance (in stages) from primary input `pi`: a flip-flop
     /// whose input cone contains the PI has distance 1; each further
     /// flip-flop crossing adds 1. `u32::MAX` = unreachable.
-    pub fn distances_from_pi(&self, pi: usize) -> Vec<u32> {
+    pub(crate) fn distances_from_pi(&self, pi: usize) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.num_ffs];
         let mut queue = VecDeque::new();
         for &f in &self.pi_adj[pi] {
@@ -233,7 +218,7 @@ impl FfGraph {
 
     /// Per-FF distance (in stages) to primary output `po`: a flip-flop
     /// whose output cone reaches the PO has distance 1.
-    pub fn distances_to_po(&self, po: usize) -> Vec<u32> {
+    pub(crate) fn distances_to_po(&self, po: usize) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.num_ffs];
         let mut queue = VecDeque::new();
         for &f in &self.po_adj[po] {
@@ -396,7 +381,7 @@ mod tests {
         assert_eq!(g.output_cone(r2).sink_ffs, vec![r1]);
         // r2 drives the output port through its buffer.
         assert_eq!(g.output_cone(r2).sink_pos, vec![0]);
-        assert_eq!(g.successors(r0), &[r1.index() as u32]);
+        assert_eq!(g.fwd[r0.index()], [r1.index() as u32]);
     }
 
     #[test]

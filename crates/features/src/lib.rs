@@ -18,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod align;
 mod extract;
@@ -25,8 +26,5 @@ mod graph;
 mod matrix;
 
 pub use align::{align, check_schema, RowOrigin, StackedFeatures};
-pub use extract::{
-    extract_features, extract_structural, schema_desc, FeatureGroup, FEATURE_NAMES, SCHEMA_VERSION,
-};
-pub use graph::FfGraph;
+pub use extract::{extract_features, extract_structural, schema_desc, FeatureGroup, FEATURE_NAMES};
 pub use matrix::FeatureMatrix;

@@ -50,11 +50,6 @@ impl FeatureMatrix {
         &self.feature_names
     }
 
-    /// Index of a named column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.feature_names.iter().position(|n| n == name)
-    }
-
     /// Value accessor.
     ///
     /// # Panics

@@ -119,9 +119,10 @@ impl KnnRegressor {
         KnnRegressor::new(3, Distance::Manhattan, WeightScheme::InverseDistance)
     }
 
-    /// Disable the KD-tree (exact brute-force search). Results are
-    /// identical; useful for benchmarking the accelerator.
-    pub fn with_brute_force(mut self) -> KnnRegressor {
+    /// Disable the KD-tree (exact brute-force search): the reference the
+    /// tree's results are tested against.
+    #[cfg(test)]
+    fn with_brute_force(mut self) -> KnnRegressor {
         self.use_kd_tree = false;
         self
     }
@@ -196,7 +197,7 @@ fn brute_force_k_nearest(
 /// A KD-tree over training points, generic over the Minkowski family via
 /// per-axis lower-bound pruning.
 #[derive(Debug, Clone)]
-pub struct KdTree {
+pub(crate) struct KdTree {
     nodes: Vec<KdNode>,
     root: Option<usize>,
 }
@@ -211,7 +212,7 @@ struct KdNode {
 
 impl KdTree {
     /// Build a balanced tree (median split, cycling axes).
-    pub fn build(points: &[Vec<f64>]) -> KdTree {
+    pub(crate) fn build(points: &[Vec<f64>]) -> KdTree {
         let mut nodes = Vec::with_capacity(points.len());
         let mut idx: Vec<usize> = (0..points.len()).collect();
         let dims = points.first().map_or(0, |p| p.len());
@@ -250,7 +251,7 @@ impl KdTree {
     }
 
     /// Exact k-nearest-neighbor query.
-    pub fn k_nearest(
+    pub(crate) fn k_nearest(
         &self,
         x: &[f64],
         k: usize,

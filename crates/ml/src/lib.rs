@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod boosting;
 mod estimator;
@@ -30,7 +31,7 @@ mod linear;
 pub mod metrics;
 mod mlp;
 pub mod model_selection;
-pub mod pca;
+mod pca;
 mod preprocess;
 mod svm;
 mod tree;
@@ -38,12 +39,11 @@ mod tree;
 pub use boosting::GradientBoostingRegressor;
 pub use estimator::{fit_predict, Regressor};
 pub use forest::RandomForestRegressor;
-pub use knn::{Distance, KdTree, KnnRegressor, WeightScheme};
-pub use linalg::Matrix;
+pub use knn::{Distance, KnnRegressor, WeightScheme};
 pub use linear::{LinearRegression, RidgeRegression};
 pub use metrics::RegressionScores;
 pub use mlp::{Activation, MlpRegressor};
 pub use pca::Pca;
-pub use preprocess::{MinMaxScaler, ScaledRegressor, StandardScaler};
+pub use preprocess::{ScaledRegressor, StandardScaler};
 pub use svm::{Kernel, SvrRegressor};
 pub use tree::DecisionTreeRegressor;

@@ -7,7 +7,7 @@ use std::fmt;
 
 /// A dense row-major matrix of `f64`.
 #[derive(Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -25,7 +25,7 @@ impl fmt::Debug for Matrix {
 
 impl Matrix {
     /// All-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix {
             rows,
             cols,
@@ -38,7 +38,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if rows have inconsistent lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Matrix {
         let r = rows.len();
         let c = rows.first().map_or(0, |x| x.len());
         let mut m = Matrix::zeros(r, c);
@@ -50,46 +50,34 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Element accessor.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
 
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.cols + c] = v;
     }
 
     /// Row as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != cols`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols);
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum::<f64>())
-            .collect()
-    }
-
     /// `Aᵀ A` (symmetric, cols × cols).
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let n = self.cols;
         let mut g = Matrix::zeros(n, n);
         for r in 0..self.rows {
@@ -119,7 +107,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `y.len() != rows`.
-    pub fn t_matvec(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn t_matvec(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.rows);
         let mut out = vec![0.0; self.cols];
         for r in 0..self.rows {
@@ -139,7 +127,7 @@ impl Matrix {
     ///
     /// Panics if `b.len() != rows` or the matrix has more columns than
     /// rows (the normal-equation path still handles it after fallback).
-    pub fn solve_least_squares(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve_least_squares(&self, b: &[f64]) -> Vec<f64> {
         assert_eq!(b.len(), self.rows);
         if self.rows >= self.cols {
             if let Some(x) = qr_solve(self, b) {
@@ -276,7 +264,6 @@ mod tests {
     #[test]
     fn matvec_and_gram() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0, 11.0]);
         let g = a.gram();
         assert_eq!(g.get(0, 0), 35.0);
         assert_eq!(g.get(0, 1), 44.0);
@@ -321,8 +308,8 @@ mod tests {
         let x = a.solve_least_squares(&y);
         assert!(x.iter().all(|v| v.is_finite()));
         // Predictions still fit.
-        let pred = a.matvec(&x);
-        for (p, t) in pred.iter().zip(&y) {
+        for (r, t) in rows.iter().zip(&y) {
+            let p = r[0] * x[0] + r[1] * x[1];
             assert!((p - t).abs() < 1e-3, "pred {p} true {t}");
         }
     }

@@ -220,19 +220,12 @@ pub fn take(x: &[Vec<f64>], y: &[f64], idx: &[usize]) -> (Vec<Vec<f64>>, Vec<f64
 pub struct CvResult {
     /// Test-fold scores, one per fold.
     pub fold_scores: Vec<RegressionScores>,
-    /// Training-set scores, one per fold.
-    pub train_scores: Vec<RegressionScores>,
 }
 
 impl CvResult {
     /// Mean test-fold scores.
     pub fn mean_test(&self) -> RegressionScores {
         RegressionScores::mean(&self.fold_scores)
-    }
-
-    /// Mean training scores.
-    pub fn mean_train(&self) -> RegressionScores {
-        RegressionScores::mean(&self.train_scores)
     }
 }
 
@@ -247,19 +240,14 @@ pub fn cross_validate<M: Regressor>(
     folds: &[(Vec<usize>, Vec<usize>)],
 ) -> CvResult {
     let mut fold_scores = Vec::with_capacity(folds.len());
-    let mut train_scores = Vec::with_capacity(folds.len());
     for (train, test) in folds {
         let (tx, ty) = take(x, y, train);
         let (vx, vy) = take(x, y, test);
         let mut model = factory();
         model.fit(&tx, &ty);
         fold_scores.push(RegressionScores::compute(&vy, &model.predict(&vx)));
-        train_scores.push(RegressionScores::compute(&ty, &model.predict(&tx)));
     }
-    CvResult {
-        fold_scores,
-        train_scores,
-    }
+    CvResult { fold_scores }
 }
 
 /// One point of a learning curve.
@@ -461,7 +449,6 @@ mod tests {
         let folds = KFold::new(5, 7).split(x.len());
         let cv = cross_validate(LinearRegression::new, &x, &y, &folds);
         assert!(cv.mean_test().r2 > 0.999999);
-        assert!(cv.mean_train().r2 > 0.999999);
         assert_eq!(cv.fold_scores.len(), 5);
     }
 

@@ -73,11 +73,6 @@ impl Pca {
         }
     }
 
-    /// Number of retained components.
-    pub fn n_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Variance captured by each retained component (decreasing).
     pub fn explained_variance(&self) -> &[f64] {
         &self.explained_variance
@@ -112,7 +107,7 @@ impl Pca {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn transform_one(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform_one(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.mean.len(), "PCA dimension mismatch");
         self.components
             .iter()

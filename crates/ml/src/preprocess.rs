@@ -60,7 +60,7 @@ impl StandardScaler {
     /// # Panics
     ///
     /// Panics if the scaler is unfitted or dimensions mismatch.
-    pub fn transform_one(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform_one(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.mean.len(), "scaler dimension mismatch");
         x.iter()
             .enumerate()
@@ -72,67 +72,6 @@ impl StandardScaler {
     pub fn fit_transform(&mut self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
         self.fit(x);
         self.transform(x)
-    }
-}
-
-/// Min–max scaling to `[0, 1]`, fit on training data only.
-#[derive(Debug, Clone, Default)]
-pub struct MinMaxScaler {
-    min: Vec<f64>,
-    range: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Unfitted scaler.
-    pub fn new() -> MinMaxScaler {
-        MinMaxScaler::default()
-    }
-
-    /// Learn per-column minimum and range.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or ragged matrix.
-    pub fn fit(&mut self, x: &[Vec<f64>]) {
-        assert!(!x.is_empty(), "empty fit data");
-        let d = x[0].len();
-        assert!(x.iter().all(|r| r.len() == d), "ragged matrix");
-        self.min = (0..d)
-            .map(|j| x.iter().map(|r| r[j]).fold(f64::INFINITY, f64::min))
-            .collect();
-        self.range = (0..d)
-            .map(|j| {
-                let max = x.iter().map(|r| r[j]).fold(f64::NEG_INFINITY, f64::max);
-                let r = max - self.min[j];
-                if r < 1e-12 {
-                    1.0
-                } else {
-                    r
-                }
-            })
-            .collect();
-    }
-
-    /// Scale one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scaler is unfitted or dimensions mismatch.
-    pub fn transform_one(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.min.len(), "scaler dimension mismatch");
-        x.iter()
-            .enumerate()
-            .map(|(j, v)| (v - self.min[j]) / self.range[j])
-            .collect()
-    }
-
-    /// Scale a batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scaler is unfitted or dimensions mismatch.
-    pub fn transform(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        x.iter().map(|r| self.transform_one(r)).collect()
     }
 }
 
@@ -224,17 +163,6 @@ mod tests {
         // A test point outside the training range extrapolates linearly.
         let out = s.transform_one(&[20.0]);
         assert!(out[0] > 2.0);
-    }
-
-    #[test]
-    fn min_max_scaler_bounds() {
-        let x = vec![vec![2.0], vec![4.0], vec![6.0]];
-        let mut s = MinMaxScaler::new();
-        s.fit(&x);
-        let t = s.transform(&x);
-        assert_eq!(t[0][0], 0.0);
-        assert_eq!(t[2][0], 1.0);
-        assert!((t[1][0] - 0.5).abs() < 1e-12);
     }
 
     #[test]

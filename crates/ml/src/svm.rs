@@ -4,7 +4,7 @@
 //! variables `[α; α*]` carry signs `s = [+1; −1]`, the quadratic term is
 //! `Q_ab = s_a s_b K(x_a, x_b)` and the linear term is `p = [ε − y; ε + y]`.
 //! Pairs are selected by the maximal-violating-pair rule and updated
-//! analytically until the KKT gap falls below `tol`.
+//! analytically until the KKT gap falls below `KKT_TOL`.
 //!
 //! The paper's tuned model (`C = 3.5`, RBF `γ = 0.055`, `ε = 0.025`) is
 //! available as [`SvrRegressor::paper_tuned`].
@@ -52,6 +52,9 @@ impl Kernel {
     }
 }
 
+/// SMO stops once the maximal violating pair's KKT gap is below this.
+const KKT_TOL: f64 = 1e-3;
+
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -62,7 +65,6 @@ pub struct SvrRegressor {
     c: f64,
     epsilon: f64,
     kernel: Kernel,
-    tol: f64,
     max_iter: usize,
     support_x: Vec<Vec<f64>>,
     support_beta: Vec<f64>,
@@ -84,7 +86,6 @@ impl SvrRegressor {
             c,
             epsilon,
             kernel,
-            tol: 1e-3,
             max_iter: 200_000,
             support_x: Vec::new(),
             support_beta: Vec::new(),
@@ -99,31 +100,15 @@ impl SvrRegressor {
         SvrRegressor::new(3.5, 0.025, Kernel::Rbf { gamma: 0.055 })
     }
 
-    /// Override the KKT stopping tolerance (default `1e-3`).
-    pub fn with_tol(mut self, tol: f64) -> SvrRegressor {
-        self.tol = tol;
-        self
-    }
-
     /// Override the iteration budget (default 200 000).
     pub fn with_max_iter(mut self, max_iter: usize) -> SvrRegressor {
         self.max_iter = max_iter;
         self
     }
 
-    /// Number of support vectors after fitting.
-    pub fn num_support_vectors(&self) -> usize {
-        self.support_x.len()
-    }
-
     /// SMO iterations the last fit used.
     pub fn iterations(&self) -> usize {
         self.iterations
-    }
-
-    /// Learned bias term.
-    pub fn bias(&self) -> f64 {
-        self.bias
     }
 }
 
@@ -193,7 +178,7 @@ impl Regressor for SvrRegressor {
             let (Some(i), Some(j)) = (i_best, j_best) else {
                 break;
             };
-            if i_val - j_val < self.tol {
+            if i_val - j_val < KKT_TOL {
                 break;
             }
 
@@ -355,13 +340,12 @@ mod tests {
         tight.fit(&x, &y);
         let mut wide = SvrRegressor::new(5.0, 0.5, Kernel::Linear);
         wide.fit(&x, &y);
+        let (wide_svs, tight_svs) = (wide.support_x.len(), tight.support_x.len());
         assert!(
-            wide.num_support_vectors() <= tight.num_support_vectors(),
-            "wider tube cannot need more SVs ({} vs {})",
-            wide.num_support_vectors(),
-            tight.num_support_vectors()
+            wide_svs <= tight_svs,
+            "wider tube cannot need more SVs ({wide_svs} vs {tight_svs})"
         );
-        assert!(wide.num_support_vectors() < 50, "tube excludes points");
+        assert!(wide_svs < 50, "tube excludes points");
     }
 
     #[test]
@@ -383,11 +367,11 @@ mod tests {
 
     #[test]
     fn kkt_tube_condition_holds() {
-        // Non-support points must lie inside the epsilon tube (up to tol).
+        // Non-support points must lie inside the epsilon tube (up to KKT_TOL).
         let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 * 0.2]).collect();
         let y: Vec<f64> = x.iter().map(|r| 0.5 * r[0] + 1.0).collect();
         let eps = 0.1;
-        let mut m = SvrRegressor::new(10.0, eps, Kernel::Linear).with_tol(1e-4);
+        let mut m = SvrRegressor::new(10.0, eps, Kernel::Linear);
         m.fit(&x, &y);
         let sv_set: std::collections::HashSet<u64> = m
             .support_x

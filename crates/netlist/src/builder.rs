@@ -561,18 +561,6 @@ impl NetlistBuilder {
         zeros.concat(&a.slice(0..a.width() - amount))
     }
 
-    /// Logical shift right by a constant amount (zero fill).
-    pub fn shr_const(&mut self, a: &Bus, amount: usize) -> Bus {
-        if amount == 0 {
-            return a.clone();
-        }
-        if amount >= a.width() {
-            return self.lit(a.width(), 0);
-        }
-        let high = self.lit(amount, 0);
-        a.slice(amount..a.width()).concat(&high)
-    }
-
     // ------------------------------------------------------------------
     // Registers
     // ------------------------------------------------------------------
@@ -864,7 +852,6 @@ mod tests {
         let mut b = NetlistBuilder::new("m");
         let a = b.input("a", 8);
         assert_eq!(b.shl_const(&a, 3).width(), 8);
-        assert_eq!(b.shr_const(&a, 3).width(), 8);
         assert_eq!(b.shl_const(&a, 0).width(), 8);
         assert_eq!(b.shl_const(&a, 99).width(), 8);
     }

@@ -104,7 +104,7 @@ impl CellKind {
     }
 
     /// Library cell base name (NanGate-style, without drive-strength suffix).
-    pub fn library_name(self) -> &'static str {
+    pub(crate) fn library_name(self) -> &'static str {
         match self {
             CellKind::Const0 => "LOGIC0",
             CellKind::Const1 => "LOGIC1",
@@ -122,7 +122,7 @@ impl CellKind {
     }
 
     /// Inverse of [`CellKind::library_name`].
-    pub fn from_library_name(name: &str) -> Option<CellKind> {
+    pub(crate) fn from_library_name(name: &str) -> Option<CellKind> {
         Some(match name {
             "LOGIC0" => CellKind::Const0,
             "LOGIC1" => CellKind::Const1,
@@ -142,7 +142,7 @@ impl CellKind {
 
     /// Names of the input pins in the order the netlist stores them,
     /// following NanGate conventions.
-    pub fn input_pin_names(self) -> &'static [&'static str] {
+    pub(crate) fn input_pin_names(self) -> &'static [&'static str] {
         match self {
             CellKind::Const0 | CellKind::Const1 => &[],
             CellKind::Buf | CellKind::Not => &["A"],
@@ -154,7 +154,7 @@ impl CellKind {
     }
 
     /// Name of the output pin, following NanGate conventions.
-    pub fn output_pin_name(self) -> &'static str {
+    pub(crate) fn output_pin_name(self) -> &'static str {
         match self {
             CellKind::Const0 | CellKind::Const1 | CellKind::Buf | CellKind::Mux2 => "Z",
             CellKind::Not
@@ -224,7 +224,7 @@ impl DriveStrength {
     }
 
     /// Inverse of [`DriveStrength::suffix`].
-    pub fn from_suffix(s: &str) -> Option<DriveStrength> {
+    pub(crate) fn from_suffix(s: &str) -> Option<DriveStrength> {
         Some(match s {
             "_X0" | "_X1" => DriveStrength::X1,
             "_X2" => DriveStrength::X2,

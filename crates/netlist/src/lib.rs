@@ -41,12 +41,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod bus;
 mod cell;
 mod error;
-pub mod netlist;
-pub mod stats;
+mod netlist;
+mod stats;
 pub mod verilog;
 
 mod builder;

@@ -91,7 +91,7 @@ impl Cell {
         self.drive
     }
 
-    /// Input nets, in pin order (see [`CellKind::input_pin_names`]).
+    /// Input nets, in pin order (see `CellKind::input_pin_names`).
     pub fn inputs(&self) -> &[NetId] {
         &self.inputs
     }
@@ -243,11 +243,6 @@ impl Netlist {
         &self.cells[self.ffs[ff.index()].index()]
     }
 
-    /// Cell id of a flip-flop.
-    pub fn ff_cell_id(&self, ff: FfId) -> CellId {
-        self.ffs[ff.index()]
-    }
-
     /// `FfId` of a sequential cell, if the cell is a flip-flop.
     pub fn ff_of_cell(&self, cell: CellId) -> Option<FfId> {
         // ffs is sorted by construction (cells are appended in order).
@@ -302,13 +297,8 @@ impl Netlist {
     }
 
     /// `true` if the net is a primary input.
-    pub fn is_primary_input(&self, net: NetId) -> bool {
+    pub(crate) fn is_primary_input(&self, net: NetId) -> bool {
         self.driver[net.index()].is_none()
-    }
-
-    /// `true` if the net drives a primary output port.
-    pub fn is_primary_output(&self, net: NetId) -> bool {
-        self.outputs.iter().any(|&(_, n)| n == net)
     }
 
     /// A stable structural hash of the netlist (FNV-1a over a canonical
@@ -373,14 +363,6 @@ impl Netlist {
         h
     }
 
-    /// Find a net by name.
-    pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.nets
-            .iter()
-            .position(|n| n.name == name)
-            .map(NetId::from_index)
-    }
-
     /// Find a flip-flop by instance name.
     pub fn find_ff(&self, name: &str) -> Option<FfId> {
         self.ffs()
@@ -430,7 +412,7 @@ impl Netlist {
 
     /// Total flip-flop count per declared bus, plus the number of
     /// single-bit (non-bus) flip-flops. Convenience for reporting.
-    pub fn bus_summary(&self) -> (usize, usize) {
+    pub(crate) fn bus_summary(&self) -> (usize, usize) {
         let in_buses: usize = self.buses.iter().map(|b| b.ffs.len()).sum();
         (self.buses.len(), self.num_ffs() - in_buses)
     }
@@ -474,18 +456,15 @@ mod tests {
         // The register q net is read by the xor and the output buffer; the
         // buffer's own output is the port net.
         let q = n.ff_q_net(ff);
-        assert!(!n.is_primary_output(q));
         assert_eq!(n.readers(q).len(), 2);
         let (_, port_net) = &n.primary_outputs()[0];
-        assert!(n.is_primary_output(*port_net));
+        assert_ne!(q, *port_net);
         assert!(n.readers(*port_net).is_empty());
     }
 
     #[test]
     fn find_helpers() {
         let n = tiny();
-        assert!(n.find_net("a").is_some());
-        assert!(n.find_net("nope").is_none());
         assert!(n.find_ff("r_reg[0]").is_some());
         assert_eq!(n.input_index("x"), Some(1));
         assert_eq!(n.output_index("o"), Some(0));
@@ -493,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn ff_of_cell_is_inverse_of_ff_cell_id() {
+    fn ff_of_cell_is_inverse_of_ffs() {
         let n = tiny();
         for (ff, cell) in n.ffs() {
             assert_eq!(n.ff_of_cell(cell), Some(ff));

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Name of the implicit clock port added on emission.
-pub const CLOCK_PORT: &str = "clk";
+pub(crate) const CLOCK_PORT: &str = "clk";
 
 fn vname(name: &str) -> String {
     let plain = name
@@ -622,6 +622,6 @@ mod tests {
         // Bus bit nets must appear escaped.
         assert!(text.contains("\\acc_q[0] "));
         let parsed = parse(&text).unwrap();
-        assert!(parsed.find_net("acc_q[0]").is_some());
+        assert!(parsed.nets().any(|(_, net)| net.name() == "acc_q[0]"));
     }
 }

@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -95,7 +96,7 @@ pub fn set_log_level(level: Level) {
 }
 
 /// The current global stderr log threshold.
-pub fn log_level() -> Level {
+pub(crate) fn log_level() -> Level {
     match LOG_LEVEL.load(Ordering::Relaxed) {
         0 => Level::Error,
         1 => Level::Warn,
@@ -302,12 +303,12 @@ impl Default for Histogram {
 }
 
 /// Bucket index of a microsecond observation.
-pub fn bucket_of(value_us: u64) -> usize {
+pub(crate) fn bucket_of(value_us: u64) -> usize {
     (64 - value_us.leading_zeros() as usize).saturating_sub(1)
 }
 
 /// Upper bound (µs) of bucket `i` — the value reported for percentiles.
-pub fn bucket_upper_us(i: usize) -> u64 {
+pub(crate) fn bucket_upper_us(i: usize) -> u64 {
     1u64 << i.min(63)
 }
 
@@ -368,7 +369,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(bucket_index, count)` pairs.
-    pub fn sparse_buckets(&self) -> Vec<(usize, u64)> {
+    pub(crate) fn sparse_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
             .enumerate()

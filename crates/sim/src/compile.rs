@@ -149,8 +149,6 @@ pub struct CompiledCircuit {
     /// For each net, the index of the op driving it (`NO_DRIVER` for
     /// source nets: primary inputs, flip-flop outputs, constants).
     net_driver: Vec<u32>,
-    levels: Vec<u32>,
-    max_level: u32,
 }
 
 impl CompiledCircuit {
@@ -184,7 +182,6 @@ impl CompiledCircuit {
             }
         }
 
-        let mut levels = vec![0u32; num_nets];
         let mut queue: Vec<usize> = Vec::with_capacity(comb_count);
         for (id, cell) in netlist.cells() {
             if !cell.kind().is_sequential() && indegree[id.index()] == 0 {
@@ -194,7 +191,6 @@ impl CompiledCircuit {
 
         let mut ops = Vec::with_capacity(comb_count);
         let mut net_driver = vec![NO_DRIVER; num_nets];
-        let mut max_level = 0u32;
         let mut head = 0usize;
         while head < queue.len() {
             let cell_idx = queue[head];
@@ -210,9 +206,6 @@ impl CompiledCircuit {
                 c: get(2),
                 out: cell.output().index() as u32,
             });
-            let lvl = 1 + ins.iter().map(|&n| levels[n.index()]).max().unwrap_or(0);
-            levels[cell.output().index()] = lvl;
-            max_level = max_level.max(lvl);
             // Release readers.
             for &reader in netlist.readers(cell.output()) {
                 let rc = netlist.cell(reader);
@@ -268,8 +261,6 @@ impl CompiledCircuit {
             ff_d,
             ff_init,
             net_driver,
-            levels,
-            max_level,
         })
     }
 
@@ -524,20 +515,8 @@ impl CompiledCircuit {
         self.ops.len()
     }
 
-    /// Combinational level of a net: 0 for sequential/primary sources, and
-    /// `1 + max(level of inputs)` for gate outputs. This is the paper's
-    /// *Combinatorial Path Depth* building block.
-    pub fn net_level(&self, net: NetId) -> u32 {
-        self.levels[net.index()]
-    }
-
-    /// Deepest combinational level in the design.
-    pub fn max_level(&self) -> u32 {
-        self.max_level
-    }
-
     /// Number of `u64` words needed to store one packed bit per flip-flop.
-    pub fn ff_words(&self) -> usize {
+    pub(crate) fn ff_words(&self) -> usize {
         self.num_ffs().div_ceil(64)
     }
 }
@@ -561,7 +540,6 @@ mod tests {
         assert_eq!(cc.num_inputs(), 1);
         assert_eq!(cc.num_outputs(), 4);
         assert!(cc.num_ops() > 0);
-        assert!(cc.max_level() >= 2);
         assert_eq!(cc.ff_words(), 1);
     }
 
@@ -659,24 +637,5 @@ mod tests {
         let cone = cc.net_cone(pi);
         assert!(cone.forced_split.is_none());
         assert!(cone.boundary.contains(&(pi.index() as u32)));
-    }
-
-    #[test]
-    fn levels_are_monotonic_along_paths() {
-        let mut b = NetlistBuilder::new("lv");
-        let a = b.input("a", 8);
-        let c = b.input("c", 8);
-        let (sum, carry) = b.add(&a, &c);
-        b.output("s", &sum);
-        b.output("co", &carry);
-        let n = b.finish().unwrap();
-        let cc = CompiledCircuit::compile(n).unwrap();
-        // Carry-out of a ripple adder must be deep.
-        let co_net = cc.netlist().primary_outputs().last().unwrap().1;
-        assert!(cc.net_level(co_net) >= 8);
-        // Primary inputs are level 0.
-        for &pi in cc.netlist().primary_inputs() {
-            assert_eq!(cc.net_level(pi), 0);
-        }
     }
 }

@@ -4,7 +4,7 @@ use crate::compile::{CompiledCircuit, Op};
 use ffr_netlist::FfId;
 
 /// Number of independent simulation lanes packed into each net value.
-pub const LANES: usize = 64;
+pub(crate) const LANES: usize = 64;
 
 /// Evaluate `ops` in order over the flat net-value array.
 pub(crate) fn eval_ops(v: &mut [u64], ops: &[Op]) {
@@ -156,7 +156,7 @@ impl SimState {
 
     /// Pack the lane-`lane` flip-flop state into `out` (one bit per FF).
     ///
-    /// `out` is resized to [`CompiledCircuit::ff_words`].
+    /// `out` is resized to one bit per flip-flop in `u64` words.
     pub fn pack_ff_state(&self, cc: &CompiledCircuit, lane: usize, out: &mut Vec<u64>) {
         debug_assert!(lane < LANES);
         out.clear();

@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod activity;
 mod compile;
@@ -34,7 +35,6 @@ mod fault_engine;
 mod golden;
 pub mod reference;
 mod testbench;
-pub mod vcd;
 
 pub use activity::ActivityTrace;
 pub use compile::{CompiledCircuit, Cone, SimError};
