@@ -309,9 +309,6 @@ impl CampaignCheckpoint {
         path: &Path,
         recorder: &ffr_obs::Recorder,
     ) -> io::Result<()> {
-        if !recorder.enabled() {
-            return self.save(path);
-        }
         let t0 = std::time::Instant::now();
         let result = self.save(path);
         recorder.observe_us("checkpoint.flush_us", t0.elapsed().as_micros() as u64);
@@ -329,11 +326,11 @@ impl CampaignCheckpoint {
     /// probed before full deserialization, so a v1 checkpoint reports
     /// "version 1 unsupported" rather than a missing-field decode error.
     pub fn load(path: &Path) -> io::Result<CampaignCheckpoint> {
-        let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
         let checkpoint: CampaignCheckpoint =
-            crate::store::load_versioned(path, "checkpoint", CHECKPOINT_VERSION).map_err(named)?;
+            crate::store::load_versioned(path, "checkpoint", CHECKPOINT_VERSION)
+                .map_err(named(path))?;
         let records = checkpoint.points.iter().try_for_each(PointProgress::check);
-        records.map_err(named)?;
+        records.map_err(named(path))?;
         Ok(checkpoint)
     }
 
@@ -469,10 +466,16 @@ impl ShardCheckpoint {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, undecodable files, or a version mismatch.
+    /// Fails on I/O errors, undecodable files, or a version mismatch
+    /// (`InvalidData`); every message names the file.
     pub(crate) fn load(path: &Path) -> io::Result<ShardCheckpoint> {
-        crate::store::load_versioned(path, "shard", SHARD_VERSION)
+        crate::store::load_versioned(path, "shard", SHARD_VERSION).map_err(named(path))
     }
+}
+
+/// Prefix a load error with the file it came from, keeping its kind.
+fn named(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -99,7 +99,6 @@ RUN OPTIONS:
     --budget <fraction>     measure only this fraction of injection points
                             (a seeded random subset; `ffr estimate` predicts
                             the rest)                       [default: 1.0]
-    --checkpoint-every <n>  flush cadence in retired points [default: 32]
     --threads <n>           worker threads                  [default: all cores]
     --stop-after-points <n> stop (resumably) after N retirements
     --force                 ignore a cached final table
@@ -317,9 +316,6 @@ fn apply_campaign_flags(args: &mut Args, request: &mut RunRequest) -> Result<(),
     };
     if let Some(budget) = args.parsed::<f64>("budget")? {
         request.budget = budget;
-    }
-    if let Some(every) = args.parsed::<usize>("checkpoint-every")? {
-        request.checkpoint_every = every.max(1);
     }
     Ok(())
 }
@@ -885,8 +881,6 @@ mod tests {
             "160",
             "--injections",
             "64",
-            "--checkpoint-every",
-            "1",
             "--stop-after-points",
             "2",
         ]));
@@ -952,8 +946,6 @@ mod tests {
             "160",
             "--injections",
             "48",
-            "--checkpoint-every",
-            "1",
             "--stop-after-points",
             "2",
         ]));

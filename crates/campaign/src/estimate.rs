@@ -627,7 +627,6 @@ mod tests {
             seed: 5,
             policy: AdaptivePolicy::fixed(48),
             budget: 0.4,
-            checkpoint_every: 8,
             store,
             force: false,
         }

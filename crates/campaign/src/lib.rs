@@ -12,9 +12,10 @@
 //! and SET (per-combinational-net) campaigns share one durable pipeline.
 //!
 //! * **Checkpoint / resume** ([`CampaignCheckpoint`], [`run_resumable`]) —
-//!   per-point progress is periodically flushed to disk; a killed run
-//!   resumes **bit-identically**, because injection plans and stopping
-//!   decisions are pure functions of `(seed, point, window, policy)`.
+//!   per-point progress is persisted as each 16-point range retires (one
+//!   shard file per range); a killed run resumes **bit-identically**,
+//!   because injection plans and stopping decisions are pure functions of
+//!   `(seed, point, window, policy)`.
 //! * **Artifact store** ([`ArtifactStore`]) — golden runs, FDR tables, SET
 //!   de-rating tables, feature matrices and datasets are cached on disk,
 //!   content-addressed by netlist hash + configuration in a versioned,

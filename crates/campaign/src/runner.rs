@@ -2,17 +2,18 @@
 //!
 //! Injection points (flip-flops for SEU campaigns, combinational nets for
 //! SET campaigns) are claimed by worker threads in chunks from a
-//! [`WorkSource`] — the in-process work-stealing
-//! cursor for `ffr run`/`ffr resume`, or the store-backed
+//! [`WorkSource`] — the in-memory work-stealing cursor of
+//! [`run_resumable`], the per-range [`LocalSource`](crate::work::LocalSource)
+//! of `ffr run`/`ffr resume`, or the store-backed
 //! [`LeaseQueue`](crate::work::LeaseQueue) for multi-process `ffr worker`
 //! draining. Per-point cost varies wildly once adaptive stopping and
 //! early convergence exit are in play, so chunks are claimed dynamically
 //! rather than split statically. Each worker runs one point's injection
 //! plan in 64-injection batches, consulting the [`AdaptivePolicy`] after
 //! every batch, and writes progress back into the shared
-//! [`CampaignCheckpoint`]; every `checkpoint_every` retirements the
-//! checkpoint is flushed through the caller's sink (typically
-//! [`CampaignCheckpoint::save`], or per-shard flushes in worker mode).
+//! [`CampaignCheckpoint`]. Persistence belongs to the source: it is told
+//! when a chunk retires ([`WorkSource::chunk_done`]) and, once the threads
+//! stop, to persist what is still unfinished ([`WorkSource::flush_held`]).
 //!
 //! # Determinism
 //!
@@ -62,8 +63,6 @@ impl CancelToken {
 pub struct RunnerOptions {
     /// Worker threads (`None` = available parallelism).
     pub threads: Option<usize>,
-    /// Flush the checkpoint after this many point retirements.
-    pub checkpoint_every: usize,
     /// Self-cancel after retiring this many points in this invocation
     /// (test/CLI hook for simulating a killed run).
     pub stop_after_points: Option<usize>,
@@ -76,7 +75,6 @@ impl Default for RunnerOptions {
     fn default() -> RunnerOptions {
         RunnerOptions {
             threads: None,
-            checkpoint_every: 32,
             stop_after_points: None,
             recorder: ffr_obs::Recorder::disabled(),
         }
@@ -100,39 +98,21 @@ pub enum RunOutcome {
     Drained,
 }
 
-struct Shared<'a, Sink> {
+struct Shared<'a> {
     checkpoint: &'a mut CampaignCheckpoint,
-    sink: Sink,
     /// Running count of complete points (kept in sync so per-retirement
     /// progress reporting stays O(1) instead of rescanning the list).
     completed: usize,
-    retired_since_flush: usize,
     retired_this_run: usize,
     io_error: Option<io::Error>,
 }
 
-impl<Sink: FnMut(&CampaignCheckpoint) -> io::Result<()>> Shared<'_, Sink> {
-    fn flush(&mut self) {
-        if self.io_error.is_some() {
-            return;
-        }
-        if let Err(e) = (self.sink)(self.checkpoint) {
-            self.io_error = Some(e);
-        }
-        self.retired_since_flush = 0;
-    }
-}
-
-/// Drive a checkpointed campaign (fresh or resumed) to completion or
-/// cancellation, claiming work off the in-process work-stealing cursor.
-///
-/// `sink` is invoked with the current checkpoint under the progress lock —
-/// it must not call back into the runner. `progress` receives
+/// Drive a checkpointed campaign (fresh or resumed) in memory to
+/// completion or cancellation, claiming work off the in-process
+/// work-stealing cursor. Nothing is written, so no error is returned in
+/// practice: `checkpoint` holds every record, complete or partial, for the
+/// caller to [save](CampaignCheckpoint::save). `progress` receives
 /// `(retired_points, total_points)` after every retirement.
-///
-/// # Errors
-///
-/// Propagates the first error the sink reports (workers drain and stop).
 ///
 /// # Panics
 ///
@@ -143,7 +123,6 @@ pub fn run_resumable<S, J>(
     checkpoint: &mut CampaignCheckpoint,
     options: &RunnerOptions,
     cancel: &CancelToken,
-    sink: impl FnMut(&CampaignCheckpoint) -> io::Result<()> + Send,
     progress: impl Fn(usize, usize) + Sync,
 ) -> io::Result<RunOutcome>
 where
@@ -151,9 +130,7 @@ where
     J: FailureJudge,
 {
     let source = CursorSource::new(checkpoint);
-    run_with_source(
-        campaign, checkpoint, &source, options, cancel, sink, progress,
-    )
+    run_with_source(campaign, checkpoint, &source, options, cancel, progress)
 }
 
 /// Drive a checkpointed campaign with an explicit [`WorkSource`] — the
@@ -164,14 +141,15 @@ where
 /// [`hydrate`](WorkSource::hydrate) externally persisted progress for the
 /// chunk, run each not-yet-retired point's injection plan, and notify the
 /// source via [`chunk_done`](WorkSource::chunk_done) once the whole chunk
-/// is retired. `sink` flushes the checkpoint every `checkpoint_every`
-/// retirements and once at the end.
+/// is retired. Once every thread has stopped, the source persists the
+/// chunks still held ([`flush_held`](WorkSource::flush_held)) — after a
+/// cancel, an error or a drain alike.
 ///
 /// # Errors
 ///
-/// Propagates the first error the sink or the work source reports. On any
-/// error the cancel token is triggered so blocking sources (a lease queue
-/// polling for other workers) unwind promptly.
+/// Propagates the first error the work source reports. On any error the
+/// cancel token is triggered so blocking sources (a lease queue polling
+/// for other workers) unwind promptly.
 ///
 /// # Panics
 ///
@@ -183,7 +161,6 @@ pub(crate) fn run_with_source<S, J, W>(
     source: &W,
     options: &RunnerOptions,
     cancel: &CancelToken,
-    sink: impl FnMut(&CampaignCheckpoint) -> io::Result<()> + Send,
     progress: impl Fn(usize, usize) + Sync,
 ) -> io::Result<RunOutcome>
 where
@@ -231,14 +208,12 @@ where
     let shared = Mutex::new(Shared {
         completed: checkpoint.completed_points(),
         checkpoint: &mut *checkpoint,
-        sink,
-        retired_since_flush: 0,
         retired_this_run: 0,
         io_error: None,
     });
     // Record an error and wake everything up: blocking sources poll the
-    // cancel token, so a sink/source failure must trip it to unwind.
-    let fail = |guard: &mut Shared<'_, _>, e: io::Error| {
+    // cancel token, so a source failure must trip it to unwind.
+    let fail = |guard: &mut Shared<'_>, e: io::Error| {
         if guard.io_error.is_none() {
             guard.io_error = Some(e);
         }
@@ -289,10 +264,6 @@ where
                     }
                     let mut chunk_retired = true;
                     for &point_index in &chunk {
-                        if cancel.is_cancelled() {
-                            chunk_retired = false;
-                            break;
-                        }
                         // Snapshot this point's progress. Only one worker of
                         // this process ever touches a given point (the source
                         // hands out disjoint chunks), so the snapshot cannot
@@ -308,9 +279,15 @@ where
                             )
                         };
                         if record.complete {
-                            // Already retired (hydrated from another worker's
+                            // Already retired (merged or hydrated from a
                             // shard): nothing to compute.
                             continue;
+                        }
+                        // Checked after the skip, so a chunk whose points
+                        // are all retired is always reported done.
+                        if cancel.is_cancelled() {
+                            chunk_retired = false;
+                            break;
                         }
                         let injections_before = record.injections_done;
                         let times = sample_injection_times(
@@ -383,32 +360,23 @@ where
                             }
                         }
 
-                        // Publish progress; flush and report on retirement.
+                        // Publish progress; report on retirement. Partial
+                        // progress only happens on cancellation and reaches
+                        // disk through the source's end-of-run flush.
                         let mut guard = shared.lock().expect("progress lock poisoned");
                         let retired = record.complete;
                         guard.checkpoint.points[point_index] = record;
-                        if retired {
-                            guard.retired_since_flush += 1;
-                            guard.retired_this_run += 1;
-                            guard.completed += 1;
-                            progress(guard.completed, total);
-                            if guard.retired_since_flush >= options.checkpoint_every {
-                                guard.flush();
-                            }
-                            if let Some(limit) = options.stop_after_points {
-                                if guard.retired_this_run >= limit {
-                                    cancel.cancel();
-                                }
-                            }
-                        } else {
+                        if !retired {
                             chunk_retired = false;
-                            // Partial progress only happens on cancellation;
-                            // make sure it reaches disk.
-                            guard.flush();
+                            continue;
                         }
-                        if let Some(e) = guard.io_error.take() {
-                            fail(&mut guard, e);
-                            return;
+                        guard.retired_this_run += 1;
+                        guard.completed += 1;
+                        progress(guard.completed, total);
+                        if let Some(limit) = options.stop_after_points {
+                            if guard.retired_this_run >= limit {
+                                cancel.cancel();
+                            }
                         }
                     }
                     range_span.field("points", chunk.len());
@@ -428,9 +396,11 @@ where
     });
 
     let mut shared = shared.into_inner().expect("progress lock poisoned");
-    // Final flush: persist the terminal state (complete, cancelled or
-    // drained).
-    shared.flush();
+    // Persist what the threads left unfinished (cancelled, failed or
+    // drained chunks); the first error wins.
+    if let Err(e) = source.flush_held(shared.checkpoint) {
+        shared.io_error.get_or_insert(e);
+    }
     if let Some(e) = shared.io_error {
         return Err(e);
     }
@@ -492,6 +462,23 @@ mod tests {
         )
     }
 
+    /// [`run_resumable`] with a fresh cancel token and no progress
+    /// callback.
+    fn drive<S: Stimulus + Sync, J: FailureJudge>(
+        campaign: &Campaign<'_, S, J>,
+        checkpoint: &mut CampaignCheckpoint,
+        options: &RunnerOptions,
+    ) -> RunOutcome {
+        run_resumable(
+            campaign,
+            checkpoint,
+            options,
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap()
+    }
+
     #[test]
     fn complete_run_matches_classic_campaign() {
         // A fixed-budget resumable run must reproduce Campaign::run
@@ -502,15 +489,7 @@ mod tests {
         let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
 
         let mut cp = checkpoint_for(&cc, AdaptivePolicy::fixed(128));
-        let outcome = run_resumable(
-            &campaign,
-            &mut cp,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        let outcome = drive(&campaign, &mut cp, &RunnerOptions::default());
         assert_eq!(outcome, RunOutcome::Complete);
         let resumable = cp.to_fdr_table();
 
@@ -538,19 +517,11 @@ mod tests {
 
         // Uninterrupted reference.
         let mut reference = checkpoint_for(&cc, policy.clone());
-        run_resumable(
-            &campaign,
-            &mut reference,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        drive(&campaign, &mut reference, &RunnerOptions::default());
 
         // Killed after 3 retirements, then resumed.
         let mut cp = checkpoint_for(&cc, policy);
-        let outcome = run_resumable(
+        let outcome = drive(
             &campaign,
             &mut cp,
             &RunnerOptions {
@@ -558,24 +529,12 @@ mod tests {
                 threads: Some(2),
                 ..RunnerOptions::default()
             },
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        );
         assert_eq!(outcome, RunOutcome::Cancelled);
         assert!(cp.completed_points() >= 3);
         assert!(!cp.is_complete());
 
-        let outcome = run_resumable(
-            &campaign,
-            &mut cp,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        let outcome = drive(&campaign, &mut cp, &RunnerOptions::default());
         assert_eq!(outcome, RunOutcome::Complete);
         assert_eq!(cp, reference, "resume must be bit-identical");
     }
@@ -591,15 +550,7 @@ mod tests {
         let policy = AdaptivePolicy::fixed(96);
 
         let mut reference = set_checkpoint_for(&cc, policy.clone());
-        let outcome = run_resumable(
-            &campaign,
-            &mut reference,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        let outcome = drive(&campaign, &mut reference, &RunnerOptions::default());
         assert_eq!(outcome, RunOutcome::Complete);
         let resumable = reference.to_set_table();
 
@@ -612,7 +563,7 @@ mod tests {
 
         // Kill after 2 retirements, resume, compare checkpoints.
         let mut cp = set_checkpoint_for(&cc, policy);
-        let outcome = run_resumable(
+        let outcome = drive(
             &campaign,
             &mut cp,
             &RunnerOptions {
@@ -620,21 +571,9 @@ mod tests {
                 threads: Some(2),
                 ..RunnerOptions::default()
             },
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        );
         assert_eq!(outcome, RunOutcome::Cancelled);
-        run_resumable(
-            &campaign,
-            &mut cp,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        drive(&campaign, &mut cp, &RunnerOptions::default());
         assert_eq!(cp, reference, "SET resume must be bit-identical");
     }
 
@@ -646,26 +585,10 @@ mod tests {
         let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
 
         let mut fixed = checkpoint_for(&cc, AdaptivePolicy::fixed(256));
-        run_resumable(
-            &campaign,
-            &mut fixed,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        drive(&campaign, &mut fixed, &RunnerOptions::default());
 
         let mut adaptive = checkpoint_for(&cc, AdaptivePolicy::adaptive(64, 256, 0.06));
-        run_resumable(
-            &campaign,
-            &mut adaptive,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_| Ok(()),
-            |_, _| {},
-        )
-        .unwrap();
+        drive(&campaign, &mut adaptive, &RunnerOptions::default());
 
         assert!(adaptive.total_injections() < fixed.total_injections());
         // Settled flip-flops agree on the paper's binary split: a fully
@@ -683,22 +606,34 @@ mod tests {
         }
     }
 
+    /// A source whose `chunk_done` fails to persist ends the run with
+    /// that error.
     #[test]
-    fn sink_errors_propagate() {
+    fn chunk_done_errors_propagate() {
+        struct Unwritable(CursorSource);
+        impl WorkSource for Unwritable {
+            fn claim(&self) -> io::Result<Vec<usize>> {
+                self.0.claim()
+            }
+            fn chunk_done(&self, _: &[usize], _: &CampaignCheckpoint) -> io::Result<()> {
+                Err(io::Error::other("disk full"))
+            }
+            fn parallelism_hint(&self) -> usize {
+                self.0.parallelism_hint()
+            }
+        }
         let cc = CompiledCircuit::compile(small::counter_circuit(4)).unwrap();
         let watch = WatchList::all(&cc);
         let judge = OutputMismatchJudge::new();
         let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
         let mut cp = checkpoint_for(&cc, AdaptivePolicy::fixed(64));
-        let err = run_resumable(
+        let source = Unwritable(CursorSource::new(&cp));
+        let err = run_with_source(
             &campaign,
             &mut cp,
-            &RunnerOptions {
-                checkpoint_every: 1,
-                ..RunnerOptions::default()
-            },
+            &source,
+            &RunnerOptions::default(),
             &CancelToken::new(),
-            |_| Err(io::Error::other("disk full")),
             |_, _| {},
         )
         .unwrap_err();

@@ -41,8 +41,7 @@
 //!   "budget": 0.4,
 //!   "cycles": 400,
 //!   "seed": 2019,
-//!   "stim_seed": 1,
-//!   "checkpoint_every": 32
+//!   "stim_seed": 1
 //! }
 //! ```
 //!
@@ -454,9 +453,6 @@ fn parse_submission(body: &str) -> Result<(String, RunRequest), String> {
     }
     if let Some(budget) = field_f64(&value, "budget")? {
         request.budget = budget;
-    }
-    if let Some(every) = field_u64(&value, "checkpoint_every")? {
-        request.checkpoint_every = (every as usize).max(1);
     }
     Ok((id.to_string(), request))
 }

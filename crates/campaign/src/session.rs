@@ -7,19 +7,26 @@
 //! <out>/
 //!   campaign.json        — manifest: circuit, fault model, stimulus, seed,
 //!                          policy, store
-//!   checkpoint.json      — resumable per-point progress (atomic renames)
+//!   checkpoint.json      — the campaign's point list: written empty when
+//!                          a runner first opens the session, and as the
+//!                          complete compaction when it publishes
+//!   shards/shard-<a>-<b>.json
+//!                        — progress of point range a..b (atomic renames),
+//!                          written by whichever runner retired it
+//!   leases/              — `ffr worker` range leases
 //!   fdr.json / fdr.csv   — final SEU FDR table (written on completion)
 //!   set-derating.json / set-derating.csv
 //!                        — final SET de-rating table (SET campaigns)
 //! ```
 //!
 //! `run` creates the manifest and drives the campaign; `resume` reloads
-//! manifest + checkpoint and continues; `worker` drains it through the
-//! directory's lease queue (`leases/`, `shards/`) — the final table is
+//! manifest + checkpoint + shards and continues; `worker` drains it
+//! through the directory's lease queue — the final table is
 //! byte-identical whichever of them starts or finishes the campaign, for
 //! both fault models, because all three are one driver (the private
-//! `Session`: open → merge shards → measure → merge → publish). When a
-//! store is configured, the golden run and the final table are cached
+//! `Session`: open → merge shards → measure → merge → publish) and all
+//! three persist progress as the same per-range shards. When a store is
+//! configured, the golden run and the final table are cached
 //! content-addressed: a rerun with identical inputs is served from the
 //! cache without re-simulating anything.
 
@@ -28,7 +35,7 @@ use crate::checkpoint::{CampaignCheckpoint, CheckpointParams};
 use crate::runner::{run_with_source, CancelToken, RunOutcome, RunnerOptions};
 use crate::spec::{CircuitSpec, PreparedCircuit};
 use crate::store::{ArtifactKind, ArtifactStore, StoreKey};
-use crate::work::{self, CursorSource, LeaseQueue, WorkSource};
+use crate::work::{self, LeaseQueue, LocalSource, Shards, WorkSource, RANGE_POINTS};
 use ffr_fault::{Campaign, FaultKind, FdrTable, SetDeratingTable};
 use ffr_sim::GoldenRun;
 use serde::{Deserialize, Serialize};
@@ -40,6 +47,10 @@ use std::time::Duration;
 /// Manifest format version (3: budgeted sessions — v2 manifests lack the
 /// `budget` field).
 pub(crate) const MANIFEST_VERSION: u32 = 3;
+
+/// Worker id of the single-process runner (`ffr run` / `ffr resume`): it
+/// names that process's telemetry log and the shards it writes.
+const LOCAL_WORKER: &str = "local";
 
 /// Shortest testbench that still leaves a non-empty injection window
 /// with settling margins (see [`CircuitSpec::prepare`]).
@@ -68,8 +79,6 @@ pub(crate) struct CampaignManifest {
     /// produces a *partial* FDR table whose unmeasured flip-flops are
     /// filled in by `ffr estimate`.
     pub budget: f64,
-    /// Checkpoint flush cadence, in retired injection points.
-    pub checkpoint_every: usize,
     /// Artifact store root (`None` disables caching).
     pub store: Option<String>,
     /// Content fingerprint of (netlist, stimulus, campaign params); also
@@ -199,8 +208,6 @@ pub struct RunRequest {
     /// (1.0 = all of them). Budgeted SEU campaigns measure a seeded random
     /// flip-flop subset; `ffr estimate` predicts the rest.
     pub budget: f64,
-    /// Checkpoint flush cadence.
-    pub checkpoint_every: usize,
     /// Artifact store root (`None` disables caching).
     pub store: Option<PathBuf>,
     /// Ignore a cached final table and re-run.
@@ -209,7 +216,7 @@ pub struct RunRequest {
 
 impl RunRequest {
     /// Sensible defaults for a circuit: SEU fault model, paper-style fixed
-    /// 170-injection policy, checkpoint every 32 points, no store.
+    /// 170-injection policy, no store.
     pub fn new(circuit: CircuitSpec) -> RunRequest {
         RunRequest {
             circuit,
@@ -219,7 +226,6 @@ impl RunRequest {
             seed: 2019,
             policy: AdaptivePolicy::fixed(170),
             budget: 1.0,
-            checkpoint_every: 32,
             store: None,
             force: false,
         }
@@ -360,7 +366,6 @@ fn manifest_for(request: &RunRequest) -> CampaignManifest {
         seed: request.seed,
         policy: request.policy.clone(),
         budget: request.budget,
-        checkpoint_every: request.checkpoint_every,
         store: request
             .store
             .as_ref()
@@ -529,11 +534,12 @@ pub(crate) struct WorkerRequest {
 }
 
 impl WorkerRequest {
-    /// Defaults: 16-point leases, 30 s TTL, 200 ms poll.
+    /// Defaults: [`RANGE_POINTS`]-point leases (the ranges `ffr run`
+    /// persists), 30 s TTL, 200 ms poll.
     pub(crate) fn new(worker_id: impl Into<String>) -> WorkerRequest {
         WorkerRequest {
             worker_id: worker_id.into(),
-            lease_points: 16,
+            lease_points: RANGE_POINTS,
             lease_ttl: Duration::from_secs(30),
             poll: Duration::from_millis(200),
             store: None,
@@ -542,15 +548,13 @@ impl WorkerRequest {
     }
 }
 
-/// Where the driver's threads claim injection points from, and where
-/// their progress is flushed to.
+/// Where the driver's threads claim injection points from. Either way
+/// progress goes to per-range shards.
 enum Source<'a> {
-    /// The in-process work-stealing cursor; progress goes to
-    /// `checkpoint.json`.
+    /// Every range, owned by this process ([`LocalSource`]).
     Local,
     /// The session directory's lease queue, shared with other worker
-    /// processes; progress goes to per-range shards and held leases are
-    /// heartbeaten.
+    /// processes; held leases are heartbeaten.
     Leased(&'a WorkerRequest),
 }
 
@@ -693,15 +697,16 @@ impl Session {
         ids
     }
 
-    /// Base progress: the directory's own checkpoint when it has one
-    /// (e.g. an interrupted `ffr run`), else the deterministic fresh one —
-    /// every process derives the same base, so no coordination is needed
-    /// to create it. Other workers' progress arrives through shards.
+    /// Base progress: the directory's own checkpoint when it has one,
+    /// else the deterministic fresh one, which is then written as
+    /// `checkpoint.json` — create-exclusive, and every process derives
+    /// the same bytes, so racing runners need no coordination. Progress
+    /// itself arrives through shards.
     ///
     /// # Errors
     ///
     /// The directory's checkpoint does not fit the fresh one
-    /// ([`CampaignCheckpoint::check_resumes`]).
+    /// ([`CampaignCheckpoint::check_resumes`]), or I/O failures.
     fn base_checkpoint(&mut self) -> io::Result<CampaignCheckpoint> {
         let fresh = CampaignCheckpoint::fresh(
             self.manifest.fingerprint.clone(),
@@ -715,6 +720,8 @@ impl Session {
             self.point_ids(),
         );
         let Some(resumed) = self.resumed.take() else {
+            let json = serde_json::to_string_pretty(&fresh).map_err(io::Error::other)?;
+            crate::store::create_exclusive(&self.paths.checkpoint(), &json)?;
             return Ok(fresh);
         };
         resumed.check_resumes(&fresh).map_err(|e| {
@@ -786,81 +793,62 @@ impl Session {
             golden,
         );
 
-        let queue = match source {
-            Source::Local => None,
-            Source::Leased(request) => Some(
-                LeaseQueue::open(
+        let mut runner_options = options.clone();
+        runner_options.recorder = recorder.clone();
+        let options = &runner_options;
+        let worker = match source {
+            Source::Local => LOCAL_WORKER,
+            Source::Leased(request) => &request.worker_id,
+        };
+        let shards = Shards::open(self.paths.shards_dir(), worker, recorder.clone())?;
+        let outcome = match source {
+            Source::Local => {
+                let local = LocalSource::new(shards, &checkpoint);
+                measure(
+                    &campaign,
+                    &mut checkpoint,
+                    &local,
+                    options,
+                    cancel,
+                    progress,
+                )?
+            }
+            Source::Leased(request) => {
+                let queue = LeaseQueue::open(
                     &self.paths.out_dir,
                     self.manifest.fingerprint.clone(),
-                    request.worker_id.clone(),
+                    shards,
                     checkpoint.points.len(),
                     request.lease_points,
                     request.lease_ttl,
                     request.poll,
                     cancel.clone(),
-                )?
-                .with_recorder(recorder.clone()),
-            ),
-        };
-        let checkpoint_path = self.paths.checkpoint();
-        let sink = |cp: &CampaignCheckpoint| match &queue {
-            Some(queue) => queue.flush_held(cp),
-            None => cp.save_recorded(&checkpoint_path, recorder),
-        };
-        let mut runner_options = options.clone();
-        runner_options.checkpoint_every = self.manifest.checkpoint_every;
-        runner_options.recorder = recorder.clone();
-
-        let measuring = AtomicBool::new(true);
-        let measured = std::thread::scope(|scope| {
-            if let Some(queue) = &queue {
-                scope.spawn(|| queue.heartbeat_while(&measuring));
-            }
-            let options = &runner_options;
-            let result = match &queue {
-                Some(queue) => measure(
-                    &campaign,
-                    &mut checkpoint,
-                    queue,
-                    options,
-                    cancel,
-                    sink,
-                    progress,
-                ),
-                None => {
-                    let cursor = CursorSource::new(&checkpoint);
-                    measure(
+                )?;
+                let measuring = AtomicBool::new(true);
+                let measured = std::thread::scope(|scope| {
+                    scope.spawn(|| queue.heartbeat_while(&measuring));
+                    let result = measure(
                         &campaign,
                         &mut checkpoint,
-                        &cursor,
+                        &queue,
                         options,
                         cancel,
-                        sink,
                         progress,
-                    )
-                }
-            };
-            measuring.store(false, Ordering::Relaxed);
-            result
-        });
-        if let Some(queue) = &queue {
-            // Release still-held leases — on cancellation *and* on error —
-            // so another worker can take over immediately instead of
-            // waiting out the TTL; the partial shards are already flushed.
-            queue.release_held();
-        }
-        let outcome = measured?;
-        if queue.is_some() {
-            merged_shards = self.merge_shards(&mut checkpoint)?;
-        }
+                    );
+                    measuring.store(false, Ordering::Relaxed);
+                    result
+                });
+                let outcome = measured?;
+                // Other workers' ranges arrive through their shards.
+                merged_shards = self.merge_shards(&mut checkpoint)?;
+                outcome
+            }
+        };
 
         let mut table_path = None;
         if checkpoint.is_complete() {
             let _span = recorder.span("phase.publish");
-            if merged_shards > 0 {
-                // The merged view holds records `checkpoint.json` may not.
-                checkpoint.save_recorded(&checkpoint_path, recorder)?;
-            }
+            checkpoint.save_recorded(&self.paths.checkpoint(), recorder)?;
             table_path = Some(self.publish_completed(&checkpoint)?);
         }
         Ok(RunSummary {
@@ -887,7 +875,6 @@ fn measure<S, J, W>(
     work: &W,
     options: &RunnerOptions,
     cancel: &CancelToken,
-    sink: impl FnMut(&CampaignCheckpoint) -> io::Result<()> + Send,
     progress: impl Fn(usize, usize) + Sync,
 ) -> io::Result<RunOutcome>
 where
@@ -896,7 +883,7 @@ where
     W: WorkSource,
 {
     let mut span = options.recorder.span("phase.measure");
-    let result = run_with_source(campaign, checkpoint, work, options, cancel, sink, progress);
+    let result = run_with_source(campaign, checkpoint, work, options, cancel, progress);
     span.field("completed_points", checkpoint.completed_points());
     span.field("total_injections", checkpoint.total_injections());
     result
@@ -904,10 +891,11 @@ where
 
 /// Start (or continue) a campaign session in `out_dir`.
 ///
-/// When the store already holds the final table and the directory has no
-/// partial checkpoint to honour, the table is served from the cache
-/// without simulating anything. Shards a worker fleet left in the
-/// directory are honoured: their points are not recomputed.
+/// When the store already holds the final table and no runner has opened
+/// the directory yet (no `checkpoint.json`), the table is served from the
+/// cache without simulating anything. Shards an interrupted run or a
+/// worker fleet left in the directory are honoured: their points are not
+/// recomputed.
 ///
 /// # Errors
 ///
@@ -920,7 +908,7 @@ pub fn run(
     cancel: &CancelToken,
     progress: impl Fn(usize, usize) + Sync,
 ) -> io::Result<RunSummary> {
-    let session = Session::open(out_dir, Some(request), None, "local")?;
+    let session = Session::open(out_dir, Some(request), None, LOCAL_WORKER)?;
     if !request.force && session.resumed.is_none() {
         if let Some(summary) = session.serve_cached()? {
             return Ok(summary);
@@ -929,12 +917,13 @@ pub fn run(
     session.drive(Source::Local, options, cancel, progress)
 }
 
-/// Resume the campaign session in `out_dir` from its manifest and
-/// checkpoint.
+/// Resume the campaign session in `out_dir` from its manifest, checkpoint
+/// and shards.
 ///
-/// Shard checkpoints left behind by `ffr worker` processes are merged
-/// first, so a partially worker-drained campaign can be finished
-/// single-process (the result is byte-identical either way).
+/// Every shard is merged first — an interrupted `ffr run`'s and those of
+/// `ffr worker` processes alike — so a partially worker-drained campaign
+/// can be finished single-process (the result is byte-identical either
+/// way).
 ///
 /// # Errors
 ///
@@ -946,7 +935,7 @@ pub(crate) fn resume(
     cancel: &CancelToken,
     progress: impl Fn(usize, usize) + Sync,
 ) -> io::Result<RunSummary> {
-    let session = Session::open(out_dir, None, None, "local")?;
+    let session = Session::open(out_dir, None, None, LOCAL_WORKER)?;
     if session.resumed.is_none() && work::list_shards(&session.paths.shards_dir())?.is_empty() {
         return Err(io::Error::other(format!(
             "nothing to resume in {}: no checkpoint and no shards",
@@ -1002,6 +991,7 @@ pub(crate) fn parse_key(rendered: &str) -> io::Result<StoreKey> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::PointProgress;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ffr_session_{tag}_{}", std::process::id()));
@@ -1018,10 +1008,40 @@ mod tests {
             seed: 7,
             policy: AdaptivePolicy::fixed(64),
             budget: 1.0,
-            checkpoint_every: 2,
             store,
             force: false,
         }
+    }
+
+    /// `run` with default options, no cancellation and no progress
+    /// callback; `resume_plain` and `worker_plain` likewise.
+    fn run_plain(request: &RunRequest, out: &Path) -> io::Result<RunSummary> {
+        run(
+            request,
+            out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+    }
+
+    fn resume_plain(out: &Path) -> io::Result<RunSummary> {
+        resume(
+            out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+    }
+
+    fn worker_plain(out: &Path, request: &WorkerRequest) -> io::Result<RunSummary> {
+        worker(
+            out,
+            request,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
     }
 
     #[test]
@@ -1029,14 +1049,7 @@ mod tests {
         let out = tmp_dir("run");
         let store_dir = tmp_dir("run_store");
         let request = quick_request(Some(store_dir));
-        let summary = run(
-            &request,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = run_plain(&request, &out).unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         assert!(!summary.golden_from_cache);
         assert!(!summary.table_from_cache);
@@ -1044,14 +1057,7 @@ mod tests {
 
         // Second run: served from the artifact cache, no simulation.
         let out2 = tmp_dir("run2");
-        let summary2 = run(
-            &request,
-            &out2,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary2 = run_plain(&request, &out2).unwrap();
         assert!(summary2.table_from_cache);
         assert_eq!(summary2.total_injections, 0);
         let second = std::fs::read(out2.join("fdr.json")).unwrap();
@@ -1104,14 +1110,7 @@ mod tests {
         let store_dir = tmp_dir("set_store");
         let mut request = quick_request(Some(store_dir));
         request.fault = FaultKind::Set;
-        let summary = run(
-            &request,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = run_plain(&request, &out).unwrap();
         assert_eq!(summary.fault, FaultKind::Set);
         assert_eq!(summary.outcome, RunOutcome::Complete);
         assert!(summary.total_points > 0, "counter has combinational nets");
@@ -1122,14 +1121,7 @@ mod tests {
 
         // Cache-served rerun is byte-identical.
         let out2 = tmp_dir("set_run2");
-        let summary2 = run(
-            &request,
-            &out2,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary2 = run_plain(&request, &out2).unwrap();
         assert!(summary2.table_from_cache);
         let second = std::fs::read(out2.join("set-derating.json")).unwrap();
         assert_eq!(first, second);
@@ -1142,22 +1134,8 @@ mod tests {
         set.fault = FaultKind::Set;
         let out_seu = tmp_dir("fp_seu");
         let out_set = tmp_dir("fp_set");
-        run(
-            &seu,
-            &out_seu,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
-        run(
-            &set,
-            &out_set,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        run_plain(&seu, &out_seu).unwrap();
+        run_plain(&set, &out_set).unwrap();
         let a = CampaignManifest::load(&SessionPaths::new(&out_seu).manifest()).unwrap();
         let b = CampaignManifest::load(&SessionPaths::new(&out_set).manifest()).unwrap();
         assert_ne!(a.fingerprint, b.fingerprint);
@@ -1206,14 +1184,7 @@ mod tests {
         request.policy = "wilson:0.02@99:64..256".parse().unwrap();
 
         let out_ref = tmp_dir("wilson_ref");
-        run(
-            &request,
-            &out_ref,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        run_plain(&request, &out_ref).unwrap();
         let reference = std::fs::read(out_ref.join("fdr.json")).unwrap();
         let ref_cp = CampaignCheckpoint::load(&out_ref.join("checkpoint.json")).unwrap();
         let spends: Vec<usize> = ref_cp.points.iter().map(|p| p.injections_done).collect();
@@ -1237,13 +1208,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Cancelled);
-        let summary = resume(
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = resume_plain(&out).unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         assert_eq!(
             reference,
@@ -1267,14 +1232,7 @@ mod tests {
         // Uninterrupted reference run.
         let out_ref = tmp_dir("ref");
         let request = quick_request(None);
-        run(
-            &request,
-            &out_ref,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        run_plain(&request, &out_ref).unwrap();
         let reference = std::fs::read(out_ref.join("fdr.json")).unwrap();
 
         // Killed after two retirements…
@@ -1294,15 +1252,14 @@ mod tests {
         assert_eq!(summary.outcome, RunOutcome::Cancelled);
         assert!(!out.join("fdr.json").exists());
         assert!(out.join("checkpoint.json").exists());
+        // A manifest field this version does not know (older manifests
+        // carry the since-removed flush cadence) is ignored.
+        let manifest = out.join("campaign.json");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        std::fs::write(&manifest, text.replacen('{', "{\"flush_cadence\": 32,", 1)).unwrap();
 
         // …and resumed to completion.
-        let summary = resume(
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = resume_plain(&out).unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         let resumed = std::fs::read(out.join("fdr.json")).unwrap();
         assert_eq!(reference, resumed, "resume must be byte-identical");
@@ -1313,14 +1270,7 @@ mod tests {
         let out_ref = tmp_dir("set_ref");
         let mut request = quick_request(None);
         request.fault = FaultKind::Set;
-        run(
-            &request,
-            &out_ref,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        run_plain(&request, &out_ref).unwrap();
         let reference = std::fs::read(out_ref.join("set-derating.json")).unwrap();
 
         let out = tmp_dir("set_killed");
@@ -1339,13 +1289,7 @@ mod tests {
         assert_eq!(summary.outcome, RunOutcome::Cancelled);
         assert!(!out.join("set-derating.json").exists());
 
-        let summary = resume(
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = resume_plain(&out).unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         let resumed = std::fs::read(out.join("set-derating.json")).unwrap();
         assert_eq!(reference, resumed, "SET resume must be byte-identical");
@@ -1370,28 +1314,14 @@ mod tests {
         // checkpoint is checked first, before anything is overwritten).
         let mut other = quick_request(None);
         other.seed = 999;
-        let err = run(
-            &other,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap_err();
+        let err = run_plain(&other, &out).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
 
         // A fault-model switch on the same directory is just as much a
         // different campaign.
         let mut set = quick_request(None);
         set.fault = FaultKind::Set;
-        let err = run(
-            &set,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap_err();
+        let err = run_plain(&set, &out).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
 
         // Even with a damaged manifest, the refusal happens before the
@@ -1399,14 +1329,7 @@ mod tests {
         // corrupt manifest is left for the user to inspect.
         let manifest_path = out.join("campaign.json");
         std::fs::write(&manifest_path, "{corrupt").unwrap();
-        let err = run(
-            &other,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap_err();
+        let err = run_plain(&other, &out).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
         assert_eq!(
             std::fs::read_to_string(&manifest_path).unwrap(),
@@ -1416,14 +1339,7 @@ mod tests {
 
         // A matching run (same fingerprint) may repair the manifest and
         // resume from the checkpoint.
-        let summary = run(
-            &request,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = run_plain(&request, &out).unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
     }
 
@@ -1435,14 +1351,7 @@ mod tests {
         request.circuit = CircuitSpec::Lfsr { width: 8, depth: 2 };
         request.budget = 0.4;
         let out = tmp_dir("budget");
-        let summary = run(
-            &request,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = run_plain(&request, &out).unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         let table = ffr_fault::FdrTable::load_json(&out.join("fdr.json")).unwrap();
         let expected = ((table.num_ffs() as f64) * 0.4).round() as usize;
@@ -1455,14 +1364,7 @@ mod tests {
         assert_eq!(manifest.budget, 0.4);
         let mut full = request.clone();
         full.budget = 1.0;
-        let err = run(
-            &full,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap_err();
+        let err = run_plain(&full, &out).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
 
         // Kill/resume on a budgeted campaign stays byte-identical.
@@ -1479,13 +1381,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Cancelled);
-        resume(
-            &out2,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        resume_plain(&out2).unwrap();
         assert_eq!(
             std::fs::read(out.join("fdr.json")).unwrap(),
             std::fs::read(out2.join("fdr.json")).unwrap()
@@ -1497,14 +1393,7 @@ mod tests {
         // Single-process reference.
         let request = quick_request(None);
         let out_ref = tmp_dir("worker_ref");
-        run(
-            &request,
-            &out_ref,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        run_plain(&request, &out_ref).unwrap();
         let reference = std::fs::read(out_ref.join("fdr.json")).unwrap();
 
         // One worker bootstraps an empty campaign dir and drains it all.
@@ -1512,14 +1401,7 @@ mod tests {
         let mut wreq = WorkerRequest::new("w1");
         wreq.lease_points = 2;
         wreq.init = Some(request.clone());
-        let summary = worker(
-            &out,
-            &wreq,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = worker_plain(&out, &wreq).unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         assert!(summary.table_path.is_some());
         assert!(summary.merged_shards > 0);
@@ -1551,23 +1433,9 @@ mod tests {
         let store_dir = tmp_dir("worker_store");
         let mut wreq_store = WorkerRequest::new("w5");
         wreq_store.store = Some(store_dir);
-        let first = worker(
-            &out,
-            &wreq_store,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let first = worker_plain(&out, &wreq_store).unwrap();
         assert!(!first.golden_from_cache);
-        let second = worker(
-            &out,
-            &wreq_store,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let second = worker_plain(&out, &wreq_store).unwrap();
         assert!(second.golden_from_cache);
 
         // Conflicting init parameters are refused.
@@ -1575,14 +1443,7 @@ mod tests {
         other.seed = 4242;
         let mut wreq_bad = WorkerRequest::new("w3");
         wreq_bad.init = Some(other);
-        let err = worker(
-            &out,
-            &wreq_bad,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap_err();
+        let err = worker_plain(&out, &wreq_bad).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
 
         // An uninitialized dir without init flags fails with guidance.
@@ -1603,28 +1464,14 @@ mod tests {
         let mut request = quick_request(None);
         request.fault = FaultKind::Set;
         let out_ref = tmp_dir("worker_set_ref");
-        run(
-            &request,
-            &out_ref,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        run_plain(&request, &out_ref).unwrap();
         let reference = std::fs::read(out_ref.join("set-derating.json")).unwrap();
 
         let out = tmp_dir("worker_set");
         let mut wreq = WorkerRequest::new("w1");
         wreq.lease_points = 4;
         wreq.init = Some(request);
-        let summary = worker(
-            &out,
-            &wreq,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = worker_plain(&out, &wreq).unwrap();
         assert_eq!(summary.fault, FaultKind::Set);
         assert!(summary.table_path.is_some());
         assert_eq!(
@@ -1639,14 +1486,7 @@ mod tests {
         let mut request = quick_request(None);
         request.circuit = CircuitSpec::Lfsr { width: 8, depth: 2 };
         let out_ref = tmp_dir("conc_ref");
-        run(
-            &request,
-            &out_ref,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        run_plain(&request, &out_ref).unwrap();
         let reference = std::fs::read(out_ref.join("fdr.json")).unwrap();
 
         // Two workers race the same campaign directory from scratch
@@ -1705,26 +1545,12 @@ mod tests {
         // …is finished by a worker (base checkpoint + shards)…
         let mut wreq = WorkerRequest::new("w1");
         wreq.lease_points = 2;
-        let summary = worker(
-            &out,
-            &wreq,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = worker_plain(&out, &wreq).unwrap();
         assert!(summary.table_path.is_some());
 
         // …matching the uninterrupted reference.
         let out_ref = tmp_dir("worker_takeover_ref");
-        run(
-            &request,
-            &out_ref,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        run_plain(&request, &out_ref).unwrap();
         assert_eq!(
             std::fs::read(out.join("fdr.json")).unwrap(),
             std::fs::read(out_ref.join("fdr.json")).unwrap()
@@ -1732,13 +1558,7 @@ mod tests {
 
         // `ffr resume` on a worker session with leftover shards also
         // reports completion (shard merge path).
-        let summary = resume(
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let summary = resume_plain(&out).unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
     }
 
@@ -1749,14 +1569,7 @@ mod tests {
         let mut wreq = WorkerRequest::new("w1");
         wreq.lease_points = 2;
         wreq.init = Some(request.clone());
-        let drained = worker(
-            &out,
-            &wreq,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap();
+        let drained = worker_plain(&out, &wreq).unwrap();
         assert!(drained.table_path.is_some());
         let table = std::fs::read(out.join("fdr.json")).unwrap();
 
@@ -1863,14 +1676,7 @@ mod tests {
         let mut wreq = WorkerRequest::new("w1");
         wreq.store = Some(tmp_dir("lost_telemetry_store"));
         wreq.init = Some(quick_request(None));
-        worker(
-            &out,
-            &wreq,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap_err();
+        worker_plain(&out, &wreq).unwrap_err();
         let log = std::fs::read_to_string(SessionPaths::new(&out).telemetry_dir().join("w1.jsonl"))
             .unwrap();
         assert!(
@@ -1954,20 +1760,97 @@ mod tests {
         assert!(!paths.fdr_json().exists());
     }
 
+    /// Every runner persists progress as per-range shards: a complete
+    /// local run writes `checkpoint.json` at most twice (open, publish)
+    /// and each range's shard once, and an interrupted run leaves the
+    /// point list empty with its progress in the shards.
+    #[test]
+    fn local_runs_persist_progress_as_shards() {
+        let go = |fault, circuit, tag: &str, options: &RunnerOptions| {
+            let request = RunRequest {
+                fault,
+                circuit,
+                ..quick_request(None)
+            };
+            let out = tmp_dir(tag);
+            let summary = run(&request, &out, options, &CancelToken::new(), |_, _| {}).unwrap();
+            let stats = crate::stats::CampaignStats::from_session(&out).unwrap();
+            let count = |name: &str| stats.counters.get(name).copied().unwrap_or(0);
+            (
+                out,
+                summary,
+                count("checkpoint.flushes"),
+                count("shard.flushes"),
+            )
+        };
+        let complete = RunnerOptions::default();
+        let lfsr = CircuitSpec::Lfsr {
+            width: 16,
+            depth: 2,
+        };
+        for (fault, circuit) in [
+            (FaultKind::Seu, lfsr),
+            (FaultKind::Set, quick_request(None).circuit),
+        ] {
+            let (_, summary, checkpoints, shards) =
+                go(fault, circuit, &format!("volume_{fault}"), &complete);
+            assert_eq!(summary.outcome, RunOutcome::Complete);
+            assert!(
+                summary.total_points > RANGE_POINTS,
+                "{fault}: several ranges"
+            );
+            assert!(
+                checkpoints <= 2,
+                "{fault}: {checkpoints} checkpoint flushes"
+            );
+            assert_eq!(
+                shards as usize,
+                summary.total_points.div_ceil(RANGE_POINTS),
+                "{fault}"
+            );
+        }
+
+        let interrupted = RunnerOptions {
+            stop_after_points: Some(20),
+            threads: Some(2),
+            ..RunnerOptions::default()
+        };
+        let circuit = quick_request(None).circuit;
+        let (out, summary, _, _) = go(FaultKind::Set, circuit, "volume_cut", &interrupted);
+        assert_eq!(summary.outcome, RunOutcome::Cancelled);
+        let paths = SessionPaths::new(&out);
+        let cp = CampaignCheckpoint::load(&paths.checkpoint()).unwrap();
+        assert!(cp.points.iter().all(|p| *p == PointProgress::new(p.point)));
+        let shards = work::list_shards(&paths.shards_dir()).unwrap();
+        let records = || shards.iter().flat_map(|s| &s.points);
+        let progress = crate::gather_status(&out).unwrap().0.progress.unwrap();
+        let status = (
+            progress.completed_points,
+            progress.total_points,
+            progress.injections,
+        );
+        let in_shards = (
+            records().filter(|p| p.complete).count(),
+            cp.num_points,
+            records().map(|p| p.injections_done).sum(),
+        );
+        assert_eq!(status, in_shards);
+        let ran = (
+            summary.completed_points,
+            summary.total_points,
+            summary.total_injections,
+        );
+        assert_eq!(status, ran);
+        assert!(summary.completed_points >= 20);
+    }
+
     #[test]
     fn bad_budget_is_rejected_cleanly() {
         for bad in [0.0, -0.5, 1.5] {
             let out = tmp_dir("bad_budget");
             let mut request = quick_request(None);
             request.budget = bad;
-            let err = run(
-                &request,
-                &out,
-                &RunnerOptions::default(),
-                &CancelToken::new(),
-                |_, _| {},
-            )
-            .unwrap_err();
+            let err = run_plain(&request, &out).unwrap_err();
             assert!(err.to_string().contains("budget"), "{err}");
         }
     }
@@ -1977,14 +1860,7 @@ mod tests {
         let out = tmp_dir("short");
         let mut request = quick_request(None);
         request.cycles = 2;
-        let err = run(
-            &request,
-            &out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-        .unwrap_err();
+        let err = run_plain(&request, &out).unwrap_err();
         assert!(err.to_string().contains("too short"), "{err}");
         assert!(
             !out.exists(),

@@ -2,8 +2,8 @@
 //! the `ffrd` service's `GET /campaigns/<id>/status`.
 //!
 //! [`gather_status`] merges the on-disk view of one campaign session —
-//! manifest, single-process checkpoint, worker shards, lease files,
-//! telemetry logs — into a [`StatusReport`], which serializes to the
+//! manifest, checkpoint, every runner's shards, lease files, telemetry
+//! logs — into a [`StatusReport`], which serializes to the
 //! `ffr status --json` document. The CLI renders the same report as
 //! text; the service serves it verbatim, so the two can never drift.
 
@@ -12,6 +12,7 @@ use crate::session::{CampaignManifest, SessionPaths};
 use crate::work;
 use ffr_fault::FaultKind;
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -38,7 +39,7 @@ pub struct LeaseStatus {
 }
 
 /// One worker's aggregate progress as reported by `ffr status`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct WorkerStatus {
     /// Worker id.
     pub worker: String,
@@ -57,8 +58,7 @@ pub struct WorkerStatus {
 pub struct ProgressStatus {
     /// Injection points fully retired.
     pub completed_points: usize,
-    /// Total injection points of the campaign (or a lower bound in
-    /// shard-only sessions; see [`gather_status`]).
+    /// Total injection points of the campaign.
     pub total_points: usize,
     /// Injections executed so far.
     pub injections: usize,
@@ -98,6 +98,9 @@ pub struct TelemetryStatus {
 ///   local clock, the same signal reclaim uses); `expires_in_secs` is
 ///   the raw stamp difference, a diagnostic that can disagree under
 ///   clock skew.
+/// * `workers` lists every runner that persisted shards, including the
+///   single-process `ffr run` / `ffr resume` runner as worker `local`
+///   (rows were added, the schema is unchanged).
 ///
 /// Version history: v2 made `injections_per_sec` nullable and switched
 /// `expired` to observed age; v1 omitted `telemetry` whenever the rate
@@ -118,11 +121,11 @@ pub struct StatusReport {
     pub policy: String,
     /// Campaign fingerprint.
     pub fingerprint: String,
-    /// Merged progress (base checkpoint + every shard); `None` before the
-    /// campaign has any checkpoint or shard.
+    /// Merged progress (checkpoint + every shard); `None` before a runner
+    /// has opened the campaign.
     pub progress: Option<ProgressStatus>,
-    /// Per-worker breakdown of distributed draining (empty for
-    /// single-process sessions).
+    /// Per-worker breakdown of the shards and leases on disk (`local` for
+    /// the single-process runner).
     pub workers: Vec<WorkerStatus>,
     /// Live leases on disk.
     pub leases: Vec<LeaseStatus>,
@@ -165,16 +168,16 @@ fn telemetry_status(
     }
 }
 
-/// Assemble the status of a session directory: manifest facts plus a
-/// merged view of the single-process checkpoint and any worker shards.
-/// Returns the fault model alongside for fault-dependent rendering.
+/// Assemble the status of a session directory: manifest facts plus the
+/// checkpoint with every shard merged in. Returns the fault model
+/// alongside for fault-dependent rendering.
 ///
 /// # Errors
 ///
 /// Returns a rendered message when the session has no readable manifest,
-/// a directory scan fails, `checkpoint.json` exists but cannot be read,
-/// or a worker shard does not merge into it (the message `ffr run` would
-/// fail with).
+/// a directory scan fails, a shard or `checkpoint.json` cannot be read —
+/// or the latter is missing while shards exist — or a shard does not
+/// merge into it (the message `ffr run` would fail with).
 pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
     let paths = SessionPaths::new(out);
     let manifest = CampaignManifest::load(&paths.manifest()).map_err(|e| e.to_string())?;
@@ -182,9 +185,8 @@ pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
     let lease_files = work::list_leases(&paths.leases_dir()).map_err(|e| e.to_string())?;
     let now = work::unix_now();
 
-    // Progress: merge every shard into the base checkpoint when one
-    // exists; otherwise aggregate over the shards alone (worker-only
-    // sessions have no checkpoint.json until completion).
+    // Progress: every shard merged into the checkpoint, as a runner
+    // resuming the session would see it.
     let progress = match CampaignCheckpoint::load(&paths.checkpoint()) {
         Ok(mut cp) => {
             for shard in &shards {
@@ -199,29 +201,11 @@ pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
         }
         Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.to_string()),
         Err(_) if !shards.is_empty() => {
-            // Deduplicate by point index: workers launched with different
-            // --lease-points leave overlapping shards (same progress,
-            // different range cuts), which a plain sum would double-count.
-            let mut per_point: std::collections::HashMap<usize, (bool, usize)> =
-                std::collections::HashMap::new();
-            for shard in &shards {
-                for (offset, record) in shard.points.iter().enumerate() {
-                    let entry = per_point
-                        .entry(shard.range_start + offset)
-                        .or_insert((false, 0));
-                    entry.0 |= record.complete;
-                    entry.1 = entry.1.max(record.injections_done);
-                }
-            }
-            Some(ProgressStatus {
-                completed_points: per_point.values().filter(|(complete, _)| *complete).count(),
-                // Shards cover claimed ranges only; unclaimed ranges are
-                // invisible without re-deriving the circuit, so this is a
-                // lower bound on the total.
-                total_points: per_point.len(),
-                injections: per_point.values().map(|(_, injections)| injections).sum(),
-                complete: false,
-            })
+            return Err(format!(
+                "{}: missing, but the session holds {} shard(s)",
+                paths.checkpoint().display(),
+                shards.len()
+            ))
         }
         Err(_) => None,
     };
@@ -241,36 +225,27 @@ pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
         .collect();
 
     // Per-worker rollup across leases and shard provenance.
-    let mut workers: Vec<WorkerStatus> = Vec::new();
-    let worker_entry = |workers: &mut Vec<WorkerStatus>, id: &str| -> usize {
-        match workers.iter().position(|w| w.worker == id) {
-            Some(i) => i,
-            None => {
-                workers.push(WorkerStatus {
-                    worker: id.to_string(),
-                    active_leases: 0,
-                    stale_leases: 0,
-                    shards: 0,
-                    retired_points: 0,
-                });
-                workers.len() - 1
-            }
-        }
-    };
+    let mut rows: BTreeMap<&str, WorkerStatus> = BTreeMap::new();
     for lease in &leases {
-        let i = worker_entry(&mut workers, &lease.worker);
+        let row = rows.entry(&lease.worker).or_default();
         if lease.expired {
-            workers[i].stale_leases += 1;
+            row.stale_leases += 1;
         } else {
-            workers[i].active_leases += 1;
+            row.active_leases += 1;
         }
     }
     for shard in &shards {
-        let i = worker_entry(&mut workers, &shard.worker);
-        workers[i].shards += 1;
-        workers[i].retired_points += shard.completed_points();
+        let row = rows.entry(&shard.worker).or_default();
+        row.shards += 1;
+        row.retired_points += shard.completed_points();
     }
-    workers.sort_by(|a, b| a.worker.cmp(&b.worker));
+    let workers = rows
+        .into_iter()
+        .map(|(id, row)| WorkerStatus {
+            worker: id.to_string(),
+            ..row
+        })
+        .collect();
 
     // Live rates: telemetry never gates status — a session without logs
     // (FFR_TELEMETRY=0, or pre-telemetry sessions) just omits the field.
@@ -366,8 +341,8 @@ mod tests {
     }
 
     /// A checkpoint `ffr resume` refuses, or a shard `ffr run` cannot
-    /// merge, is an error here too: not "not started", not a shard
-    /// silently left out of the progress view.
+    /// read or merge, is an error here too: not "not started", not a
+    /// shard silently left out of the progress view.
     #[test]
     fn unreadable_checkpoint_and_foreign_shard_are_errors() {
         let out = std::env::temp_dir().join(format!("ffr_status_bad_{}", std::process::id()));
@@ -398,6 +373,20 @@ mod tests {
         foreign.shard("w", 0..1).save(&shard_path).unwrap();
         let err = gather_status(&out).unwrap_err();
         assert!(err.contains("does not match campaign"), "{err}");
+
+        // The interrupted run's own shard, truncated: `resume` and
+        // `status` both name it instead of recomputing or under-reporting.
+        std::fs::remove_file(&shard_path).unwrap();
+        let shard_path = paths.shards_dir().join(work::shard_file_name(&(0..6)));
+        let text = std::fs::read_to_string(&shard_path).unwrap();
+        std::fs::write(&shard_path, &text[..text.len() / 2]).unwrap();
+        let name = shard_path.display().to_string();
+        let err = gather_status(&out).unwrap_err();
+        assert!(err.contains(&name), "{err}");
+        let err = crate::session::resume(&out, &options, &CancelToken::new(), |_, _| {});
+        let err = err.unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&name), "{err}");
         std::fs::remove_dir_all(&out).unwrap();
     }
 }

@@ -110,39 +110,26 @@ pub(crate) fn create_exclusive(path: &Path, contents: &str) -> io::Result<bool> 
     }
 }
 
-/// Probe the `version` field of a JSON document without deserializing
-/// the full structure.
+/// Load a versioned JSON document (manifest, checkpoint, shard, report).
 ///
-/// Checkpoints and manifests from an older format version are missing
-/// fields the current structs require, so a plain `from_str` fails with
-/// an opaque missing-field error *before* the deserialized struct's
-/// version check could run. Probing first lets loaders report the real
-/// cause — an unsupported format version — instead.
-fn probe_version(text: &str) -> Option<u64> {
-    match serde_json::parse_value_complete(text)
-        .ok()?
-        .get("version")?
-    {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-/// Load a versioned JSON document (manifest, checkpoint, shard, report):
-/// the version is probed before full deserialization, so a document of
-/// another format version reports "`what` version N unsupported" rather
-/// than a missing-field decode error.
+/// Documents of an older format version miss fields the current structs
+/// require, so the version is checked on the parsed tree before it is
+/// deserialized: another version reports "`what` version N unsupported"
+/// rather than a missing-field decode error. The text is parsed once.
+/// Both that and an undecodable file are [`io::ErrorKind::InvalidData`].
 pub(crate) fn load_versioned<T: Deserialize>(
     path: &Path,
     what: &str,
     expected: u32,
 ) -> io::Result<T> {
     let text = std::fs::read_to_string(path)?;
-    match probe_version(&text) {
-        Some(v) if v != expected as u64 => Err(io::Error::other(format!(
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+    let value = serde_json::parse_value_complete(&text).map_err(|e| invalid(e.to_string()))?;
+    match value.get("version") {
+        Some(Value::U64(v)) if *v != expected as u64 => Err(invalid(format!(
             "{what} version {v} unsupported (expected {expected})"
         ))),
-        _ => serde_json::from_str(&text).map_err(io::Error::other),
+        _ => T::from_value(&value).map_err(|e| invalid(e.to_string())),
     }
 }
 

@@ -474,7 +474,6 @@ mod tests {
             seed: 5,
             policy: AdaptivePolicy::fixed(32),
             budget: 1.0,
-            checkpoint_every: 16,
             store: Some(store.to_path_buf()),
             force: false,
         }

@@ -1,18 +1,24 @@
-//! Work distribution: who computes which injection points.
+//! Work distribution: who computes which injection points, and where
+//! their progress is persisted.
 //!
 //! The runner ([`crate::runner`]) is generic over a [`WorkSource`] — the
 //! policy that hands out chunks of injection-point indices to worker
-//! threads. Two implementations cover the two deployment shapes:
+//! threads and persists each retired chunk. Three implementations cover
+//! the deployment shapes:
 //!
-//! * [`CursorSource`] — the in-process work-stealing cursor: threads of
-//!   one process claim small chunks off a shared atomic counter. Zero
-//!   I/O, used by `ffr run` / `ffr resume`.
+//! * [`CursorSource`] — the in-memory work-stealing cursor behind
+//!   [`run_resumable`](crate::run_resumable): threads of one process claim
+//!   [`RANGE_POINTS`]-point ranges off a shared atomic counter. No I/O.
+//! * [`LocalSource`] — `ffr run` / `ffr resume`: the same cursor, each
+//!   range persisted as its per-range [`ShardCheckpoint`] through
+//!   [`Shards`] — the ranges and files a default `ffr worker` fleet uses,
+//!   without lease files.
 //! * [`LeaseQueue`] — a store-backed queue for **distributed draining**:
 //!   several `ffr worker` processes (on one machine or many, over a
 //!   shared filesystem) lease fixed point-index ranges of one campaign by
-//!   creating lease files next to the campaign checkpoint, flush their
-//!   progress as per-range [`ShardCheckpoint`]s, heartbeat their leases,
-//!   and reclaim leases whose holders died.
+//!   creating lease files next to the campaign checkpoint, persist their
+//!   progress through the same [`Shards`], heartbeat their leases, and
+//!   reclaim leases whose holders died.
 //!
 //! # Why duplicated work is harmless
 //!
@@ -88,8 +94,8 @@ pub(crate) trait WorkSource: Sync {
     }
 
     /// Notification that every point of a previously claimed chunk is
-    /// retired (called under the progress lock). The lease queue flushes
-    /// the final shard and releases the lease here.
+    /// retired (called under the progress lock): persist it. The default
+    /// does nothing.
     ///
     /// # Errors
     ///
@@ -99,36 +105,48 @@ pub(crate) trait WorkSource: Sync {
         Ok(())
     }
 
+    /// Persist every chunk this source handed out that is not retired —
+    /// called once, after the runner's threads stopped (cancel, error or
+    /// drain), so partial plans survive — and let go of it: the lease
+    /// queue releases its leases here. The default does nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    fn flush_held(&self, checkpoint: &CampaignCheckpoint) -> io::Result<()> {
+        let _ = checkpoint;
+        Ok(())
+    }
+
     /// Upper bound on usefully concurrent claims (the runner clamps its
     /// thread count to this).
     fn parallelism_hint(&self) -> usize;
 }
 
-/// Injection points claimed per work-steal off the [`CursorSource`]
-/// (small = better balance, large = less cursor contention).
-const STEAL_CHUNK: usize = 4;
+/// Injection points per range: the unit [`CursorSource`] claims and
+/// [`LocalSource`] persists, and the default lease of `ffr worker`. One
+/// constant, so a default fleet cuts a campaign exactly as `ffr run` does
+/// and can finish an interrupted run shard for shard.
+pub(crate) const RANGE_POINTS: usize = 16;
 
-/// The in-process work source: pending point indices behind a shared
-/// atomic cursor, claimed in small chunks (work stealing). Per-point cost
-/// varies wildly under adaptive stopping, so small dynamic chunks beat a
-/// static split.
+/// The in-memory work source: the [`RANGE_POINTS`]-point ranges of a
+/// checkpoint that still hold an incomplete point, claimed off a shared
+/// atomic cursor (work stealing), persisting nothing. Per-point cost
+/// varies wildly under adaptive stopping, so dynamic claims beat a static
+/// split.
 #[derive(Debug)]
 pub(crate) struct CursorSource {
-    pending: Vec<usize>,
+    ranges: Vec<Range<usize>>,
     cursor: AtomicUsize,
 }
 
 impl CursorSource {
-    /// A source over every incomplete point of `checkpoint`.
+    /// A source over the ranges of `checkpoint` that are not complete.
     pub(crate) fn new(checkpoint: &CampaignCheckpoint) -> CursorSource {
+        let mut ranges = lease_ranges(checkpoint.points.len(), RANGE_POINTS);
+        ranges.retain(|range| !is_complete(checkpoint, range));
         CursorSource {
-            pending: checkpoint
-                .points
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.complete)
-                .map(|(i, _)| i)
-                .collect(),
+            ranges,
             cursor: AtomicUsize::new(0),
         }
     }
@@ -136,15 +154,106 @@ impl CursorSource {
 
 impl WorkSource for CursorSource {
     fn claim(&self) -> io::Result<Vec<usize>> {
-        let start = self.cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
-        if start >= self.pending.len() {
-            return Ok(Vec::new());
-        }
-        Ok(self.pending[start..(start + STEAL_CHUNK).min(self.pending.len())].to_vec())
+        let next = self.ranges.get(self.cursor.fetch_add(1, Ordering::Relaxed));
+        Ok(next.map_or_else(Vec::new, |range| range.clone().collect()))
     }
 
     fn parallelism_hint(&self) -> usize {
-        self.pending.len().max(1)
+        self.ranges.len().max(1)
+    }
+}
+
+/// `true` once every point of `range` is retired in `checkpoint`.
+fn is_complete(checkpoint: &CampaignCheckpoint, range: &Range<usize>) -> bool {
+    checkpoint.points[range.clone()].iter().all(|p| p.complete)
+}
+
+/// The work source of `ffr run` / `ffr resume`: a [`CursorSource`] whose
+/// every range is persisted as its shard. This process owns every range,
+/// so it holds no lease files.
+pub(crate) struct LocalSource {
+    cursor: CursorSource,
+    shards: Shards,
+}
+
+impl LocalSource {
+    /// A source over the incomplete ranges of `checkpoint`, persisting
+    /// them through `shards`.
+    pub(crate) fn new(shards: Shards, checkpoint: &CampaignCheckpoint) -> LocalSource {
+        let cursor = CursorSource::new(checkpoint);
+        LocalSource { cursor, shards }
+    }
+}
+
+impl WorkSource for LocalSource {
+    fn claim(&self) -> io::Result<Vec<usize>> {
+        self.cursor.claim()
+    }
+
+    fn chunk_done(&self, chunk: &[usize], checkpoint: &CampaignCheckpoint) -> io::Result<()> {
+        match (chunk.first(), chunk.last()) {
+            (Some(&start), Some(&last)) => self.shards.save(checkpoint, start..last + 1),
+            _ => Ok(()),
+        }
+    }
+
+    /// The runner reports every range whose points are all retired as
+    /// done, so the claimed ranges with an incomplete point are the held
+    /// ones.
+    fn flush_held(&self, checkpoint: &CampaignCheckpoint) -> io::Result<()> {
+        let CursorSource { ranges, cursor } = &self.cursor;
+        let claimed = &ranges[..cursor.load(Ordering::Relaxed).min(ranges.len())];
+        claimed
+            .iter()
+            .filter(|range| !is_complete(checkpoint, range))
+            .try_for_each(|range| self.shards.save(checkpoint, range.clone()))
+    }
+
+    fn parallelism_hint(&self) -> usize {
+        self.cursor.parallelism_hint()
+    }
+}
+
+/// One runner's shards in a session's `shards/` directory: where each
+/// range's shard lives, and the one writer through which every session
+/// source persists progress.
+pub(crate) struct Shards {
+    dir: PathBuf,
+    worker: String,
+    recorder: ffr_obs::Recorder,
+}
+
+impl Shards {
+    /// Worker `worker`'s shards in `dir` (created if needed), flushes
+    /// timed into `recorder`.
+    pub(crate) fn open(
+        dir: PathBuf,
+        worker: &str,
+        recorder: ffr_obs::Recorder,
+    ) -> io::Result<Shards> {
+        std::fs::create_dir_all(&dir)?;
+        let worker = worker.to_string();
+        Ok(Shards {
+            dir,
+            worker,
+            recorder,
+        })
+    }
+
+    fn path(&self, range: &Range<usize>) -> PathBuf {
+        self.dir.join(shard_file_name(range))
+    }
+
+    /// Persist point indices `range` of `checkpoint` as this worker's
+    /// shard (atomic rename), timed into `shard.flush_us`.
+    fn save(&self, checkpoint: &CampaignCheckpoint, range: Range<usize>) -> io::Result<()> {
+        let t0 = std::time::Instant::now();
+        let path = self.path(&range);
+        checkpoint.shard(&self.worker, range).save(&path)?;
+        let elapsed_us = t0.elapsed().as_micros() as u64;
+        self.recorder.observe_us("shard.flush_us", elapsed_us);
+        self.recorder.count("shard.flushes", 1);
+        Ok(())
     }
 }
 
@@ -283,13 +392,13 @@ pub(crate) fn list_leases(leases_dir: &Path) -> io::Result<Vec<LeaseInfo>> {
 }
 
 /// Enumerate shard checkpoints in a session's shard directory (sorted by
-/// range). Unreadable shard files are skipped — a torn write is
-/// impossible (atomic renames), so these are foreign files.
+/// range).
 ///
 /// # Errors
 ///
 /// Propagates directory-read failures (a missing directory is an empty
-/// list).
+/// list) and load failures: atomic renames make a torn shard impossible,
+/// so a file that does not load is damage, not progress to recompute.
 pub(crate) fn list_shards(shards_dir: &Path) -> io::Result<Vec<ShardCheckpoint>> {
     let mut out = Vec::new();
     let entries = match std::fs::read_dir(shards_dir) {
@@ -303,8 +412,11 @@ pub(crate) fn list_shards(shards_dir: &Path) -> io::Result<Vec<ShardCheckpoint>>
         if !name.starts_with("shard-") || !name.ends_with(".json") {
             continue;
         }
-        if let Ok(shard) = ShardCheckpoint::load(&entry.path()) {
-            out.push(shard);
+        match ShardCheckpoint::load(&entry.path()) {
+            Ok(shard) => out.push(shard),
+            // Swept (`ffr gc`) between the scan and the read.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
         }
     }
     out.sort_by_key(|s| (s.range_start, s.range_end));
@@ -384,9 +496,8 @@ pub(crate) fn sweep_shards(shards_dir: &Path) -> io::Result<usize> {
 /// degrade to harmless duplicated work rather than corruption.
 pub(crate) struct LeaseQueue {
     leases_dir: PathBuf,
-    shards_dir: PathBuf,
+    shards: Shards,
     fingerprint: String,
-    worker: String,
     ranges: Vec<Range<usize>>,
     ttl: Duration,
     poll: Duration,
@@ -409,8 +520,8 @@ struct QueueState {
 }
 
 impl LeaseQueue {
-    /// Open the lease queue of a campaign session, creating the lease and
-    /// shard directories if needed.
+    /// Open the lease queue of a campaign session (leasing as the worker
+    /// of `shards`, recording to its recorder), creating `leases/`.
     ///
     /// `lease_points` is the range granularity (points per lease): small
     /// ranges balance better across workers, large ranges amortize lease
@@ -425,7 +536,7 @@ impl LeaseQueue {
     pub(crate) fn open(
         session_dir: &Path,
         fingerprint: String,
-        worker: String,
+        shards: Shards,
         num_points: usize,
         lease_points: usize,
         ttl: Duration,
@@ -433,37 +544,22 @@ impl LeaseQueue {
         cancel: CancelToken,
     ) -> io::Result<LeaseQueue> {
         let leases_dir = session_dir.join("leases");
-        let shards_dir = session_dir.join("shards");
         std::fs::create_dir_all(&leases_dir)?;
-        std::fs::create_dir_all(&shards_dir)?;
         Ok(LeaseQueue {
             leases_dir,
-            shards_dir,
+            recorder: shards.recorder.clone(),
+            shards,
             fingerprint,
-            worker,
             ranges: lease_ranges(num_points, lease_points),
             ttl,
             poll,
             cancel,
             state: Mutex::new(QueueState::default()),
-            recorder: ffr_obs::Recorder::disabled(),
         })
-    }
-
-    /// Attach a telemetry recorder: lease claims, reclaims, heartbeats,
-    /// releases and shard-flush latencies are recorded as events.
-    /// Telemetry never affects lease contents or claiming decisions.
-    pub(crate) fn with_recorder(mut self, recorder: ffr_obs::Recorder) -> LeaseQueue {
-        self.recorder = recorder;
-        self
     }
 
     fn lease_path(&self, index: usize) -> PathBuf {
         self.leases_dir.join(lease_file_name(&self.ranges[index]))
-    }
-
-    fn shard_path(&self, index: usize) -> PathBuf {
-        self.shards_dir.join(shard_file_name(&self.ranges[index]))
     }
 
     fn fresh_record(&self, index: usize) -> LeaseRecord {
@@ -471,7 +567,7 @@ impl LeaseQueue {
         LeaseRecord {
             version: LEASE_VERSION,
             fingerprint: self.fingerprint.clone(),
-            worker: self.worker.clone(),
+            worker: self.shards.worker.clone(),
             range_start: self.ranges[index].start,
             range_end: self.ranges[index].end,
             acquired_unix: now,
@@ -494,7 +590,7 @@ impl LeaseQueue {
     /// computes a range, never what it computes, so final tables stay
     /// byte-identical.
     fn claim_order(&self) -> Vec<(usize, u64)> {
-        let shards: Vec<ShardCheckpoint> = list_shards(&self.shards_dir)
+        let shards: Vec<ShardCheckpoint> = list_shards(&self.shards.dir)
             .unwrap_or_default()
             .into_iter()
             .filter(|s| s.fingerprint == self.fingerprint)
@@ -537,7 +633,7 @@ impl LeaseQueue {
     /// the caller (holding the state lock) caches positives.
     fn shard_complete_on_disk(&self, index: usize) -> bool {
         matches!(
-            ShardCheckpoint::load(&self.shard_path(index)),
+            ShardCheckpoint::load(&self.shards.path(&self.ranges[index])),
             Ok(shard) if shard.fingerprint == self.fingerprint && shard.is_complete()
         )
     }
@@ -571,7 +667,7 @@ impl LeaseQueue {
             // file that has gone more than ttl/2 without an mtime refresh
             // has no live holder. (claim() never reaches here for ranges
             // held by sibling threads of this process.)
-            Ok(record) if record.worker == self.worker => {
+            Ok(record) if record.worker == self.shards.worker => {
                 let grace = Duration::from_secs((self.ttl.as_secs() / 2).max(1));
                 let stale = modified
                     .ok()
@@ -661,7 +757,7 @@ impl LeaseQueue {
 
     /// Extend the expiry of every lease this process holds (called from
     /// the worker's heartbeat thread). Runs under the state lock so a
-    /// concurrent `chunk_done`/`release_held` cannot have its lease
+    /// concurrent `chunk_done`/`flush_held` cannot have its lease
     /// removal undone by a heartbeat rewrite. Failures are returned so
     /// the caller can log them, but a missed heartbeat is not fatal — the
     /// lease expires and the range is recomputed elsewhere, identically.
@@ -702,46 +798,6 @@ impl LeaseQueue {
                 last = std::time::Instant::now();
             }
         }
-    }
-
-    /// Release every lease this process still holds *without* completing
-    /// it (graceful shutdown or error unwind): the partial shard stays on
-    /// disk, so the next claimer resumes mid-plan instead of waiting out
-    /// the TTL.
-    pub(crate) fn release_held(&self) {
-        let mut state = self.state.lock().expect("queue lock");
-        for index in std::mem::take(&mut state.held) {
-            let _ = std::fs::remove_file(self.lease_path(index));
-            state.hydrated.remove(&index);
-        }
-    }
-
-    /// Flush a (possibly partial) shard for every held range — the sink
-    /// counterpart of [`CampaignCheckpoint::save`] for distributed runs.
-    ///
-    /// Ranges claimed but not yet hydrated are skipped: until
-    /// [`WorkSource::hydrate`] folds the previous holder's shard into the
-    /// in-memory checkpoint, a flush would overwrite that shard with an
-    /// emptier view and lose the reclaimed progress.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub(crate) fn flush_held(&self, checkpoint: &CampaignCheckpoint) -> io::Result<()> {
-        let state = self.state.lock().expect("queue lock");
-        for &index in &state.held {
-            if !state.hydrated.contains(&index) {
-                continue;
-            }
-            let t0 = std::time::Instant::now();
-            checkpoint
-                .shard(&self.worker, self.ranges[index].clone())
-                .save(&self.shard_path(index))?;
-            self.recorder
-                .observe_us("shard.flush_us", t0.elapsed().as_micros() as u64);
-            self.recorder.count("shard.flushes", 1);
-        }
-        Ok(())
     }
 }
 
@@ -840,25 +896,21 @@ impl WorkSource for LeaseQueue {
             .iter()
             .position(|r| r.start == start)
             .expect("claimed chunk matches a lease range");
-        let merged = match ShardCheckpoint::load(&self.shard_path(index)) {
+        // An unreadable or foreign-fingerprint shard in our session
+        // directory is damage — surface it instead of recomputing.
+        match ShardCheckpoint::load(&self.shards.path(&self.ranges[index])) {
             Ok(shard) => {
-                // A foreign-fingerprint shard in our session directory is
-                // real corruption — surface it instead of recomputing.
-                checkpoint.merge_shard(&shard).map(|_| ())
+                checkpoint.merge_shard(&shard)?;
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            // Unreadable (foreign/damaged) shard: recomputing is always
-            // safe, the next flush atomically replaces it.
-            Err(_) => Ok(()),
-        };
-        if merged.is_ok() {
-            self.state
-                .lock()
-                .expect("queue lock")
-                .hydrated
-                .insert(index);
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
         }
-        merged
+        self.state
+            .lock()
+            .expect("queue lock")
+            .hydrated
+            .insert(index);
+        Ok(())
     }
 
     /// Persist the completed shard and release the lease. The shard write
@@ -874,13 +926,8 @@ impl WorkSource for LeaseQueue {
             .iter()
             .position(|r| r.start == start)
             .expect("completed chunk matches a lease range");
-        let shard = checkpoint.shard(&self.worker, self.ranges[index].clone());
         let mut state = self.state.lock().expect("queue lock");
-        let t0 = std::time::Instant::now();
-        shard.save(&self.shard_path(index))?;
-        self.recorder
-            .observe_us("shard.flush_us", t0.elapsed().as_micros() as u64);
-        self.recorder.count("shard.flushes", 1);
+        self.shards.save(checkpoint, self.ranges[index].clone())?;
         let _ = std::fs::remove_file(self.lease_path(index));
         state.held.retain(|&i| i != index);
         state.hydrated.remove(&index);
@@ -898,6 +945,26 @@ impl WorkSource for LeaseQueue {
             ],
         );
         Ok(())
+    }
+
+    /// Flush a (possibly partial) shard for every held range and release
+    /// its lease — after a cancel and after an error alike — so the next
+    /// claimer resumes mid-plan at once instead of waiting out the TTL.
+    ///
+    /// Ranges claimed but not yet hydrated are not flushed: until
+    /// [`WorkSource::hydrate`] folds the previous holder's shard into the
+    /// in-memory checkpoint, a flush would overwrite that shard with an
+    /// emptier view and lose the reclaimed progress.
+    fn flush_held(&self, checkpoint: &CampaignCheckpoint) -> io::Result<()> {
+        let mut state = self.state.lock().expect("queue lock");
+        let mut flushed = Ok(());
+        for index in std::mem::take(&mut state.held) {
+            if state.hydrated.remove(&index) && flushed.is_ok() {
+                flushed = self.shards.save(checkpoint, self.ranges[index].clone());
+            }
+            let _ = std::fs::remove_file(self.lease_path(index));
+        }
+        flushed
     }
 
     fn parallelism_hint(&self) -> usize {
@@ -934,10 +1001,11 @@ mod tests {
     }
 
     fn queue(dir: &Path, worker: &str, num: usize, per: usize, ttl: Duration) -> LeaseQueue {
+        let recorder = ffr_obs::Recorder::disabled();
         LeaseQueue::open(
             dir,
             "fp".into(),
-            worker.into(),
+            Shards::open(dir.join("shards"), worker, recorder).unwrap(),
             num,
             per,
             ttl,
@@ -958,8 +1026,11 @@ mod tests {
 
     #[test]
     fn cursor_source_hands_out_disjoint_chunks() {
-        let mut cp = checkpoint(10);
-        cp.points[3].complete = true;
+        let mut cp = checkpoint(40);
+        for point in &mut cp.points[16..32] {
+            point.complete = true;
+        }
+        cp.points[39].complete = true;
         let source = CursorSource::new(&cp);
         let mut seen = Vec::new();
         loop {
@@ -969,7 +1040,8 @@ mod tests {
             }
             seen.extend(chunk);
         }
-        assert_eq!(seen, vec![0, 1, 2, 4, 5, 6, 7, 8, 9]);
+        let expected: Vec<usize> = (0..16).chain(32..40).collect();
+        assert_eq!(seen, expected, "complete ranges are skipped");
     }
 
     #[test]
@@ -1024,7 +1096,7 @@ mod tests {
         dead.hydrate(&chunk, &mut cp).unwrap();
         cp.points[0].injections_done = 64;
         cp.points[0].counts[0] = 64;
-        dead.flush_held(&cp).unwrap();
+        dead.shards.save(&cp, 0..4).unwrap();
         drop(dead);
         std::thread::sleep(Duration::from_millis(2100));
 
@@ -1071,8 +1143,8 @@ mod tests {
         assert_eq!(after.worker, "holder");
         assert!(after.expires_unix > before.expires_unix);
 
-        // Graceful release frees the range for the rival immediately.
-        holder.release_held();
+        // The end-of-run flush releases the range for the rival at once.
+        holder.flush_held(&checkpoint(4)).unwrap();
         assert!(matches!(rival.lease_on_disk(0), LeaseOnDisk::Absent));
         let mut state = rival.state.lock().unwrap();
         assert!(rival.acquire(0, &mut state, false, 0).unwrap());
@@ -1202,8 +1274,8 @@ mod tests {
 
     #[test]
     fn flush_held_never_clobbers_an_unhydrated_shard() {
-        // A sibling thread's checkpoint flush can fire between claim()
-        // and hydrate(); the previous holder's shard must survive it.
+        // A run can stop (error, cancel) between claim() and hydrate();
+        // the previous holder's shard must survive its end-of-run flush.
         let dir = tmp_dir("clobber");
         let mut with_progress = checkpoint(4);
         with_progress.points[0].injections_done = 64;
@@ -1213,8 +1285,10 @@ mod tests {
         let mut cp0 = checkpoint(4);
         dead.hydrate(&chunk, &mut cp0).unwrap();
         dead.flush_held(&with_progress).unwrap();
-        drop(dead);
-        std::thread::sleep(Duration::from_millis(2100));
+        assert!(
+            list_leases(&dir.join("leases")).unwrap().is_empty(),
+            "released"
+        );
 
         let live = queue(&dir, "live", 4, 4, Duration::from_secs(60));
         let chunk = live.claim().unwrap();
@@ -1226,6 +1300,7 @@ mod tests {
         assert_eq!(shards[0].points[0].injections_done, 64, "shard clobbered");
         // After hydration the flush covers the range again — now with the
         // merged progress, so nothing is lost.
+        assert_eq!(live.claim().unwrap(), chunk);
         live.hydrate(&chunk, &mut fresh).unwrap();
         assert_eq!(fresh.points[0].injections_done, 64);
         live.flush_held(&fresh).unwrap();

@@ -40,8 +40,6 @@ fn campaign_args(out: &str, store: &str) -> Vec<String> {
         "2500",
         "--injections",
         "256",
-        "--checkpoint-every",
-        "1",
         "--threads",
         "1",
         "--seed",
@@ -68,8 +66,6 @@ fn set_campaign_args(out: &str) -> Vec<String> {
         "1200",
         "--injections",
         "128",
-        "--checkpoint-every",
-        "1",
         "--threads",
         "1",
         "--seed",
@@ -80,9 +76,19 @@ fn set_campaign_args(out: &str) -> Vec<String> {
     .collect()
 }
 
-/// Spawn the given `ffr run` invocation, SIGKILL it as soon as a
-/// checkpoint lands on disk, and resume to completion. Returns whether
-/// the kill actually landed mid-run.
+/// `true` once a shard file (`shards/shard-*.json`) exists under `out`.
+fn has_shard(out: &Path) -> bool {
+    std::fs::read_dir(out.join("shards")).is_ok_and(|entries| {
+        entries.flatten().any(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with("shard-") && name.ends_with(".json")
+        })
+    })
+}
+
+/// Spawn the given `ffr run` invocation, SIGKILL it as soon as its first
+/// shard (persisted progress) lands on disk, and resume to completion.
+/// Returns whether the kill actually landed mid-run.
 fn kill_when_checkpointed(args: &[String], out: &Path) -> bool {
     let mut child = Command::new(FFR)
         .args(args)
@@ -90,12 +96,11 @@ fn kill_when_checkpointed(args: &[String], out: &Path) -> bool {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn ffr run");
-    let checkpoint = out.join("checkpoint.json");
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut killed_mid_run = false;
     loop {
-        if checkpoint.exists() {
-            // A checkpoint exists — kill the process hard, mid-campaign.
+        if has_shard(out) {
+            // Progress is on disk — kill the process hard, mid-campaign.
             if child.try_wait().expect("try_wait").is_none() {
                 child.kill().expect("SIGKILL ffr");
                 killed_mid_run = true;
@@ -105,7 +110,7 @@ fn kill_when_checkpointed(args: &[String], out: &Path) -> bool {
         if child.try_wait().expect("try_wait").is_some() {
             break; // finished before we could kill it
         }
-        assert!(Instant::now() < deadline, "ffr run produced no checkpoint");
+        assert!(Instant::now() < deadline, "ffr run persisted no shard");
         std::thread::sleep(Duration::from_millis(2));
     }
     let _ = child.wait();
@@ -137,7 +142,7 @@ fn sigkill_mid_campaign_resumes_byte_identical() {
     );
     let reference = std::fs::read(ref_out.join("fdr.json")).unwrap();
 
-    // Victim run: SIGKILL as soon as the first checkpoint lands on disk.
+    // Victim run: SIGKILL as soon as the first shard lands on disk.
     let out = fresh_dir(&base, "victim");
     let out_s = out.to_string_lossy().into_owned();
     let args = campaign_args(&out_s, &store_s);
@@ -202,7 +207,7 @@ fn sigkill_mid_set_campaign_resumes_byte_identical() {
     let reference = std::fs::read(ref_out.join("set-derating.json")).unwrap();
     let reference_csv = std::fs::read(ref_out.join("set-derating.csv")).unwrap();
 
-    // Victim run: SIGKILL as soon as the first checkpoint lands on disk.
+    // Victim run: SIGKILL as soon as the first shard lands on disk.
     let out = fresh_dir(&base, "victim");
     let out_s = out.to_string_lossy().into_owned();
     let args = set_campaign_args(&out_s);
@@ -332,8 +337,6 @@ fn policy_campaign_args(out: &str) -> Vec<String> {
         "wilson:0.02@99:64..256",
         "--cycles",
         "2500",
-        "--checkpoint-every",
-        "1",
         "--threads",
         "1",
         "--seed",
@@ -371,7 +374,7 @@ fn sigkill_mid_policy_campaign_resumes_byte_identical() {
     let text = String::from_utf8_lossy(&status.stdout);
     assert!(text.contains("wilson:0.02@99:64..256"), "{text}");
 
-    // Victim run: SIGKILL as soon as the first checkpoint lands, then
+    // Victim run: SIGKILL as soon as the first shard lands, then
     // resume to completion.
     let out = fresh_dir(&base, "victim");
     let out_s = out.to_string_lossy().into_owned();

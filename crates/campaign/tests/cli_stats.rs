@@ -37,8 +37,6 @@ fn run_args(out: &str) -> Vec<&str> {
         "160",
         "--injections",
         "48",
-        "--checkpoint-every",
-        "4",
     ]
 }
 

@@ -1,7 +1,7 @@
 //! The paper's §IV-A campaign on the 10GE-MAC-like design, run through
-//! the durable campaign orchestration of `ffr-campaign`: adaptive
-//! Wilson-CI early stopping, periodic checkpoints, and bit-identical
-//! resume after an (simulated) interruption.
+//! the resumable campaign runner of `ffr-campaign`: adaptive Wilson-CI
+//! early stopping, a checkpoint saved at the interruption, and
+//! bit-identical resume after an (simulated) interruption.
 //!
 //! Run: `cargo run --release --example mac_fault_campaign`
 
@@ -56,11 +56,13 @@ fn main() {
             ..RunnerOptions::default()
         },
         &CancelToken::new(),
-        |cp| cp.save(&checkpoint_path),
         |_, _| {},
     )
-    .expect("checkpoint directory is writable");
+    .expect("in-memory run");
     assert_eq!(outcome, RunOutcome::Cancelled);
+    checkpoint
+        .save(&checkpoint_path)
+        .expect("checkpoint directory is writable");
     println!(
         "\ninterrupted after {}/{} flip-flops ({} injections so far) — resuming from {}",
         checkpoint.completed_points(),
@@ -78,14 +80,13 @@ fn main() {
         &mut checkpoint,
         &RunnerOptions::default(),
         &CancelToken::new(),
-        |cp| cp.save(&checkpoint_path),
         |done, total| {
             if done % 50 == 0 || done == total {
                 eprintln!("  {done}/{total} flip-flops retired");
             }
         },
     )
-    .expect("checkpoint directory is writable");
+    .expect("in-memory run");
     assert_eq!(outcome, RunOutcome::Complete);
     let table = checkpoint.to_fdr_table();
     println!(
