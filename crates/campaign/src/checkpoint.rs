@@ -309,6 +309,9 @@ impl CampaignCheckpoint {
         path: &Path,
         recorder: &ffr_obs::Recorder,
     ) -> io::Result<()> {
+        if !recorder.enabled() {
+            return self.save(path);
+        }
         let t0 = std::time::Instant::now();
         let result = self.save(path);
         recorder.observe_us("checkpoint.flush_us", t0.elapsed().as_micros() as u64);

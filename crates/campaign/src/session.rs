@@ -1013,43 +1013,19 @@ mod tests {
         }
     }
 
-    /// `run` with default options, no cancellation and no progress
-    /// callback; `resume_plain` and `worker_plain` likewise.
-    fn run_plain(request: &RunRequest, out: &Path) -> io::Result<RunSummary> {
-        run(
-            request,
-            out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-    }
-
-    fn resume_plain(out: &Path) -> io::Result<RunSummary> {
-        resume(
-            out,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-    }
-
-    fn worker_plain(out: &Path, request: &WorkerRequest) -> io::Result<RunSummary> {
-        worker(
-            out,
-            request,
-            &RunnerOptions::default(),
-            &CancelToken::new(),
-            |_, _| {},
-        )
-    }
-
     #[test]
     fn run_produces_table_and_cache_round_trip() {
         let out = tmp_dir("run");
         let store_dir = tmp_dir("run_store");
         let request = quick_request(Some(store_dir));
-        let summary = run_plain(&request, &out).unwrap();
+        let summary = run(
+            &request,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         assert!(!summary.golden_from_cache);
         assert!(!summary.table_from_cache);
@@ -1057,7 +1033,14 @@ mod tests {
 
         // Second run: served from the artifact cache, no simulation.
         let out2 = tmp_dir("run2");
-        let summary2 = run_plain(&request, &out2).unwrap();
+        let summary2 = run(
+            &request,
+            &out2,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert!(summary2.table_from_cache);
         assert_eq!(summary2.total_injections, 0);
         let second = std::fs::read(out2.join("fdr.json")).unwrap();
@@ -1110,7 +1093,14 @@ mod tests {
         let store_dir = tmp_dir("set_store");
         let mut request = quick_request(Some(store_dir));
         request.fault = FaultKind::Set;
-        let summary = run_plain(&request, &out).unwrap();
+        let summary = run(
+            &request,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.fault, FaultKind::Set);
         assert_eq!(summary.outcome, RunOutcome::Complete);
         assert!(summary.total_points > 0, "counter has combinational nets");
@@ -1121,7 +1111,14 @@ mod tests {
 
         // Cache-served rerun is byte-identical.
         let out2 = tmp_dir("set_run2");
-        let summary2 = run_plain(&request, &out2).unwrap();
+        let summary2 = run(
+            &request,
+            &out2,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert!(summary2.table_from_cache);
         let second = std::fs::read(out2.join("set-derating.json")).unwrap();
         assert_eq!(first, second);
@@ -1134,8 +1131,22 @@ mod tests {
         set.fault = FaultKind::Set;
         let out_seu = tmp_dir("fp_seu");
         let out_set = tmp_dir("fp_set");
-        run_plain(&seu, &out_seu).unwrap();
-        run_plain(&set, &out_set).unwrap();
+        run(
+            &seu,
+            &out_seu,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
+        run(
+            &set,
+            &out_set,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         let a = CampaignManifest::load(&SessionPaths::new(&out_seu).manifest()).unwrap();
         let b = CampaignManifest::load(&SessionPaths::new(&out_set).manifest()).unwrap();
         assert_ne!(a.fingerprint, b.fingerprint);
@@ -1184,7 +1195,14 @@ mod tests {
         request.policy = "wilson:0.02@99:64..256".parse().unwrap();
 
         let out_ref = tmp_dir("wilson_ref");
-        run_plain(&request, &out_ref).unwrap();
+        run(
+            &request,
+            &out_ref,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         let reference = std::fs::read(out_ref.join("fdr.json")).unwrap();
         let ref_cp = CampaignCheckpoint::load(&out_ref.join("checkpoint.json")).unwrap();
         let spends: Vec<usize> = ref_cp.points.iter().map(|p| p.injections_done).collect();
@@ -1208,7 +1226,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Cancelled);
-        let summary = resume_plain(&out).unwrap();
+        let summary = resume(
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         assert_eq!(
             reference,
@@ -1232,7 +1256,14 @@ mod tests {
         // Uninterrupted reference run.
         let out_ref = tmp_dir("ref");
         let request = quick_request(None);
-        run_plain(&request, &out_ref).unwrap();
+        run(
+            &request,
+            &out_ref,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         let reference = std::fs::read(out_ref.join("fdr.json")).unwrap();
 
         // Killed after two retirements…
@@ -1259,7 +1290,13 @@ mod tests {
         std::fs::write(&manifest, text.replacen('{', "{\"flush_cadence\": 32,", 1)).unwrap();
 
         // …and resumed to completion.
-        let summary = resume_plain(&out).unwrap();
+        let summary = resume(
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         let resumed = std::fs::read(out.join("fdr.json")).unwrap();
         assert_eq!(reference, resumed, "resume must be byte-identical");
@@ -1270,7 +1307,14 @@ mod tests {
         let out_ref = tmp_dir("set_ref");
         let mut request = quick_request(None);
         request.fault = FaultKind::Set;
-        run_plain(&request, &out_ref).unwrap();
+        run(
+            &request,
+            &out_ref,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         let reference = std::fs::read(out_ref.join("set-derating.json")).unwrap();
 
         let out = tmp_dir("set_killed");
@@ -1289,7 +1333,13 @@ mod tests {
         assert_eq!(summary.outcome, RunOutcome::Cancelled);
         assert!(!out.join("set-derating.json").exists());
 
-        let summary = resume_plain(&out).unwrap();
+        let summary = resume(
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         let resumed = std::fs::read(out.join("set-derating.json")).unwrap();
         assert_eq!(reference, resumed, "SET resume must be byte-identical");
@@ -1314,14 +1364,28 @@ mod tests {
         // checkpoint is checked first, before anything is overwritten).
         let mut other = quick_request(None);
         other.seed = 999;
-        let err = run_plain(&other, &out).unwrap_err();
+        let err = run(
+            &other,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
 
         // A fault-model switch on the same directory is just as much a
         // different campaign.
         let mut set = quick_request(None);
         set.fault = FaultKind::Set;
-        let err = run_plain(&set, &out).unwrap_err();
+        let err = run(
+            &set,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
 
         // Even with a damaged manifest, the refusal happens before the
@@ -1329,7 +1393,14 @@ mod tests {
         // corrupt manifest is left for the user to inspect.
         let manifest_path = out.join("campaign.json");
         std::fs::write(&manifest_path, "{corrupt").unwrap();
-        let err = run_plain(&other, &out).unwrap_err();
+        let err = run(
+            &other,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
         assert_eq!(
             std::fs::read_to_string(&manifest_path).unwrap(),
@@ -1339,7 +1410,14 @@ mod tests {
 
         // A matching run (same fingerprint) may repair the manifest and
         // resume from the checkpoint.
-        let summary = run_plain(&request, &out).unwrap();
+        let summary = run(
+            &request,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
     }
 
@@ -1351,7 +1429,14 @@ mod tests {
         request.circuit = CircuitSpec::Lfsr { width: 8, depth: 2 };
         request.budget = 0.4;
         let out = tmp_dir("budget");
-        let summary = run_plain(&request, &out).unwrap();
+        let summary = run(
+            &request,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         let table = ffr_fault::FdrTable::load_json(&out.join("fdr.json")).unwrap();
         let expected = ((table.num_ffs() as f64) * 0.4).round() as usize;
@@ -1364,7 +1449,14 @@ mod tests {
         assert_eq!(manifest.budget, 0.4);
         let mut full = request.clone();
         full.budget = 1.0;
-        let err = run_plain(&full, &out).unwrap_err();
+        let err = run(
+            &full,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
 
         // Kill/resume on a budgeted campaign stays byte-identical.
@@ -1381,7 +1473,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Cancelled);
-        resume_plain(&out2).unwrap();
+        resume(
+            &out2,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(
             std::fs::read(out.join("fdr.json")).unwrap(),
             std::fs::read(out2.join("fdr.json")).unwrap()
@@ -1393,7 +1491,14 @@ mod tests {
         // Single-process reference.
         let request = quick_request(None);
         let out_ref = tmp_dir("worker_ref");
-        run_plain(&request, &out_ref).unwrap();
+        run(
+            &request,
+            &out_ref,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         let reference = std::fs::read(out_ref.join("fdr.json")).unwrap();
 
         // One worker bootstraps an empty campaign dir and drains it all.
@@ -1401,7 +1506,14 @@ mod tests {
         let mut wreq = WorkerRequest::new("w1");
         wreq.lease_points = 2;
         wreq.init = Some(request.clone());
-        let summary = worker_plain(&out, &wreq).unwrap();
+        let summary = worker(
+            &out,
+            &wreq,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
         assert!(summary.table_path.is_some());
         assert!(summary.merged_shards > 0);
@@ -1433,9 +1545,23 @@ mod tests {
         let store_dir = tmp_dir("worker_store");
         let mut wreq_store = WorkerRequest::new("w5");
         wreq_store.store = Some(store_dir);
-        let first = worker_plain(&out, &wreq_store).unwrap();
+        let first = worker(
+            &out,
+            &wreq_store,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert!(!first.golden_from_cache);
-        let second = worker_plain(&out, &wreq_store).unwrap();
+        let second = worker(
+            &out,
+            &wreq_store,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert!(second.golden_from_cache);
 
         // Conflicting init parameters are refused.
@@ -1443,7 +1569,14 @@ mod tests {
         other.seed = 4242;
         let mut wreq_bad = WorkerRequest::new("w3");
         wreq_bad.init = Some(other);
-        let err = worker_plain(&out, &wreq_bad).unwrap_err();
+        let err = worker(
+            &out,
+            &wreq_bad,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
 
         // An uninitialized dir without init flags fails with guidance.
@@ -1464,14 +1597,28 @@ mod tests {
         let mut request = quick_request(None);
         request.fault = FaultKind::Set;
         let out_ref = tmp_dir("worker_set_ref");
-        run_plain(&request, &out_ref).unwrap();
+        run(
+            &request,
+            &out_ref,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         let reference = std::fs::read(out_ref.join("set-derating.json")).unwrap();
 
         let out = tmp_dir("worker_set");
         let mut wreq = WorkerRequest::new("w1");
         wreq.lease_points = 4;
         wreq.init = Some(request);
-        let summary = worker_plain(&out, &wreq).unwrap();
+        let summary = worker(
+            &out,
+            &wreq,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.fault, FaultKind::Set);
         assert!(summary.table_path.is_some());
         assert_eq!(
@@ -1486,7 +1633,14 @@ mod tests {
         let mut request = quick_request(None);
         request.circuit = CircuitSpec::Lfsr { width: 8, depth: 2 };
         let out_ref = tmp_dir("conc_ref");
-        run_plain(&request, &out_ref).unwrap();
+        run(
+            &request,
+            &out_ref,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         let reference = std::fs::read(out_ref.join("fdr.json")).unwrap();
 
         // Two workers race the same campaign directory from scratch
@@ -1545,12 +1699,26 @@ mod tests {
         // …is finished by a worker (base checkpoint + shards)…
         let mut wreq = WorkerRequest::new("w1");
         wreq.lease_points = 2;
-        let summary = worker_plain(&out, &wreq).unwrap();
+        let summary = worker(
+            &out,
+            &wreq,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert!(summary.table_path.is_some());
 
         // …matching the uninterrupted reference.
         let out_ref = tmp_dir("worker_takeover_ref");
-        run_plain(&request, &out_ref).unwrap();
+        run(
+            &request,
+            &out_ref,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(
             std::fs::read(out.join("fdr.json")).unwrap(),
             std::fs::read(out_ref.join("fdr.json")).unwrap()
@@ -1558,7 +1726,13 @@ mod tests {
 
         // `ffr resume` on a worker session with leftover shards also
         // reports completion (shard merge path).
-        let summary = resume_plain(&out).unwrap();
+        let summary = resume(
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(summary.outcome, RunOutcome::Complete);
     }
 
@@ -1569,7 +1743,14 @@ mod tests {
         let mut wreq = WorkerRequest::new("w1");
         wreq.lease_points = 2;
         wreq.init = Some(request.clone());
-        let drained = worker_plain(&out, &wreq).unwrap();
+        let drained = worker(
+            &out,
+            &wreq,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
         assert!(drained.table_path.is_some());
         let table = std::fs::read(out.join("fdr.json")).unwrap();
 
@@ -1676,7 +1857,14 @@ mod tests {
         let mut wreq = WorkerRequest::new("w1");
         wreq.store = Some(tmp_dir("lost_telemetry_store"));
         wreq.init = Some(quick_request(None));
-        worker_plain(&out, &wreq).unwrap_err();
+        worker(
+            &out,
+            &wreq,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap_err();
         let log = std::fs::read_to_string(SessionPaths::new(&out).telemetry_dir().join("w1.jsonl"))
             .unwrap();
         assert!(
@@ -1850,7 +2038,14 @@ mod tests {
             let out = tmp_dir("bad_budget");
             let mut request = quick_request(None);
             request.budget = bad;
-            let err = run_plain(&request, &out).unwrap_err();
+            let err = run(
+                &request,
+                &out,
+                &RunnerOptions::default(),
+                &CancelToken::new(),
+                |_, _| {},
+            )
+            .unwrap_err();
             assert!(err.to_string().contains("budget"), "{err}");
         }
     }
@@ -1860,7 +2055,14 @@ mod tests {
         let out = tmp_dir("short");
         let mut request = quick_request(None);
         request.cycles = 2;
-        let err = run_plain(&request, &out).unwrap_err();
+        let err = run(
+            &request,
+            &out,
+            &RunnerOptions::default(),
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("too short"), "{err}");
         assert!(
             !out.exists(),

@@ -12,7 +12,6 @@ use crate::session::{CampaignManifest, SessionPaths};
 use crate::work;
 use ffr_fault::FaultKind;
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -39,7 +38,7 @@ pub struct LeaseStatus {
 }
 
 /// One worker's aggregate progress as reported by `ffr status`.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorkerStatus {
     /// Worker id.
     pub worker: String,
@@ -225,27 +224,36 @@ pub fn gather_status(out: &Path) -> Result<(StatusReport, FaultKind), String> {
         .collect();
 
     // Per-worker rollup across leases and shard provenance.
-    let mut rows: BTreeMap<&str, WorkerStatus> = BTreeMap::new();
+    let mut workers: Vec<WorkerStatus> = Vec::new();
+    let worker_entry = |workers: &mut Vec<WorkerStatus>, id: &str| -> usize {
+        match workers.iter().position(|w| w.worker == id) {
+            Some(i) => i,
+            None => {
+                workers.push(WorkerStatus {
+                    worker: id.to_string(),
+                    active_leases: 0,
+                    stale_leases: 0,
+                    shards: 0,
+                    retired_points: 0,
+                });
+                workers.len() - 1
+            }
+        }
+    };
     for lease in &leases {
-        let row = rows.entry(&lease.worker).or_default();
+        let i = worker_entry(&mut workers, &lease.worker);
         if lease.expired {
-            row.stale_leases += 1;
+            workers[i].stale_leases += 1;
         } else {
-            row.active_leases += 1;
+            workers[i].active_leases += 1;
         }
     }
     for shard in &shards {
-        let row = rows.entry(&shard.worker).or_default();
-        row.shards += 1;
-        row.retired_points += shard.completed_points();
+        let i = worker_entry(&mut workers, &shard.worker);
+        workers[i].shards += 1;
+        workers[i].retired_points += shard.completed_points();
     }
-    let workers = rows
-        .into_iter()
-        .map(|(id, row)| WorkerStatus {
-            worker: id.to_string(),
-            ..row
-        })
-        .collect();
+    workers.sort_by(|a, b| a.worker.cmp(&b.worker));
 
     // Live rates: telemetry never gates status — a session without logs
     // (FFR_TELEMETRY=0, or pre-telemetry sessions) just omits the field.

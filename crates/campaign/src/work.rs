@@ -8,11 +8,11 @@
 //!
 //! * [`CursorSource`] — the in-memory work-stealing cursor behind
 //!   [`run_resumable`](crate::run_resumable): threads of one process claim
-//!   [`RANGE_POINTS`]-point ranges off a shared atomic counter. No I/O.
+//!   small chunks off a shared atomic counter. No I/O.
 //! * [`LocalSource`] — `ffr run` / `ffr resume`: the same cursor, each
-//!   range persisted as its per-range [`ShardCheckpoint`] through
-//!   [`Shards`] — the ranges and files a default `ffr worker` fleet uses,
-//!   without lease files.
+//!   [`RANGE_POINTS`]-point range persisted as its [`ShardCheckpoint`]
+//!   through [`Shards`] once its last point retires — the ranges and
+//!   files a default `ffr worker` fleet uses, without lease files.
 //! * [`LeaseQueue`] — a store-backed queue for **distributed draining**:
 //!   several `ffr worker` processes (on one machine or many, over a
 //!   shared filesystem) lease fixed point-index ranges of one campaign by
@@ -123,30 +123,37 @@ pub(crate) trait WorkSource: Sync {
     fn parallelism_hint(&self) -> usize;
 }
 
-/// Injection points per range: the unit [`CursorSource`] claims and
-/// [`LocalSource`] persists, and the default lease of `ffr worker`. One
-/// constant, so a default fleet cuts a campaign exactly as `ffr run` does
-/// and can finish an interrupted run shard for shard.
+/// Injection points claimed per work-steal off the [`CursorSource`]
+/// (small = better balance, large = less cursor contention).
+const STEAL_CHUNK: usize = 4;
+
+/// Injection points per range: the unit [`LocalSource`] persists as one
+/// shard, and the default lease of `ffr worker`. One constant, so a
+/// default fleet cuts a campaign exactly as `ffr run` does and can finish
+/// an interrupted run shard for shard.
 pub(crate) const RANGE_POINTS: usize = 16;
 
-/// The in-memory work source: the [`RANGE_POINTS`]-point ranges of a
-/// checkpoint that still hold an incomplete point, claimed off a shared
-/// atomic cursor (work stealing), persisting nothing. Per-point cost
-/// varies wildly under adaptive stopping, so dynamic claims beat a static
-/// split.
+/// The in-process work source: pending point indices behind a shared
+/// atomic cursor, claimed in small chunks (work stealing). Per-point cost
+/// varies wildly under adaptive stopping, so small dynamic chunks beat a
+/// static split.
 #[derive(Debug)]
 pub(crate) struct CursorSource {
-    ranges: Vec<Range<usize>>,
+    pending: Vec<usize>,
     cursor: AtomicUsize,
 }
 
 impl CursorSource {
-    /// A source over the ranges of `checkpoint` that are not complete.
+    /// A source over every incomplete point of `checkpoint`.
     pub(crate) fn new(checkpoint: &CampaignCheckpoint) -> CursorSource {
-        let mut ranges = lease_ranges(checkpoint.points.len(), RANGE_POINTS);
-        ranges.retain(|range| !is_complete(checkpoint, range));
         CursorSource {
-            ranges,
+            pending: checkpoint
+                .points
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !p.complete)
+                .map(|(i, _)| i)
+                .collect(),
             cursor: AtomicUsize::new(0),
         }
     }
@@ -154,34 +161,49 @@ impl CursorSource {
 
 impl WorkSource for CursorSource {
     fn claim(&self) -> io::Result<Vec<usize>> {
-        let next = self.ranges.get(self.cursor.fetch_add(1, Ordering::Relaxed));
-        Ok(next.map_or_else(Vec::new, |range| range.clone().collect()))
+        let start = self.cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
+        if start >= self.pending.len() {
+            return Ok(Vec::new());
+        }
+        Ok(self.pending[start..(start + STEAL_CHUNK).min(self.pending.len())].to_vec())
     }
 
     fn parallelism_hint(&self) -> usize {
-        self.ranges.len().max(1)
+        self.pending.len().max(1)
     }
 }
 
-/// `true` once every point of `range` is retired in `checkpoint`.
-fn is_complete(checkpoint: &CampaignCheckpoint, range: &Range<usize>) -> bool {
-    checkpoint.points[range.clone()].iter().all(|p| p.complete)
-}
-
-/// The work source of `ffr run` / `ffr resume`: a [`CursorSource`] whose
-/// every range is persisted as its shard. This process owns every range,
-/// so it holds no lease files.
+/// The work source of `ffr run` / `ffr resume`: the [`CursorSource`]'s
+/// work steals, persisted per [`RANGE_POINTS`]-point range — a range's
+/// shard is written when its last pending point retires. This process
+/// owns every range, so it holds no lease files.
 pub(crate) struct LocalSource {
     cursor: CursorSource,
+    ranges: Vec<Range<usize>>,
+    /// Per range: its points not yet retired.
+    unretired: Vec<AtomicUsize>,
     shards: Shards,
 }
 
 impl LocalSource {
-    /// A source over the incomplete ranges of `checkpoint`, persisting
-    /// them through `shards`.
+    /// A source over the incomplete points of `checkpoint`, persisting
+    /// their ranges through `shards`.
     pub(crate) fn new(shards: Shards, checkpoint: &CampaignCheckpoint) -> LocalSource {
         let cursor = CursorSource::new(checkpoint);
-        LocalSource { cursor, shards }
+        let ranges = lease_ranges(checkpoint.points.len(), RANGE_POINTS);
+        let unretired = ranges
+            .iter()
+            .map(|range| {
+                let points = &checkpoint.points[range.clone()];
+                AtomicUsize::new(points.iter().filter(|p| !p.complete).count())
+            })
+            .collect();
+        LocalSource {
+            cursor,
+            ranges,
+            unretired,
+            shards,
+        }
     }
 }
 
@@ -191,22 +213,25 @@ impl WorkSource for LocalSource {
     }
 
     fn chunk_done(&self, chunk: &[usize], checkpoint: &CampaignCheckpoint) -> io::Result<()> {
-        match (chunk.first(), chunk.last()) {
-            (Some(&start), Some(&last)) => self.shards.save(checkpoint, start..last + 1),
-            _ => Ok(()),
+        for &point in chunk {
+            let range = point / RANGE_POINTS;
+            if self.unretired[range].fetch_sub(1, Ordering::Relaxed) == 1 {
+                self.shards.save(checkpoint, self.ranges[range].clone())?;
+            }
         }
+        Ok(())
     }
 
-    /// The runner reports every range whose points are all retired as
-    /// done, so the claimed ranges with an incomplete point are the held
-    /// ones.
+    /// Saves every range holding a claimed point that has not retired
+    /// with its chunk.
     fn flush_held(&self, checkpoint: &CampaignCheckpoint) -> io::Result<()> {
-        let CursorSource { ranges, cursor } = &self.cursor;
-        let claimed = &ranges[..cursor.load(Ordering::Relaxed).min(ranges.len())];
-        claimed
-            .iter()
-            .filter(|range| !is_complete(checkpoint, range))
-            .try_for_each(|range| self.shards.save(checkpoint, range.clone()))
+        let CursorSource { pending, cursor } = &self.cursor;
+        let claimed = &pending[..cursor.load(Ordering::Relaxed).min(pending.len())];
+        let mut held: Vec<usize> = claimed.iter().map(|point| point / RANGE_POINTS).collect();
+        held.dedup();
+        held.into_iter()
+            .filter(|&range| self.unretired[range].load(Ordering::Relaxed) > 0)
+            .try_for_each(|range| self.shards.save(checkpoint, self.ranges[range].clone()))
     }
 
     fn parallelism_hint(&self) -> usize {
@@ -1026,11 +1051,8 @@ mod tests {
 
     #[test]
     fn cursor_source_hands_out_disjoint_chunks() {
-        let mut cp = checkpoint(40);
-        for point in &mut cp.points[16..32] {
-            point.complete = true;
-        }
-        cp.points[39].complete = true;
+        let mut cp = checkpoint(10);
+        cp.points[3].complete = true;
         let source = CursorSource::new(&cp);
         let mut seen = Vec::new();
         loop {
@@ -1040,8 +1062,42 @@ mod tests {
             }
             seen.extend(chunk);
         }
-        let expected: Vec<usize> = (0..16).chain(32..40).collect();
-        assert_eq!(seen, expected, "complete ranges are skipped");
+        assert_eq!(seen, vec![0, 1, 2, 4, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn local_source_saves_each_range_once_its_last_point_retires() {
+        // Resumed state: range 16..32 is complete, and the pending points
+        // of the others no longer fall on steal boundaries.
+        let dir = tmp_dir("local");
+        let mut cp = checkpoint(40);
+        for point in &mut cp.points[14..32] {
+            point.complete = true;
+        }
+        let shards = Shards::open(dir.clone(), "local", ffr_obs::Recorder::disabled()).unwrap();
+        let source = LocalSource::new(shards, &cp);
+        let saved = || -> Vec<(usize, usize)> {
+            let shards = list_shards(&dir).unwrap();
+            shards
+                .iter()
+                .map(|s| (s.range_start, s.range_end))
+                .collect()
+        };
+
+        for _ in 0..3 {
+            source.chunk_done(&source.claim().unwrap(), &cp).unwrap();
+        }
+        assert!(saved().is_empty(), "0..16 still has points 12 and 13");
+        let straddling = source.claim().unwrap();
+        assert_eq!(straddling, vec![12, 13, 32, 33]);
+        source.chunk_done(&straddling, &cp).unwrap();
+        assert_eq!(saved(), vec![(0, 16)]);
+
+        // The run stops with a claimed chunk unretired: only its range is
+        // flushed, and no shard is written for 16..32.
+        assert_eq!(source.claim().unwrap(), vec![34, 35, 36, 37]);
+        source.flush_held(&cp).unwrap();
+        assert_eq!(saved(), vec![(0, 16), (32, 40)]);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! Also exercises the artifact-store fast path: a rerun with identical
 //! inputs must be served from the cache.
 
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const FFR: &str = env!("CARGO_BIN_EXE_ffr");
+const SIGKILL: i32 = 9;
 
 fn fresh_dir(base: &Path, name: &str) -> PathBuf {
     let dir = base.join(name);
@@ -86,9 +88,19 @@ fn has_shard(out: &Path) -> bool {
     })
 }
 
+/// `true` once `checkpoint.json` under `out` holds the complete
+/// compaction a run writes just before its final table.
+fn published(out: &Path) -> bool {
+    std::fs::read_to_string(out.join("checkpoint.json"))
+        .is_ok_and(|text| !text.contains("\"complete\": false"))
+}
+
 /// Spawn the given `ffr run` invocation, SIGKILL it as soon as its first
-/// shard (persisted progress) lands on disk, and resume to completion.
-/// Returns whether the kill actually landed mid-run.
+/// shard (persisted progress) lands on disk, and wait for it. Returns
+/// whether the process died of the signal. A short run can finish
+/// between the poll and the signal, so the exit status decides, not
+/// whether a signal was sent; a run killed that late may also have
+/// published (see [`published`]).
 fn kill_when_checkpointed(args: &[String], out: &Path) -> bool {
     let mut child = Command::new(FFR)
         .args(args)
@@ -97,14 +109,10 @@ fn kill_when_checkpointed(args: &[String], out: &Path) -> bool {
         .spawn()
         .expect("spawn ffr run");
     let deadline = Instant::now() + Duration::from_secs(120);
-    let mut killed_mid_run = false;
     loop {
         if has_shard(out) {
             // Progress is on disk — kill the process hard, mid-campaign.
-            if child.try_wait().expect("try_wait").is_none() {
-                child.kill().expect("SIGKILL ffr");
-                killed_mid_run = true;
-            }
+            let _ = child.kill();
             break;
         }
         if child.try_wait().expect("try_wait").is_some() {
@@ -113,8 +121,8 @@ fn kill_when_checkpointed(args: &[String], out: &Path) -> bool {
         assert!(Instant::now() < deadline, "ffr run persisted no shard");
         std::thread::sleep(Duration::from_millis(2));
     }
-    let _ = child.wait();
-    killed_mid_run
+    let status = child.wait().expect("wait for ffr run");
+    status.signal() == Some(SIGKILL)
 }
 
 #[test]
@@ -146,12 +154,12 @@ fn sigkill_mid_campaign_resumes_byte_identical() {
     let out = fresh_dir(&base, "victim");
     let out_s = out.to_string_lossy().into_owned();
     let args = campaign_args(&out_s, &store_s);
-    let killed_mid_run = kill_when_checkpointed(&args, &out);
+    let killed = kill_when_checkpointed(&args, &out);
 
-    if killed_mid_run {
+    if killed {
         assert!(
-            !out.join("fdr.json").exists(),
-            "killed run must not have produced a final table"
+            published(&out) || !out.join("fdr.json").exists(),
+            "a run killed before its publish must not have produced a final table"
         );
         // Resume (possibly more than once if the kill landed before any
         // retirement made it to disk).
@@ -211,12 +219,12 @@ fn sigkill_mid_set_campaign_resumes_byte_identical() {
     let out = fresh_dir(&base, "victim");
     let out_s = out.to_string_lossy().into_owned();
     let args = set_campaign_args(&out_s);
-    let killed_mid_run = kill_when_checkpointed(&args, &out);
+    let killed = kill_when_checkpointed(&args, &out);
 
-    if killed_mid_run {
+    if killed {
         assert!(
-            !out.join("set-derating.json").exists(),
-            "killed run must not have produced a final table"
+            published(&out) || !out.join("set-derating.json").exists(),
+            "a run killed before its publish must not have produced a final table"
         );
         // Resume (possibly more than once if the kill landed before any
         // retirement made it to disk).
@@ -379,9 +387,9 @@ fn sigkill_mid_policy_campaign_resumes_byte_identical() {
     let out = fresh_dir(&base, "victim");
     let out_s = out.to_string_lossy().into_owned();
     let args = policy_campaign_args(&out_s);
-    let killed_mid_run = kill_when_checkpointed(&args, &out);
-    if killed_mid_run {
-        assert!(!out.join("fdr.json").exists());
+    let killed = kill_when_checkpointed(&args, &out);
+    if killed {
+        assert!(published(&out) || !out.join("fdr.json").exists());
         for _ in 0..3 {
             let output = ffr(&["resume", "--out", &out_s]);
             if output.status.success() {
