@@ -10,10 +10,9 @@
 //! Run: `cargo run --release -p ffr-bench --bin set_derating`
 //! (`FFR_SCALE=quick` for a smoke run).
 
-use ffr_bench::{golden_run, load_or_run_set_table, mac_setup, Scale};
-use ffr_circuits::MacJudge;
+use ffr_bench::{golden_run, load_or_run_set_table, mac_setup, run_mac_campaign, Scale};
 use ffr_core::{measured_rows, ModelKind, RawEventRates, SoftErrorEstimate};
-use ffr_fault::{Campaign, CampaignConfig};
+use ffr_fault::FaultKind;
 use ffr_ml::model_selection::{train_test_split, StratifiedKFold};
 use ffr_netlist::FfId;
 
@@ -42,16 +41,11 @@ fn main() {
 
     // SEU side: inject a training fraction, predict the rest.
     let golden = golden_run(&setup);
-    let judge = MacJudge::new(setup.extractor.clone(), &golden);
     let features = ffr_features::extract_features(&setup.cc, &golden.activity);
-    let campaign = Campaign::with_golden(&setup.cc, &setup.tb, &setup.watch, &judge, golden);
     let num_ffs = setup.cc.num_ffs();
     let (subset, _) = train_test_split(num_ffs, 0.3, 2019);
-    let subset: Vec<FfId> = subset.into_iter().map(FfId::from_index).collect();
-    let config = CampaignConfig::new(setup.tb.injection_window())
-        .with_injections(scale.injections_per_ff())
-        .with_seed(2019);
-    let table = campaign.run_parallel_subset(&subset, &config, |_, _| {});
+    let subset = subset.into_iter().map(|i| i as u32).collect();
+    let table = run_mac_campaign(&setup, golden, FaultKind::Seu, subset).to_fdr_table_for(num_ffs);
     let rows = features.to_rows();
     let (tx, ty) = measured_rows(&table, &rows);
     let estimate = ffr_core::estimate(

@@ -20,10 +20,14 @@
 pub mod drift;
 pub mod policy_study;
 
-use ffr_campaign::{ArtifactKind, ArtifactStore, StoreKey};
+use ffr_campaign::{
+    run_resumable, AdaptivePolicy, ArtifactKind, ArtifactStore, CampaignCheckpoint, CancelToken,
+    CheckpointParams, RunnerOptions, StoreKey,
+};
 use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, PacketExtractor, TrafficConfig};
 use ffr_core::ReferenceDataset;
-use ffr_fault::{Campaign, CampaignConfig};
+use ffr_fault::{Campaign, FaultKind, SetDeratingTable};
+use ffr_features::extract_features;
 use ffr_sim::{CompiledCircuit, GoldenRun, WatchList};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -163,6 +167,53 @@ pub fn golden_run(setup: &MacSetup) -> GoldenRun {
     golden
 }
 
+/// Run the MAC campaign of `setup` over `points` (raw ids of `fault`'s
+/// injection points) through the campaign runner: the scale's fixed
+/// plan, seed 2019, the packet-level judge. Returns the completed
+/// checkpoint; progress goes to stderr.
+pub fn run_mac_campaign(
+    setup: &MacSetup,
+    golden: GoldenRun,
+    fault: FaultKind,
+    points: Vec<u32>,
+) -> CampaignCheckpoint {
+    let judge = MacJudge::new(setup.extractor.clone(), &golden);
+    let campaign = Campaign::with_golden(&setup.cc, &setup.tb, &setup.watch, &judge, golden);
+    let window = setup.tb.injection_window();
+    let params = CheckpointParams {
+        fault,
+        seed: 2019,
+        window_start: window.start,
+        window_end: window.end,
+        policy: AdaptivePolicy::fixed(setup.scale.injections_per_ff()),
+    };
+    eprintln!(
+        "[ffr-bench] running {fault} campaign: {} points x {} injections...",
+        points.len(),
+        params.policy.max_injections
+    );
+    let mut checkpoint = CampaignCheckpoint::fresh(setup.scale.tag().into(), params, points);
+    let t0 = Instant::now();
+    run_resumable(
+        &campaign,
+        &mut checkpoint,
+        &RunnerOptions::default(),
+        &CancelToken::new(),
+        |done, total| {
+            if done % 100 == 0 || done == total {
+                eprint!("\r[ffr-bench] {done}/{total} points");
+                let _ = std::io::stderr().flush();
+            }
+        },
+    )
+    .expect("an in-memory campaign writes nothing");
+    eprintln!(
+        "\n[ffr-bench] {fault} campaign done in {:.1?}",
+        t0.elapsed()
+    );
+    checkpoint
+}
+
 /// Load the cached reference dataset for `setup`, or run the full flat
 /// campaign (§IV-A) and cache it in the artifact store. `force` re-runs
 /// the campaign even when the dataset is cached.
@@ -176,24 +227,14 @@ pub fn load_or_collect_dataset(setup: &MacSetup, force: bool) -> ReferenceDatase
         }
     }
     let golden = golden_run(setup);
-    let judge = MacJudge::new(setup.extractor.clone(), &golden);
-    let campaign = Campaign::with_golden(&setup.cc, &setup.tb, &setup.watch, &judge, golden);
-    let config = CampaignConfig::new(setup.tb.injection_window())
-        .with_injections(setup.scale.injections_per_ff())
-        .with_seed(2019);
-    eprintln!(
-        "[ffr-bench] running flat campaign: {} FFs x {} injections...",
-        setup.cc.num_ffs(),
-        config.injections_per_ff
-    );
-    let t0 = Instant::now();
-    let ds = ReferenceDataset::collect(&campaign, &config, |done, total| {
-        if done % 100 == 0 || done == total {
-            eprint!("\r[ffr-bench] {done}/{total} flip-flops");
-            let _ = std::io::stderr().flush();
-        }
-    });
-    eprintln!("\n[ffr-bench] campaign done in {:.1?}", t0.elapsed());
+    let features = extract_features(&setup.cc, &golden.activity);
+    let num_ffs = setup.cc.num_ffs();
+    let checkpoint = run_mac_campaign(setup, golden, FaultKind::Seu, (0..num_ffs as u32).collect());
+    let ds = ReferenceDataset {
+        features,
+        fdr: checkpoint.to_fdr_table_for(num_ffs).dense_fdr(),
+        injections_per_ff: setup.scale.injections_per_ff(),
+    };
     if let Err(e) = store.put(ArtifactKind::Dataset, &key, &ds) {
         eprintln!("[ffr-bench] warning: failed to cache dataset: {e}");
     }
@@ -204,18 +245,18 @@ pub fn load_or_collect_dataset(setup: &MacSetup, force: bool) -> ReferenceDatase
 /// at paper scale, a deterministic 1-in-8 stratified subsample at quick
 /// scale (the SET universe is several times larger than the flip-flop
 /// one, and smoke runs only need the shape of the distribution).
-pub(crate) fn set_target_nets(scale: Scale, cc: &CompiledCircuit) -> Vec<ffr_netlist::NetId> {
-    let nets = cc.comb_output_nets();
+fn set_target_nets(scale: Scale, cc: &CompiledCircuit) -> Vec<u32> {
+    let nets = cc.comb_output_nets().into_iter().map(|n| n.index() as u32);
     match scale {
-        Scale::Paper => nets,
-        Scale::Quick => nets.into_iter().step_by(8).collect(),
+        Scale::Paper => nets.collect(),
+        Scale::Quick => nets.step_by(8).collect(),
     }
 }
 
 /// Load the cached SET de-rating table for `scale`, or run the
 /// combinational-net transient campaign over `set_target_nets` and
 /// cache it in the artifact store.
-pub fn load_or_run_set_table(scale: Scale) -> ffr_fault::SetDeratingTable {
+pub fn load_or_run_set_table(scale: Scale) -> SetDeratingTable {
     let store = artifact_store();
     let setup = mac_setup(scale);
     let key = StoreKey::of(
@@ -227,32 +268,12 @@ pub fn load_or_run_set_table(scale: Scale) -> ffr_fault::SetDeratingTable {
             scale.injections_per_ff()
         ),
     );
-    if let Ok(Some(table)) = store.get::<ffr_fault::SetDeratingTable>(ArtifactKind::SetTable, &key)
-    {
+    if let Ok(Some(table)) = store.get::<SetDeratingTable>(ArtifactKind::SetTable, &key) {
         eprintln!("[ffr-bench] SET table served from artifact store ({key})");
         return table;
     }
-    let golden = golden_run(&setup);
-    let judge = MacJudge::new(setup.extractor.clone(), &golden);
-    let campaign =
-        ffr_fault::Campaign::with_golden(&setup.cc, &setup.tb, &setup.watch, &judge, golden);
-    let config = CampaignConfig::new(setup.tb.injection_window())
-        .with_injections(scale.injections_per_ff())
-        .with_seed(2019);
     let nets = set_target_nets(scale, &setup.cc);
-    eprintln!(
-        "[ffr-bench] running SET campaign: {} nets x {} injections...",
-        nets.len(),
-        config.injections_per_ff
-    );
-    let t0 = Instant::now();
-    let table = campaign.run_set_parallel(&nets, &config, |done, total| {
-        if done % 100 == 0 || done == total {
-            eprint!("\r[ffr-bench] {done}/{total} nets");
-            let _ = std::io::stderr().flush();
-        }
-    });
-    eprintln!("\n[ffr-bench] SET campaign done in {:.1?}", t0.elapsed());
+    let table = run_mac_campaign(&setup, golden_run(&setup), FaultKind::Set, nets).to_set_table();
     if let Err(e) = store.put(ArtifactKind::SetTable, &key, &table) {
         eprintln!("[ffr-bench] warning: failed to cache SET table: {e}");
     }

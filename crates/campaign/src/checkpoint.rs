@@ -131,8 +131,10 @@ pub struct CampaignCheckpoint {
 
 impl CampaignCheckpoint {
     /// Fresh checkpoint covering the given raw point ids (see
-    /// [`InjectionPoint::raw_index`]).
-    pub(crate) fn fresh(
+    /// [`InjectionPoint::raw_index`]) — every flip-flop of a circuit
+    /// (`0..num_ffs`), a training subset of them, or a list of nets for a
+    /// SET campaign.
+    pub fn fresh(
         fingerprint: String,
         params: CheckpointParams,
         point_ids: impl IntoIterator<Item = u32>,
@@ -145,16 +147,6 @@ impl CampaignCheckpoint {
             num_points: points.len(),
             points,
         }
-    }
-
-    /// Fresh SEU checkpoint covering every flip-flop of a circuit.
-    pub fn fresh_seu(
-        fingerprint: String,
-        params: CheckpointParams,
-        num_ffs: usize,
-    ) -> CampaignCheckpoint {
-        assert_eq!(params.fault, FaultKind::Seu);
-        CampaignCheckpoint::fresh(fingerprint, params, 0..num_ffs as u32)
     }
 
     /// The injection point of one progress record.
@@ -177,16 +169,6 @@ impl CampaignCheckpoint {
         self.points.iter().all(|p| p.complete)
     }
 
-    /// Assemble the final FDR table from a completed SEU campaign that
-    /// covered every flip-flop of the circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the campaign is not complete or not an SEU campaign.
-    pub fn to_fdr_table(&self) -> FdrTable {
-        self.to_fdr_table_for(self.num_points)
-    }
-
     /// Assemble the FDR table of a completed SEU campaign over a circuit
     /// with `num_ffs` flip-flops. For budgeted campaigns the checkpoint
     /// covers only a measured subset, so `num_ffs` exceeds
@@ -198,7 +180,7 @@ impl CampaignCheckpoint {
     ///
     /// Panics if the campaign is not complete, not an SEU campaign, or a
     /// point id is out of range for `num_ffs`.
-    pub(crate) fn to_fdr_table_for(&self, num_ffs: usize) -> FdrTable {
+    pub fn to_fdr_table_for(&self, num_ffs: usize) -> FdrTable {
         assert_eq!(
             self.params.fault,
             FaultKind::Seu,
@@ -225,11 +207,11 @@ impl CampaignCheckpoint {
     /// # Panics
     ///
     /// Panics if the campaign is not complete or not a SET campaign.
-    pub(crate) fn to_set_table(&self) -> SetDeratingTable {
+    pub fn to_set_table(&self) -> SetDeratingTable {
         assert_eq!(
             self.params.fault,
             FaultKind::Set,
-            "de-rating tables come from SET campaigns (use to_fdr_table)"
+            "de-rating tables come from SET campaigns (use to_fdr_table_for)"
         );
         assert!(
             self.is_complete(),
@@ -497,7 +479,7 @@ mod tests {
 
     #[test]
     fn fresh_checkpoint_is_empty() {
-        let cp = CampaignCheckpoint::fresh_seu("k".into(), params(FaultKind::Seu), 4);
+        let cp = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Seu), 0..4);
         assert_eq!(cp.points.len(), 4);
         assert_eq!(cp.completed_points(), 0);
         assert_eq!(cp.total_injections(), 0);
@@ -531,7 +513,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ffr_ckpt_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
-        let mut cp = CampaignCheckpoint::fresh_seu("abc".into(), params(FaultKind::Seu), 3);
+        let mut cp = CampaignCheckpoint::fresh("abc".into(), params(FaultKind::Seu), 0..3);
         cp.points[1].complete = true;
         cp.points[1].injections_done = 128;
         cp.save(&path).unwrap();
@@ -565,14 +547,14 @@ mod tests {
 
     #[test]
     fn to_fdr_table_requires_completion() {
-        let mut cp = CampaignCheckpoint::fresh_seu("k".into(), params(FaultKind::Seu), 2);
+        let mut cp = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Seu), 0..2);
         for p in &mut cp.points {
             p.counts[FailureClass::Benign.tally_index()] = 48;
             p.counts[FailureClass::OutputMismatch.tally_index()] = 16;
             p.injections_done = 64;
             p.complete = true;
         }
-        let table = cp.to_fdr_table();
+        let table = cp.to_fdr_table_for(2);
         assert_eq!(table.num_ffs(), 2);
         assert_eq!(table.fdr(FfId::from_index(0)), Some(0.25));
     }
@@ -620,7 +602,7 @@ mod tests {
 
     #[test]
     fn shard_slice_merge_round_trip() {
-        let base = CampaignCheckpoint::fresh_seu("k".into(), params(FaultKind::Seu), 6);
+        let base = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Seu), 0..6);
         let worked = progressed(&progressed(&base, 2, 128), 3, 64);
         let shard = worked.shard("w1", 2..4);
         assert_eq!(shard.worker, "w1");
@@ -639,7 +621,7 @@ mod tests {
 
     #[test]
     fn shard_merge_is_order_independent_and_prefers_progress() {
-        let base = CampaignCheckpoint::fresh_seu("k".into(), params(FaultKind::Seu), 4);
+        let base = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Seu), 0..4);
         // Two overlapping shards of the same deterministic campaign: one
         // worker got further into point 1's plan than the other.
         let early = progressed(&base, 1, 64).shard("w1", 0..2);
@@ -657,8 +639,8 @@ mod tests {
 
     #[test]
     fn shard_merge_rejects_foreign_or_misaligned_shards() {
-        let mut cp = CampaignCheckpoint::fresh_seu("k".into(), params(FaultKind::Seu), 4);
-        let foreign = CampaignCheckpoint::fresh_seu("other".into(), params(FaultKind::Seu), 4)
+        let mut cp = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Seu), 0..4);
+        let foreign = CampaignCheckpoint::fresh("other".into(), params(FaultKind::Seu), 0..4)
             .shard("w", 0..2);
         assert!(cp.merge_shard(&foreign).is_err(), "fingerprint mismatch");
 
@@ -696,7 +678,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ffr_shard_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("shard.json");
-        let cp = CampaignCheckpoint::fresh_seu("k".into(), params(FaultKind::Seu), 5);
+        let cp = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Seu), 0..5);
         let shard = progressed(&cp, 3, 128).shard("w9", 2..5);
         shard.save(&path).unwrap();
         assert_eq!(ShardCheckpoint::load(&path).unwrap(), shard);
@@ -711,6 +693,6 @@ mod tests {
     fn fdr_table_from_set_campaign_panics() {
         let mut cp = CampaignCheckpoint::fresh("k".into(), params(FaultKind::Set), [0u32]);
         cp.points[0].complete = true;
-        let _ = cp.to_fdr_table();
+        let _ = cp.to_fdr_table_for(1);
     }
 }

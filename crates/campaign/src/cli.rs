@@ -352,72 +352,92 @@ fn cmd_status(mut args: Args) -> Result<i32, String> {
     let json = args.present("json")?;
     args.finish()?;
     let (report, fault) = crate::status::gather_status(&out)?;
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
-        return Ok(0);
+    let mut stdout = std::io::stdout().lock();
+    let written = if json {
+        serde_json::to_string_pretty(&report)
+            .map_err(std::io::Error::other)
+            .and_then(|text| writeln!(stdout, "{text}"))
+    } else {
+        write_status(&mut stdout, &report, fault)
+    };
+    match written.and_then(|()| stdout.flush()) {
+        // A reader that closes the pipe early (`ffr status | grep -q …`)
+        // already has what it wanted.
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(0),
     }
-    println!("campaign session {}", report.session);
-    println!("  circuit:     {}", report.circuit);
-    println!("  fault:       {}", report.fault);
-    println!("  seed:        {}", report.seed);
-    println!("  policy:      {}", report.policy);
-    println!("  fingerprint: {}", report.fingerprint);
+}
+
+/// The human-readable `ffr status` report.
+fn write_status(
+    out: &mut impl std::io::Write,
+    report: &crate::status::StatusReport,
+    fault: FaultKind,
+) -> std::io::Result<()> {
+    writeln!(out, "campaign session {}", report.session)?;
+    writeln!(out, "  circuit:     {}", report.circuit)?;
+    writeln!(out, "  fault:       {}", report.fault)?;
+    writeln!(out, "  seed:        {}", report.seed)?;
+    writeln!(out, "  policy:      {}", report.policy)?;
+    writeln!(out, "  fingerprint: {}", report.fingerprint)?;
     let noun = point_noun(fault);
     match &report.progress {
         Some(p) => {
-            println!(
+            writeln!(
+                out,
                 "  progress:    {}/{} {noun} retired, {} injections",
                 p.completed_points, p.total_points, p.injections
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "  state:       {}",
                 if p.complete {
                     "complete"
                 } else {
                     "resumable (run `ffr resume` or `ffr worker`)"
                 }
-            );
+            )?;
         }
-        None => println!("  progress:    not started"),
+        None => writeln!(out, "  progress:    not started")?,
     }
     if let Some(t) = &report.telemetry {
         match (t.injections_per_sec, t.eta_secs) {
             (Some(rate), Some(eta)) => {
-                println!("  rate:        {rate:.1} injections/s (ETA ~{eta} s)")
+                writeln!(out, "  rate:        {rate:.1} injections/s (ETA ~{eta} s)")?
             }
-            (Some(rate), None) => println!("  rate:        {rate:.1} injections/s"),
-            (None, _) => println!("  rate:        not yet measurable"),
+            (Some(rate), None) => writeln!(out, "  rate:        {rate:.1} injections/s")?,
+            (None, _) => writeln!(out, "  rate:        not yet measurable")?,
         }
     }
     if report.shard_count > 0 {
-        println!(
+        writeln!(
+            out,
             "  shards:      {} ({} complete)",
             report.shard_count, report.complete_shards
-        );
+        )?;
     }
     for w in &report.workers {
-        println!(
+        writeln!(
+            out,
             "  worker {:<12} {} active lease(s), {} shard(s), {} points retired",
             format!("{}:", w.worker),
             w.active_leases,
             w.shards,
             w.retired_points
-        );
+        )?;
     }
     for lease in report.leases.iter().filter(|l| l.expired) {
-        println!(
+        writeln!(
+            out,
             "  WARNING: stale lease on points {}..{} (worker {}, expired {}s ago) — \
              reclaimed by the next worker, or sweep with `ffr gc --campaign`",
             lease.range_start, lease.range_end, lease.worker, -lease.expires_in_secs
-        );
+        )?;
     }
     if let Some(table) = &report.table {
-        println!("  results:     {table}");
+        writeln!(out, "  results:     {table}")?;
     }
-    Ok(0)
+    Ok(())
 }
 
 fn cmd_stats(mut args: Args) -> Result<i32, String> {

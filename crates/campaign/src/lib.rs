@@ -2,9 +2,11 @@
 //! orchestration.
 //!
 //! The statistical campaigns of the paper (170 injections × every
-//! flip-flop) dominate the cost of the whole estimation flow. This crate
-//! turns the one-shot in-memory campaigns of [`ffr_fault`] into durable
-//! jobs that scale:
+//! flip-flop) dominate the cost of the whole estimation flow. [`ffr_fault`]
+//! runs one injection point; this crate's runner is the one loop over a
+//! campaign's points — for in-memory callers ([`run_resumable`] over a
+//! [`CampaignCheckpoint::fresh`] point list) and for durable jobs that
+//! scale:
 //!
 //! Campaigns are generic over the fault model: every layer — progress
 //! records, runner, session, CLI — works on

@@ -419,7 +419,9 @@ mod tests {
     use crate::adaptive::AdaptivePolicy;
     use crate::checkpoint::CheckpointParams;
     use ffr_circuits::small;
-    use ffr_fault::OutputMismatchJudge;
+    use ffr_fault::{
+        FfCampaignResult, InjectionPoint, NetSetResult, OutputMismatchJudge, SetDeratingTable,
+    };
     use ffr_sim::{CompiledCircuit, InputFrame, WatchList};
 
     struct AlwaysOn;
@@ -434,32 +436,24 @@ mod tests {
         }
     }
 
+    fn params(fault: FaultKind, policy: AdaptivePolicy) -> CheckpointParams {
+        CheckpointParams {
+            fault,
+            seed: 11,
+            window_start: 10,
+            window_end: 120,
+            policy,
+        }
+    }
+
     fn checkpoint_for(cc: &CompiledCircuit, policy: AdaptivePolicy) -> CampaignCheckpoint {
-        CampaignCheckpoint::fresh_seu(
-            "test".into(),
-            CheckpointParams {
-                fault: FaultKind::Seu,
-                seed: 11,
-                window_start: 10,
-                window_end: 120,
-                policy,
-            },
-            cc.num_ffs(),
-        )
+        let ffs = 0..cc.num_ffs() as u32;
+        CampaignCheckpoint::fresh("test".into(), params(FaultKind::Seu, policy), ffs)
     }
 
     fn set_checkpoint_for(cc: &CompiledCircuit, policy: AdaptivePolicy) -> CampaignCheckpoint {
-        CampaignCheckpoint::fresh(
-            "test".into(),
-            CheckpointParams {
-                fault: FaultKind::Set,
-                seed: 11,
-                window_start: 10,
-                window_end: 120,
-                policy,
-            },
-            cc.comb_output_nets().iter().map(|n| n.index() as u32),
-        )
+        let nets = cc.comb_output_nets().into_iter().map(|n| n.index() as u32);
+        CampaignCheckpoint::fresh("test".into(), params(FaultKind::Set, policy), nets)
     }
 
     /// [`run_resumable`] with a fresh cancel token and no progress
@@ -479,31 +473,36 @@ mod tests {
         .unwrap()
     }
 
+    /// A fixed-budget runner campaign reproduces the one-shot engine
+    /// ([`Campaign::run_point`]) point for point: over every flip-flop,
+    /// and at two threads over a subset, which alone the table covers.
     #[test]
     fn complete_run_matches_classic_campaign() {
-        // A fixed-budget resumable run must reproduce Campaign::run
-        // exactly (same plans, same tallies).
         let cc = CompiledCircuit::compile(small::lfsr_pipeline(4, 2)).unwrap();
         let watch = WatchList::all(&cc);
         let judge = OutputMismatchJudge::new();
         let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
+        let config = CampaignConfig::new(10..120)
+            .with_injections(128)
+            .with_seed(11);
 
-        let mut cp = checkpoint_for(&cc, AdaptivePolicy::fixed(128));
-        let outcome = drive(&campaign, &mut cp, &RunnerOptions::default());
-        assert_eq!(outcome, RunOutcome::Complete);
-        let resumable = cp.to_fdr_table();
-
-        let classic = campaign.run(
-            &CampaignConfig::new(10..120)
-                .with_injections(128)
-                .with_seed(11),
-        );
-        for (ff, _) in cc.netlist().ffs() {
-            assert_eq!(resumable.fdr(ff), classic.fdr(ff));
-            assert_eq!(
-                resumable.result(ff).unwrap().failures(),
-                classic.result(ff).unwrap().failures()
-            );
+        let all: Vec<u32> = (0..cc.num_ffs() as u32).collect();
+        let subset: Vec<u32> = all.iter().copied().step_by(3).collect();
+        for (points, threads) in [(all, None), (subset, Some(2))] {
+            let params = params(FaultKind::Seu, AdaptivePolicy::fixed(128));
+            let mut cp = CampaignCheckpoint::fresh("test".into(), params, points.clone());
+            let options = RunnerOptions {
+                threads,
+                ..RunnerOptions::default()
+            };
+            assert_eq!(drive(&campaign, &mut cp, &options), RunOutcome::Complete);
+            let table = cp.to_fdr_table_for(cc.num_ffs());
+            let covered: Vec<u32> = table.covered().map(|r| r.ff().index() as u32).collect();
+            assert_eq!(covered, points);
+            for r in table.covered() {
+                let one_shot = campaign.run_point(InjectionPoint::Seu(r.ff()), &config);
+                assert_eq!(r, &FfCampaignResult::new(r.ff(), one_shot));
+            }
         }
     }
 
@@ -554,12 +553,30 @@ mod tests {
         assert_eq!(outcome, RunOutcome::Complete);
         let resumable = reference.to_set_table();
 
-        // One-shot engine on the same nets, same seed/window.
-        let config = ffr_fault::CampaignConfig::new(10..120)
+        // One-shot engine on the same nets, same seed/window; then a net
+        // subset at two threads, which alone the table covers.
+        let config = CampaignConfig::new(10..120)
             .with_injections(96)
             .with_seed(11);
-        let one_shot = campaign.run_set_parallel(&cc.comb_output_nets(), &config, |_, _| {});
-        assert_eq!(resumable, one_shot);
+        let one_shot =
+            |net| NetSetResult::new(net, campaign.run_point(InjectionPoint::Set(net), &config));
+        let nets = cc.comb_output_nets();
+        let all = SetDeratingTable::from_results(nets.iter().map(|&n| one_shot(n)).collect(), 96);
+        assert_eq!(resumable, all);
+        let subset: Vec<u32> = nets.iter().step_by(3).map(|n| n.index() as u32).collect();
+        let params = params(FaultKind::Set, policy.clone());
+        let mut cp = CampaignCheckpoint::fresh("test".into(), params, subset.clone());
+        let options = RunnerOptions {
+            threads: Some(2),
+            ..RunnerOptions::default()
+        };
+        assert_eq!(drive(&campaign, &mut cp, &options), RunOutcome::Complete);
+        let table = cp.to_set_table();
+        let covered: Vec<u32> = table.covered().map(|r| r.net().index() as u32).collect();
+        assert_eq!(covered, subset);
+        for r in table.covered() {
+            assert_eq!(r, &one_shot(r.net()));
+        }
 
         // Kill after 2 retirements, resume, compare checkpoints.
         let mut cp = set_checkpoint_for(&cc, policy);
@@ -593,8 +610,8 @@ mod tests {
         assert!(adaptive.total_injections() < fixed.total_injections());
         // Settled flip-flops agree on the paper's binary split: a fully
         // benign FF under one policy is fully benign under the other.
-        let tf = fixed.to_fdr_table();
-        let ta = adaptive.to_fdr_table();
+        let tf = fixed.to_fdr_table_for(cc.num_ffs());
+        let ta = adaptive.to_fdr_table_for(cc.num_ffs());
         for (ff, _) in cc.netlist().ffs() {
             let f = tf.fdr(ff).unwrap();
             let a = ta.fdr(ff).unwrap();

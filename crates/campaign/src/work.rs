@@ -1012,7 +1012,7 @@ mod tests {
     }
 
     fn checkpoint(num: usize) -> CampaignCheckpoint {
-        CampaignCheckpoint::fresh_seu(
+        CampaignCheckpoint::fresh(
             "fp".into(),
             CheckpointParams {
                 fault: FaultKind::Seu,
@@ -1021,7 +1021,7 @@ mod tests {
                 window_end: 10,
                 policy: AdaptivePolicy::fixed(64),
             },
-            num,
+            0..num as u32,
         )
     }
 

@@ -277,6 +277,22 @@ fn status_and_report_on_finished_campaign() {
     let text = String::from_utf8_lossy(&status.stdout);
     assert!(text.contains("complete"), "{text}");
 
+    // A reader that closes the pipe before `ffr status` writes (as
+    // `ffr status | grep -q …` does) ends it quietly, text and JSON alike.
+    for extra in [None, Some("--json")] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let closed = Command::new(FFR)
+            .args(["status", "--out", &out_s].into_iter().chain(extra))
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn ffr");
+        let stderr = String::from_utf8_lossy(&closed.stderr);
+        assert_eq!(closed.status.code(), Some(0), "{extra:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+    }
+
     let report = ffr(&["report", "--out", &out_s]);
     assert!(report.status.success());
     let text = String::from_utf8_lossy(&report.stdout);

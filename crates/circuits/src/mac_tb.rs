@@ -419,7 +419,17 @@ impl FailureJudge for MacJudge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffr_fault::{Campaign, CampaignConfig};
+    use ffr_fault::{Campaign, CampaignConfig, FfCampaignResult, InjectionPoint};
+    use ffr_netlist::FfId;
+
+    /// FDR of one flip-flop under `config`'s planned injections.
+    fn fdr(
+        campaign: &Campaign<'_, MacTestbench, MacJudge>,
+        ff: FfId,
+        config: &CampaignConfig,
+    ) -> f64 {
+        FfCampaignResult::new(ff, campaign.run_point(InjectionPoint::Seu(ff), config)).fdr()
+    }
 
     fn setup_small() -> (CompiledCircuit, MacTestbench, WatchList, PacketExtractor) {
         MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small())
@@ -480,20 +490,20 @@ mod tests {
             .netlist()
             .find_ff("tx_fifo_mem0_reg[3]")
             .expect("fifo bit exists");
-        let r = campaign.run_ff(fifo_ff, &config);
+        let r = fdr(&campaign, fifo_ff, &config);
         assert!(
-            r.fdr() > 0.0,
+            r > 0.0,
             "occupied FIFO bits must sometimes corrupt payloads"
         );
-        assert!(r.fdr() < 1.0, "unoccupied windows must be benign");
+        assert!(r < 1.0, "unoccupied windows must be benign");
 
         // A benign status counter bit.
         let benign_ff = cc
             .netlist()
             .find_ff("uptime_reg[5]")
             .expect("uptime bit exists");
-        let r = campaign.run_ff(benign_ff, &config);
-        assert_eq!(r.fdr(), 0.0, "uptime is functionally inert");
+        let r = fdr(&campaign, benign_ff, &config);
+        assert_eq!(r, 0.0, "uptime is functionally inert");
     }
 
     #[test]
@@ -506,12 +516,8 @@ mod tests {
             .with_injections(40)
             .with_seed(2);
         let state_ff = cc.netlist().find_ff("tx_state_reg[0]").expect("state bit");
-        let r = campaign.run_ff(state_ff, &config);
-        assert!(
-            r.fdr() > 0.1,
-            "TX FSM upsets must disrupt traffic, fdr = {}",
-            r.fdr()
-        );
+        let r = fdr(&campaign, state_ff, &config);
+        assert!(r > 0.1, "TX FSM upsets must disrupt traffic, fdr = {}", r);
     }
 
     #[test]
@@ -531,14 +537,14 @@ mod tests {
             .netlist()
             .find_ff("pause_timer_reg[0]")
             .expect("pause lsb");
-        let r_msb = campaign.run_ff(msb, &config);
-        let r_lsb = campaign.run_ff(lsb, &config);
+        let r_msb = fdr(&campaign, msb, &config);
+        let r_lsb = fdr(&campaign, lsb, &config);
         assert!(
-            r_msb.fdr() >= r_lsb.fdr(),
+            r_msb >= r_lsb,
             "stalling 32k cycles must be at least as harmful as 1 cycle: msb {} lsb {}",
-            r_msb.fdr(),
-            r_lsb.fdr()
+            r_msb,
+            r_lsb
         );
-        assert!(r_msb.fdr() > 0.3, "pause MSB should hang traffic");
+        assert!(r_msb > 0.3, "pause MSB should hang traffic");
     }
 }

@@ -1,15 +1,15 @@
 //! The reference dataset: per-flip-flop features paired with
 //! fault-injection FDR values.
 
-use ffr_fault::{Campaign, CampaignConfig, FailureJudge, FdrTable};
-use ffr_features::{extract_features, FeatureMatrix};
-use ffr_sim::Stimulus;
+use ffr_features::FeatureMatrix;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
 
 /// Features and reference FDR for every flip-flop of a circuit — the
-/// training/validation corpus of §IV.
+/// training/validation corpus of §IV. Built from the features of a
+/// campaign's golden run and the dense FDRs of a flat campaign over every
+/// flip-flop ([`FdrTable::dense_fdr`](ffr_fault::FdrTable::dense_fdr)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReferenceDataset {
     /// Per-flip-flop feature matrix (row `i` ↔ `FfId(i)`).
@@ -21,33 +21,6 @@ pub struct ReferenceDataset {
 }
 
 impl ReferenceDataset {
-    /// Run the full flat statistical fault-injection campaign over every
-    /// flip-flop of a prepared campaign and extract the features from its
-    /// golden run, producing the complete reference dataset.
-    ///
-    /// `progress` receives `(flip-flops done, total)`.
-    pub fn collect<S, J>(
-        campaign: &Campaign<'_, S, J>,
-        config: &CampaignConfig,
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> ReferenceDataset
-    where
-        S: Stimulus + Sync,
-        J: FailureJudge,
-    {
-        let cc = campaign.circuit();
-        let features = extract_features(cc, &campaign.golden().activity);
-        let all: Vec<ffr_netlist::FfId> = (0..cc.num_ffs())
-            .map(ffr_netlist::FfId::from_index)
-            .collect();
-        let table: FdrTable = campaign.run_parallel_subset(&all, config, progress);
-        ReferenceDataset {
-            features,
-            fdr: table.dense_fdr(),
-            injections_per_ff: config.injections_per_ff,
-        }
-    }
-
     /// Number of samples (flip-flops).
     pub fn len(&self) -> usize {
         self.fdr.len()
@@ -102,6 +75,8 @@ impl ReferenceDataset {
 mod tests {
     use super::*;
     use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, TrafficConfig};
+    use ffr_fault::{Campaign, CampaignConfig, FdrTable, FfCampaignResult, InjectionPoint};
+    use ffr_features::extract_features;
     use ffr_sim::GoldenRun;
 
     #[test]
@@ -114,7 +89,18 @@ mod tests {
         let config = CampaignConfig::new(tb.injection_window())
             .with_injections(6)
             .with_seed(1);
-        let ds = ReferenceDataset::collect(&campaign, &config, |_, _| {});
+        let results = cc
+            .netlist()
+            .ffs()
+            .map(|(ff, _)| {
+                FfCampaignResult::new(ff, campaign.run_point(InjectionPoint::Seu(ff), &config))
+            })
+            .collect();
+        let ds = ReferenceDataset {
+            features: extract_features(&cc, &campaign.golden().activity),
+            fdr: FdrTable::from_results(cc.num_ffs(), results, 6).dense_fdr(),
+            injections_per_ff: 6,
+        };
         assert_eq!(ds.len(), cc.num_ffs());
         assert!(!ds.is_empty());
         assert!(ds.y().iter().all(|&v| (0.0..=1.0).contains(&v)));

@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn measured_rows_train_on_covered_ffs_only_and_every_ff_gets_a_value() {
         use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, TrafficConfig};
-        use ffr_fault::{Campaign, CampaignConfig};
+        use ffr_fault::{Campaign, CampaignConfig, FdrTable, FfCampaignResult, InjectionPoint};
         use ffr_netlist::FfId;
         use ffr_sim::GoldenRun;
         let (cc, tb, watch, extractor) =
@@ -279,7 +279,16 @@ mod tests {
         let config = CampaignConfig::new(tb.injection_window())
             .with_injections(4)
             .with_seed(11);
-        let table = campaign.run_parallel_subset(&subset, &config, |_, _| {});
+        let table = FdrTable::from_results(
+            cc.num_ffs(),
+            subset
+                .iter()
+                .map(|&ff| {
+                    FfCampaignResult::new(ff, campaign.run_point(InjectionPoint::Seu(ff), &config))
+                })
+                .collect(),
+            4,
+        );
 
         let (tx, ty) = measured_rows(&table, &rows);
         assert_eq!(tx.len(), subset.len());

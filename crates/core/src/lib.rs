@@ -4,17 +4,19 @@
 //! This crate wires the substrates together into the flow of Fig. 1:
 //!
 //! 1. compile the gate-level netlist and capture the **golden run**
-//!    ([`ffr_sim`]),
+//!    (`ffr_sim`),
 //! 2. extract the per-flip-flop **feature vectors** ([`ffr_features`]),
 //! 3. obtain reference FDR values by **statistical fault injection** —
 //!    either for every flip-flop (the paper's validation baseline) or only
-//!    for a training subset (the cost-saving use case, [`ffr_fault`]),
+//!    for a training subset (the cost-saving use case) — [`ffr_fault`]
+//!    runs one injection point, the `ffr_campaign` runner loops over them,
 //! 4. **select, fit and apply a regression model** ([`ffr_ml`]) on the
 //!    measured flip-flops, predicting the rest.
 //!
 //! Entry points:
 //!
-//! * [`ReferenceDataset::collect`] — full campaign + features (§IV-A),
+//! * [`ReferenceDataset`] — golden-run features + a flat campaign's FDRs
+//!   (§IV-A),
 //! * [`ModelKind`] — the paper's three models plus the future-work ones,
 //!   with tuned hyperparameters and small selection grids
 //!   ([`ModelKind::small_grid`]),

@@ -18,16 +18,12 @@
 
 use crate::judge::FailureJudge;
 use crate::model::{FailureClass, InjectionPoint};
-use crate::result::{FdrTable, FfCampaignResult};
 use crate::sampling::sample_injection_times;
-use crate::set::{NetSetResult, SetDeratingTable};
-use ffr_netlist::{FfId, NetId};
+use ffr_netlist::NetId;
 use ffr_sim::{
     CompiledCircuit, Cone, FaultEngine, GoldenRun, LaneView, NetJournal, OutputTrace, Stimulus,
     WatchList,
 };
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Configuration of a statistical SEU campaign.
@@ -160,9 +156,10 @@ pub struct PointScratch {
 /// A prepared fault-injection campaign: compiled circuit, stimulus, watch
 /// list, judge, and the golden reference run.
 ///
-/// The campaign object is immutable and `Sync`; per-flip-flop work is
-/// dispatched from [`Campaign::run`] (sequential) or
-/// [`Campaign::run_parallel`] (rayon).
+/// The campaign object is immutable and `Sync`: it runs one injection
+/// point at a time ([`Campaign::run_point`], or the resumable
+/// [`Campaign::run_point_times_with`]), and a caller may drive any number
+/// of points from any number of threads.
 pub struct Campaign<'a, S, J> {
     cc: &'a CompiledCircuit,
     stimulus: &'a S,
@@ -245,19 +242,14 @@ where
         self.cc
     }
 
-    /// Inject the planned faults for one flip-flop and classify every run.
-    pub fn run_ff(&self, ff: FfId, config: &CampaignConfig) -> FfCampaignResult {
-        FfCampaignResult::new(ff, self.run_planned(InjectionPoint::Seu(ff), config))
-    }
-
-    /// Inject the planned faults for one combinational net and classify
-    /// every run (the SET fault model).
-    pub(crate) fn run_net(&self, net: NetId, config: &CampaignConfig) -> NetSetResult {
-        NetSetResult::new(net, self.run_planned(InjectionPoint::Set(net), config))
-    }
-
-    /// Run the full planned campaign for one injection point.
-    fn run_planned(
+    /// Inject the planned faults for one injection point of either fault
+    /// model and return the per-class tallies (indexed like
+    /// [`FailureClass::ALL`]). The plan is [`sample_injection_times`] on
+    /// [`InjectionPoint::stream`] — the same plan a campaign runner slices
+    /// into policy batches, so a fixed-budget run reproduces these tallies.
+    ///
+    /// [`sample_injection_times`]: crate::sample_injection_times
+    pub fn run_point(
         &self,
         point: InjectionPoint,
         config: &CampaignConfig,
@@ -512,77 +504,14 @@ where
         runner.frontier_peak = runner.frontier_peak.max(engine.peak());
         runner.lanes_diverged += u64::from(differed.count_ones());
     }
-
-    /// Run the full flat campaign over every flip-flop, sequentially.
-    pub fn run(&self, config: &CampaignConfig) -> FdrTable {
-        let results = self
-            .all_ffs()
-            .map(|ff| self.run_ff(ff, config))
-            .collect::<Vec<_>>();
-        FdrTable::from_results(self.cc.num_ffs(), results, config.injections_per_ff)
-    }
-
-    /// Run the full flat campaign with rayon worker threads.
-    pub fn run_parallel(&self, config: &CampaignConfig) -> FdrTable {
-        self.run_parallel_subset(&self.all_ffs().collect::<Vec<_>>(), config, |_, _| {})
-    }
-
-    /// Run the campaign for a subset of flip-flops (e.g. only the training
-    /// set of the ML flow), in parallel, with a progress callback
-    /// `(done, total)`.
-    pub fn run_parallel_subset(
-        &self,
-        ffs: &[FfId],
-        config: &CampaignConfig,
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> FdrTable {
-        let done = AtomicUsize::new(0);
-        let total = ffs.len();
-        let results: Vec<FfCampaignResult> = ffs
-            .par_iter()
-            .map(|&ff| {
-                let r = self.run_ff(ff, config);
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                progress(d, total);
-                r
-            })
-            .collect();
-        FdrTable::from_results(self.cc.num_ffs(), results, config.injections_per_ff)
-    }
-
-    /// Run a flat SET campaign over the given nets (typically
-    /// [`CompiledCircuit::comb_output_nets`]), in parallel, with a
-    /// progress callback `(done, total)`.
-    pub fn run_set_parallel(
-        &self,
-        nets: &[NetId],
-        config: &CampaignConfig,
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> SetDeratingTable {
-        let done = AtomicUsize::new(0);
-        let total = nets.len();
-        let results: Vec<NetSetResult> = nets
-            .par_iter()
-            .map(|&net| {
-                let r = self.run_net(net, config);
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                progress(d, total);
-                r
-            })
-            .collect();
-        SetDeratingTable::from_results(results, config.injections_per_ff)
-    }
-
-    fn all_ffs(&self) -> impl Iterator<Item = FfId> {
-        (0..self.cc.num_ffs()).map(FfId::from_index)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::judge::OutputMismatchJudge;
-    use ffr_netlist::NetlistBuilder;
+    use crate::result::FfCampaignResult;
+    use ffr_netlist::{FfId, NetlistBuilder};
     use ffr_sim::InputFrame;
 
     /// A circuit with a sharply bimodal FDR population: a live data path
@@ -630,12 +559,12 @@ mod tests {
         let config = CampaignConfig::new(10..100)
             .with_injections(24)
             .with_seed(3);
-        let table = campaign.run(&config);
-
         let netlist = cc.netlist();
         for (ff, _) in netlist.ffs() {
             let name = netlist.ff_name(ff).to_string();
-            let fdr = table.fdr(ff).expect("full campaign covers all FFs");
+            let fdr =
+                FfCampaignResult::new(ff, campaign.run_point(InjectionPoint::Seu(ff), &config))
+                    .fdr();
             if name.starts_with("live") {
                 assert!(
                     fdr > 0.9,
@@ -644,22 +573,6 @@ mod tests {
             } else if name.starts_with("dead") {
                 assert_eq!(fdr, 0.0, "dead FF {name} must be benign");
             }
-        }
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let cc = probe_circuit();
-        let watch = WatchList::all(&cc);
-        let judge = OutputMismatchJudge::new();
-        let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
-        let config = CampaignConfig::new(10..100)
-            .with_injections(16)
-            .with_seed(7);
-        let seq = campaign.run(&config);
-        let par = campaign.run_parallel(&config);
-        for (ff, _) in cc.netlist().ffs() {
-            assert_eq!(seq.fdr(ff), par.fdr(ff));
         }
     }
 
@@ -733,33 +646,21 @@ mod tests {
     }
 
     #[test]
-    fn subset_campaign_covers_only_subset() {
-        let cc = probe_circuit();
-        let watch = WatchList::all(&cc);
-        let judge = OutputMismatchJudge::new();
-        let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
-        let config = CampaignConfig::new(10..100).with_injections(8);
-        let subset = vec![FfId::from_index(0), FfId::from_index(5)];
-        let table = campaign.run_parallel_subset(&subset, &config, |_, _| {});
-        assert!(table.fdr(FfId::from_index(0)).is_some());
-        assert!(table.fdr(FfId::from_index(5)).is_some());
-        assert!(table.fdr(FfId::from_index(1)).is_none());
-        assert_eq!(table.covered().count(), 2);
-    }
-
-    #[test]
     fn injection_plans_are_reproducible_across_campaigns() {
         let cc = probe_circuit();
         let watch = WatchList::all(&cc);
         let judge = OutputMismatchJudge::new();
-        let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
+        let first = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
+        let second = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
         let config = CampaignConfig::new(10..100)
             .with_injections(16)
             .with_seed(5);
-        let t1 = campaign.run(&config);
-        let t2 = campaign.run(&config);
         for (ff, _) in cc.netlist().ffs() {
-            assert_eq!(t1.fdr(ff), t2.fdr(ff));
+            let point = InjectionPoint::Seu(ff);
+            assert_eq!(
+                first.run_point(point, &config),
+                second.run_point(point, &config)
+            );
         }
     }
 }

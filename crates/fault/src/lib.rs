@@ -27,9 +27,12 @@
 //! * **judge only what diverged** — the batch loop records which lanes'
 //!   watched outputs ever left the golden trace (and when they last
 //!   did); the rest are benign by the [`FailureJudge`] contract without a
-//!   call, and [`OutputMismatchJudge`] answers from the record in O(1),
-//! * **parallel campaign** — injection points are distributed over
-//!   threads with rayon.
+//!   call, and [`OutputMismatchJudge`] answers from the record in O(1).
+//!
+//! The crate runs one injection point at a time ([`Campaign::run_point`],
+//! or a slice of its plan with [`Campaign::run_point_times`]); looping
+//! over a campaign's points — across threads, with checkpoints and
+//! adaptive stopping — is the campaign runner's job (`ffr_campaign`).
 //!
 //! The statistical substrate is usable on its own — injection plans are
 //! pure functions of `(seed, stream, window)`, and campaign sizing /

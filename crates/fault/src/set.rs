@@ -3,7 +3,7 @@
 //! The paper's background section (§II-A) describes SETs — transients on
 //! combinational gate outputs that only matter if they are latched. The
 //! *injection* of SETs lives in the unified campaign engine
-//! ([`Campaign::run_net`](crate::Campaign::run_net) /
+//! ([`Campaign::run_point`](crate::Campaign::run_point) /
 //! [`Campaign::run_point_times`](crate::Campaign::run_point_times) with
 //! [`InjectionPoint::Set`](crate::InjectionPoint::Set)); this module holds
 //! the per-net and per-circuit result types — the logical de-rating
@@ -191,6 +191,7 @@ mod tests {
     use super::*;
     use crate::campaign::{Campaign, CampaignConfig};
     use crate::judge::OutputMismatchJudge;
+    use crate::model::InjectionPoint;
     use ffr_netlist::NetlistBuilder;
     use ffr_sim::{CompiledCircuit, InputFrame, Stimulus, WatchList};
 
@@ -234,10 +235,12 @@ mod tests {
         let stim = AlwaysOn(60);
         let campaign = Campaign::new(&cc, &stim, &watch, &judge);
         let config = CampaignConfig::new(5..35).with_injections(30).with_seed(9);
+        let run =
+            |net| NetSetResult::new(net, campaign.run_point(InjectionPoint::Set(net), &config));
 
         // Transient on the increment output lands in the counter and is
         // visible at the outputs (the counter value jumps permanently).
-        let live = campaign.run_net(datapath_net, &config);
+        let live = run(datapath_net);
         assert!(
             live.derating() > 0.9,
             "datapath SET should fail: {}",
@@ -245,7 +248,7 @@ mod tests {
         );
         // Transient on the masked parity net is logically de-rated: the
         // AND with 0 blocks it and nothing latches it.
-        let masked = campaign.run_net(masked_net, &config);
+        let masked = run(masked_net);
         assert_eq!(masked.failures(), 0, "masked SET must be benign");
         assert_eq!(masked.injections(), 30);
         assert_eq!(masked.derating(), 0.0);
@@ -262,7 +265,9 @@ mod tests {
 
         let nets = cc.comb_output_nets();
         assert!(nets.contains(&datapath_net) && nets.contains(&masked_net));
-        let table = campaign.run_set_parallel(&nets, &config, |_, _| {});
+        let run =
+            |net| NetSetResult::new(net, campaign.run_point(InjectionPoint::Set(net), &config));
+        let table = SetDeratingTable::from_results(nets.iter().map(|&n| run(n)).collect(), 16);
         assert_eq!(table.num_nets(), nets.len());
         assert_eq!(table.injections_per_net(), 16);
         assert_eq!(table.derating(masked_net), Some(0.0));

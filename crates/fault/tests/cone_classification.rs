@@ -18,8 +18,8 @@
 use ffr_circuits::corpus::CorpusSpec;
 use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, TrafficConfig};
 use ffr_fault::{
-    sample_injection_times, Campaign, CampaignConfig, FailureClass, FailureJudge, FdrTable,
-    FfCampaignResult, InjectionPoint, NetSetResult, OutputMismatchJudge, SetDeratingTable,
+    sample_injection_times, Campaign, CampaignConfig, FailureClass, FailureJudge, InjectionPoint,
+    OutputMismatchJudge,
 };
 use ffr_netlist::{Bus, FfId, NetId, NetlistBuilder};
 use ffr_sim::reference::{self, Target};
@@ -206,8 +206,9 @@ proptest! {
     }
 }
 
-/// Whole-table equivalence: an SEU campaign over every flip-flop produces
-/// the FDR table the oracle's tallies fold into.
+/// Whole-plan equivalence: the planned SEU injections of every flip-flop
+/// ([`Campaign::run_point`]) tally like the oracle, so any FDR table built
+/// from them equals the oracle's.
 #[test]
 fn fdr_table_equals_oracle_table() {
     let cc = circuit(4);
@@ -219,35 +220,19 @@ fn fdr_table_equals_oracle_table() {
     let judge = OutputMismatchJudge::new();
     let campaign = Campaign::new(&cc, &stim, &watch, &judge);
     let config = CampaignConfig::new(8..88).with_injections(48).with_seed(19);
-
-    let engine = campaign.run(&config);
-    let oracle = FdrTable::from_results(
-        cc.num_ffs(),
-        cc.netlist()
-            .ffs()
-            .map(|(ff, _)| {
-                let point = InjectionPoint::Seu(ff);
-                let times = sample_injection_times(19, point.stream(), 8..88, 48);
-                let counts = oracle_tallies(&campaign, &stim, &watch, &judge, point, &times);
-                FfCampaignResult::new(ff, counts)
-            })
-            .collect(),
-        48,
-    );
     for (ff, _) in cc.netlist().ffs() {
-        assert_eq!(
-            engine.fdr(ff),
-            oracle.fdr(ff),
-            "FDR mismatch for {}",
-            cc.netlist().ff_name(ff)
-        );
+        let point = InjectionPoint::Seu(ff);
+        let times = sample_injection_times(19, point.stream(), 8..88, 48);
+        let oracle = oracle_tallies(&campaign, &stim, &watch, &judge, point, &times);
+        let name = cc.netlist().ff_name(ff);
+        assert_eq!(campaign.run_point(point, &config), oracle, "{name}");
     }
-    assert_eq!(engine.circuit_fdr(), oracle.circuit_fdr());
 }
 
-/// Whole-table equivalence for the SET fault model: a de-rating campaign
-/// over every interesting net (gate outputs, Q nets, source inputs)
-/// produces the table the oracle's tallies fold into.
+/// Whole-plan equivalence for the SET fault model: the planned injections
+/// of every interesting net (gate outputs, Q nets, source inputs) tally
+/// like the oracle, so any de-rating table built from them equals the
+/// oracle's.
 #[test]
 fn set_table_equals_oracle_table() {
     let cc = circuit(3);
@@ -258,27 +243,12 @@ fn set_table_equals_oracle_table() {
     let watch = WatchList::all(&cc);
     let judge = OutputMismatchJudge::new();
     let campaign = Campaign::new(&cc, &stim, &watch, &judge);
-    let nets = set_targets(&cc);
     let config = CampaignConfig::new(4..68).with_injections(32).with_seed(23);
-
-    let engine = campaign.run_set_parallel(&nets, &config, |_, _| {});
-    let oracle = SetDeratingTable::from_results(
-        nets.iter()
-            .map(|&net| {
-                let point = InjectionPoint::Set(net);
-                let times = sample_injection_times(23, point.stream(), 4..68, 32);
-                let counts = oracle_tallies(&campaign, &stim, &watch, &judge, point, &times);
-                NetSetResult::new(net, counts)
-            })
-            .collect(),
-        32,
-    );
-    for &net in &nets {
-        assert_eq!(
-            engine.derating(net),
-            oracle.derating(net),
-            "SET de-rating mismatch for net {net}"
-        );
+    for net in set_targets(&cc) {
+        let point = InjectionPoint::Set(net);
+        let times = sample_injection_times(23, point.stream(), 4..68, 32);
+        let oracle = oracle_tallies(&campaign, &stim, &watch, &judge, point, &times);
+        assert_eq!(campaign.run_point(point, &config), oracle, "net {net}");
     }
 }
 

@@ -4,8 +4,11 @@
 //!
 //! Run: `cargo run --release --example custom_circuit`
 
+use ffr_campaign::{
+    run_resumable, AdaptivePolicy, CampaignCheckpoint, CancelToken, CheckpointParams, RunnerOptions,
+};
 use ffr_core::{measured_rows, ModelKind};
-use ffr_fault::{Campaign, CampaignConfig, OutputMismatchJudge};
+use ffr_fault::{Campaign, FaultKind, OutputMismatchJudge};
 use ffr_features::extract_features;
 use ffr_ml::model_selection::{train_test_split, StratifiedKFold};
 use ffr_netlist::{verilog, FfId, NetlistBuilder};
@@ -96,11 +99,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Full estimation pipeline: inject a random 40% of the FFs, then
     // select / fit k-NN on the measured rows and predict the rest.
     let (subset, _) = train_test_split(cc.num_ffs(), 0.4, 21);
-    let subset: Vec<FfId> = subset.into_iter().map(FfId::from_index).collect();
-    let config = CampaignConfig::new(10..280)
-        .with_injections(40)
-        .with_seed(21);
-    let table = campaign.run_parallel_subset(&subset, &config, |_, _| {});
+    let params = CheckpointParams {
+        fault: FaultKind::Seu,
+        seed: 21,
+        window_start: 10,
+        window_end: 280,
+        policy: AdaptivePolicy::fixed(40),
+    };
+    let subset = subset.into_iter().map(|i| i as u32);
+    let mut checkpoint = CampaignCheckpoint::fresh("custom".into(), params, subset);
+    let options = RunnerOptions::default();
+    run_resumable(
+        &campaign,
+        &mut checkpoint,
+        &options,
+        &CancelToken::new(),
+        |_, _| {},
+    )?;
+    let table = checkpoint.to_fdr_table_for(cc.num_ffs());
 
     let rows = features.to_rows();
     let (tx, ty) = measured_rows(&table, &rows);

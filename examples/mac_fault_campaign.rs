@@ -33,7 +33,7 @@ fn main() {
     // Adaptive policy: 40–120 injections per flip-flop, retiring each one
     // as soon as its 95 % Wilson interval half-width reaches 0.08.
     let window = tb.injection_window();
-    let mut checkpoint = CampaignCheckpoint::fresh_seu(
+    let mut checkpoint = CampaignCheckpoint::fresh(
         "example".into(),
         CheckpointParams {
             fault: FaultKind::Seu,
@@ -42,7 +42,7 @@ fn main() {
             window_end: window.end,
             policy: AdaptivePolicy::adaptive(40, 120, 0.08),
         },
-        cc.num_ffs(),
+        0..cc.num_ffs() as u32,
     );
     let checkpoint_path = std::env::temp_dir().join("mac_fault_campaign.checkpoint.json");
 
@@ -88,7 +88,7 @@ fn main() {
     )
     .expect("in-memory run");
     assert_eq!(outcome, RunOutcome::Complete);
-    let table = checkpoint.to_fdr_table();
+    let table = checkpoint.to_fdr_table_for(cc.num_ffs());
     println!(
         "campaign complete: {} injections (fixed-120 budget would have been {})",
         checkpoint.total_injections(),

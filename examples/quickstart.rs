@@ -7,7 +7,10 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use ffr_fault::{Campaign, CampaignConfig, OutputMismatchJudge};
+use ffr_campaign::{
+    run_resumable, AdaptivePolicy, CampaignCheckpoint, CancelToken, CheckpointParams, RunnerOptions,
+};
+use ffr_fault::{Campaign, FaultKind, OutputMismatchJudge};
 use ffr_netlist::NetlistBuilder;
 use ffr_sim::{CompiledCircuit, InputFrame, Stimulus, WatchList};
 
@@ -44,15 +47,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cc.num_ffs()
     );
 
-    // 3. Statistical SEU campaign: 60 injections per flip-flop, failure =
-    //    any primary-output deviation from the golden run.
+    // 3. Statistical SEU campaign over every flip-flop: 60 injections
+    //    each, failure = any primary-output deviation from the golden run.
     let watch = WatchList::all(&cc);
     let judge = OutputMismatchJudge::new();
     let campaign = Campaign::new(&cc, &AlwaysOn, &watch, &judge);
-    let config = CampaignConfig::new(10..180)
-        .with_injections(60)
-        .with_seed(1);
-    let table = campaign.run_parallel(&config);
+    let params = CheckpointParams {
+        fault: FaultKind::Seu,
+        seed: 1,
+        window_start: 10,
+        window_end: 180,
+        policy: AdaptivePolicy::fixed(60),
+    };
+    let ffs = 0..cc.num_ffs() as u32;
+    let mut checkpoint = CampaignCheckpoint::fresh("quickstart".into(), params, ffs);
+    let options = RunnerOptions::default();
+    run_resumable(
+        &campaign,
+        &mut checkpoint,
+        &options,
+        &CancelToken::new(),
+        |_, _| {},
+    )?;
+    let table = checkpoint.to_fdr_table_for(cc.num_ffs());
 
     println!("\nper-flip-flop Functional De-Rating:");
     for (ff, _) in cc.netlist().ffs() {

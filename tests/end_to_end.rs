@@ -1,32 +1,68 @@
 //! End-to-end integration: circuit → campaign → features → models →
 //! estimation flow, at small scale.
 
+use ffr_campaign::{
+    run_resumable, AdaptivePolicy, CampaignCheckpoint, CancelToken, CheckpointParams, RunnerOptions,
+};
 use ffr_circuits::{Mac10geConfig, MacJudge, MacTestbench, TrafficConfig};
 use ffr_core::{measured_rows, ModelKind, ReferenceDataset};
-use ffr_fault::{Campaign, CampaignConfig, FdrTable};
+use ffr_fault::{Campaign, FaultKind, FdrTable};
+use ffr_features::extract_features;
 use ffr_ml::metrics;
 use ffr_ml::model_selection::{train_test_split, StratifiedKFold};
 use ffr_netlist::FfId;
 use ffr_sim::GoldenRun;
 
-fn small_dataset(injections: usize, seed: u64) -> (ReferenceDataset, std::ops::Range<u64>) {
+/// The small MAC's reference dataset (golden-run features and the FDRs
+/// of a campaign over every flip-flop) and, given a `fraction`, the table
+/// of a campaign over a random training subset of that size only. Both
+/// campaigns run through the campaign runner.
+fn small_mac(
+    injections: usize,
+    seed: u64,
+    fraction: Option<f64>,
+) -> (ReferenceDataset, Option<FdrTable>) {
     let (cc, tb, watch, extractor) =
         MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
     let golden = GoldenRun::capture(&cc, &tb, &watch);
     let judge = MacJudge::new(extractor, &golden);
     let campaign = Campaign::with_golden(&cc, &tb, &watch, &judge, golden);
-    let config = CampaignConfig::new(tb.injection_window())
-        .with_injections(injections)
-        .with_seed(seed);
-    let ds = ReferenceDataset::collect(&campaign, &config, |_, _| {});
-    (ds, tb.injection_window())
+    let window = tb.injection_window();
+    let measure = |ffs: Vec<usize>| {
+        let params = CheckpointParams {
+            fault: FaultKind::Seu,
+            seed,
+            window_start: window.start,
+            window_end: window.end,
+            policy: AdaptivePolicy::fixed(injections),
+        };
+        let ffs = ffs.into_iter().map(|i| i as u32);
+        let mut checkpoint = CampaignCheckpoint::fresh("end-to-end".into(), params, ffs);
+        let options = RunnerOptions::default();
+        run_resumable(
+            &campaign,
+            &mut checkpoint,
+            &options,
+            &CancelToken::new(),
+            |_, _| {},
+        )
+        .unwrap();
+        checkpoint.to_fdr_table_for(cc.num_ffs())
+    };
+    let reference = ReferenceDataset {
+        features: extract_features(&cc, &campaign.golden().activity),
+        fdr: measure((0..cc.num_ffs()).collect()).dense_fdr(),
+        injections_per_ff: injections,
+    };
+    let subset = fraction.map(|f| measure(train_test_split(cc.num_ffs(), f, seed).0));
+    (reference, subset)
 }
 
 #[test]
 fn nonlinear_models_beat_linear_on_real_fault_data() {
     // 24 injections per FF: enough resolution in the reference FDR values
     // for the model-quality gap to clear the asserted margin reliably.
-    let (ds, _) = small_dataset(24, 1);
+    let (ds, _) = small_mac(24, 1, None);
     let scored = ffr_core::estimate(
         &ds.x(),
         ds.y(),
@@ -63,20 +99,8 @@ fn estimate_from_fraction(
     seed: u64,
     kind: ModelKind,
 ) -> (Vec<f64>, FdrTable, Vec<f64>) {
-    let (cc, tb, watch, extractor) =
-        MacTestbench::setup(Mac10geConfig::small(), &TrafficConfig::small());
-    let golden = GoldenRun::capture(&cc, &tb, &watch);
-    let judge = MacJudge::new(extractor, &golden);
-    let campaign = Campaign::with_golden(&cc, &tb, &watch, &judge, golden);
-    let config = CampaignConfig::new(tb.injection_window())
-        .with_injections(injections)
-        .with_seed(seed);
-    let reference = ReferenceDataset::collect(&campaign, &config, |_, _| {});
-
-    let (subset, _) = train_test_split(cc.num_ffs(), fraction, seed);
-    let subset: Vec<FfId> = subset.into_iter().map(FfId::from_index).collect();
-    let table = campaign.run_parallel_subset(&subset, &config, |_, _| {});
-
+    let (reference, table) = small_mac(injections, seed, Some(fraction));
+    let table = table.expect("a fraction was given");
     let rows = reference.features.to_rows();
     let (tx, ty) = measured_rows(&table, &rows);
     let estimate = ffr_core::estimate(
@@ -88,7 +112,7 @@ fn estimate_from_fraction(
         &rows,
         &ffr_obs::Recorder::disabled(),
     );
-    let per_ff = (0..cc.num_ffs())
+    let per_ff = (0..reference.len())
         .map(|i| {
             table
                 .fdr(FfId::from_index(i))
@@ -129,7 +153,7 @@ fn predicted_circuit_fdr_close_to_measured() {
 
 #[test]
 fn feature_matrix_aligns_with_fdr_table() {
-    let (ds, _) = small_dataset(8, 9);
+    let (ds, _) = small_mac(8, 9, None);
     assert_eq!(ds.features.num_rows(), ds.fdr.len());
     assert_eq!(ds.features.num_cols(), 25);
     // Feature values are finite; FDR within [0,1].

@@ -1,7 +1,10 @@
 //! Property-based and invariant tests of the fault-injection engine
 //! against the bit-parallel simulator.
 
-use ffr_fault::{Campaign, CampaignConfig, FailureClass, FailureJudge, OutputMismatchJudge};
+use ffr_fault::{
+    Campaign, CampaignConfig, FailureClass, FailureJudge, FfCampaignResult, InjectionPoint,
+    OutputMismatchJudge,
+};
 use ffr_netlist::{FfId, NetlistBuilder};
 use ffr_sim::reference::{self, Target};
 use ffr_sim::{CompiledCircuit, GoldenRun, InputFrame, LaneView, Stimulus, WatchList};
@@ -19,6 +22,15 @@ impl Stimulus for AlwaysOn {
     }
 }
 
+/// FDR of one flip-flop under `config`'s planned injections.
+fn seu_fdr<S: Stimulus + Sync, J: FailureJudge>(
+    campaign: &Campaign<'_, S, J>,
+    ff: FfId,
+    config: &CampaignConfig,
+) -> f64 {
+    FfCampaignResult::new(ff, campaign.run_point(InjectionPoint::Seu(ff), config)).fdr()
+}
+
 fn lfsr_circuit() -> CompiledCircuit {
     CompiledCircuit::compile(ffr_circuits::small::lfsr_pipeline(8, 3)).unwrap()
 }
@@ -34,16 +46,14 @@ fn every_lfsr_ff_is_critical() {
     let stim = AlwaysOn(120);
     let campaign = Campaign::new(&cc, &stim, &watch, &judge);
     let config = CampaignConfig::new(5..100).with_injections(12).with_seed(3);
-    let table = campaign.run(&config);
     for (ff, _) in cc.netlist().ffs() {
         assert_eq!(
-            table.fdr(ff),
-            Some(1.0),
+            seu_fdr(&campaign, ff, &config),
+            1.0,
             "{} must always fail",
             cc.netlist().ff_name(ff)
         );
     }
-    assert_eq!(table.circuit_fdr(), 1.0);
 }
 
 proptest! {
@@ -79,7 +89,7 @@ proptest! {
         let campaign = Campaign::new(&cc, &stim, &watch, &judge);
         let config = CampaignConfig::new(5..55).with_injections(20).with_seed(seed);
         let ff = FfId::from_index(ff_index);
-        let engine_result = campaign.run_ff(ff, &config);
+        let engine = FfCampaignResult::new(ff, campaign.run_point(InjectionPoint::Seu(ff), &config));
 
         // Naive reference: the shared oracle, one lane per injection time.
         let times = ffr_fault::sample_injection_times(seed, ff_index as u64, 5..55, 20);
@@ -94,7 +104,7 @@ proptest! {
                 judge.classify(&g, &f, t) != FailureClass::Benign
             })
             .count();
-        prop_assert_eq!(engine_result.failures(), naive_failures);
+        prop_assert_eq!(engine.failures(), naive_failures);
     }
 
     /// FDR is monotone in observability: a fully observed register cannot
@@ -117,16 +127,12 @@ proptest! {
         let config = CampaignConfig::new(5..45).with_injections(16).with_seed(seed);
         let wf = WatchList::all(&full);
         let wp = WatchList::all(&partial);
-        let cf = Campaign::new(&full, &stim, &wf, &judge).run(&config);
-        let cp = Campaign::new(&partial, &stim, &wp, &judge).run(&config);
+        let cf = Campaign::new(&full, &stim, &wf, &judge);
+        let cp = Campaign::new(&partial, &stim, &wp, &judge);
         for i in 0..width {
             let ff = FfId::from_index(i);
-            prop_assert!(
-                cf.fdr(ff).unwrap() >= cp.fdr(ff).unwrap(),
-                "bit {i}: full {:?} < partial {:?}",
-                cf.fdr(ff),
-                cp.fdr(ff)
-            );
+            let (f, p) = (seu_fdr(&cf, ff, &config), seu_fdr(&cp, ff, &config));
+            prop_assert!(f >= p, "bit {i}: full {f} < partial {p}");
         }
     }
 }
@@ -153,7 +159,7 @@ fn set_derating_never_exceeds_seu_on_latch_input() {
 
     let campaign = Campaign::new(&cc, &stim, &watch, &judge);
     let config = CampaignConfig::new(10..60).with_injections(50).with_seed(1);
-    let seu = campaign.run_ff(FfId::from_index(0), &config);
+    let seu = seu_fdr(&campaign, FfId::from_index(0), &config);
 
     // Same unified engine, SET fault model, explicit per-cycle plan.
     let d = cc.netlist().ff_d_net(FfId::from_index(0));
@@ -161,9 +167,8 @@ fn set_derating_never_exceeds_seu_on_latch_input() {
     let set = ffr_fault::NetSetResult::new(d, counts);
 
     assert!(
-        set.derating() <= seu.fdr() + 0.2,
-        "SET {} should not exceed SEU {} by much",
-        set.derating(),
-        seu.fdr()
+        set.derating() <= seu + 0.2,
+        "SET {} should not exceed SEU {seu} by much",
+        set.derating()
     );
 }
